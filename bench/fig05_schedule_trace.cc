@@ -49,7 +49,10 @@ main()
         std::printf("%-6lu %-6u %-6u %-10.0f %-8s %-12s\n",
                     static_cast<unsigned long>(t.iteration), t.rlp,
                     t.tlp, t.estimatedAi,
-                    t.fcTarget == core::FcTarget::Gpu ? "PU" : "PIM",
+                    papi.targets().at(t.targetId).kind ==
+                            core::TargetKind::Gpu
+                        ? "PU"
+                        : "PIM",
                     t.rescheduled ? "<-- switch" : "");
     }
 

@@ -69,8 +69,8 @@
  * The "policy" section is its own sub-schema (papi-policy/1): the
  * paper's FC scheduling-policy comparison on the serving workload -
  * identical PAPI hardware, one shared GeneralQa stream, FC dispatch
- * swept over dynamic / always-gpu / always-pim / oracle
- * (docs/BENCHMARKS.md documents every field):
+ * swept over threshold:fc-pim->gpu / static:gpu / static:fc-pim /
+ * oracle:gpu,fc-pim (docs/BENCHMARKS.md documents every field):
  *   {
  *     "schema": "papi-policy/1",
  *     "model": str,
@@ -78,13 +78,13 @@
  *                  "seed": n, "max_rlp": n, "spec_length": n },
  *     "alpha": x,                       // calibrated threshold
  *     "policies": [
- *       { "policy": str, "dispatch": str,
+ *       { "dispatch": str,
  *         "makespan_seconds": x, "sim_tokens_per_sec": x,
  *         "mean_latency_seconds": x, "p95_latency_seconds": x,
  *         "reschedules": n, "fc_gpu_iterations": n,
  *         "fc_pim_iterations": n, "energy_joules": x,
- *         "wall_seconds": x }, ...      // dynamic, always-gpu,
- *     ],                                // always-pim, oracle
+ *         "wall_seconds": x }, ...      // in the sweep order above
+ *     ],
  *     "dynamic_speedup_vs_always_gpu": x,
  *     "dynamic_speedup_vs_always_pim": x,
  *     "oracle_over_dynamic": x          // <= 1; 1 = oracle-equal
@@ -737,8 +737,7 @@ struct PatternResult
 /** One FC-policy cell of the papi-policy/1 section. */
 struct PolicyCell
 {
-    const char *policy = nullptr; ///< fcPolicyName of the cell.
-    std::string dispatch;         ///< Resolved dispatch policy.
+    std::string dispatch; ///< The cell's FC dispatch policy.
     core::ServingResult result;
     double wall = 0.0;
 };
@@ -758,7 +757,8 @@ struct PolicyBench
 /**
  * The paper's scheduling-policy comparison on the serving workload:
  * identical PAPI hardware, one shared GeneralQa Poisson stream, FC
- * dispatch swept over Dynamic / AlwaysGpu / AlwaysPim / Oracle.
+ * dispatch swept over the threshold rule, both static pins, and the
+ * oracle.
  * Reports simulated serving quality per policy (the dynamic
  * threshold should sit between the static extremes and track the
  * oracle) plus harness wall-clock per cell.
@@ -790,17 +790,15 @@ benchPolicy(bool quick)
     opt.alpha = out.alpha;
     opt.seed = 3;
 
-    for (core::FcPolicy policy :
-         {core::FcPolicy::Dynamic, core::FcPolicy::AlwaysGpu,
-          core::FcPolicy::AlwaysPim, core::FcPolicy::Oracle}) {
+    for (const char *dispatch :
+         {"threshold:fc-pim->gpu", "static:gpu", "static:fc-pim",
+          "oracle:gpu,fc-pim"}) {
         core::PlatformConfig cfg = core::makePapiConfig();
-        cfg.fcPolicy = policy;
+        cfg.fcDispatch = core::dispatchPolicyFromName(dispatch);
         core::Platform platform(cfg);
         auto start = Clock::now();
         PolicyCell cell;
-        cell.policy = core::fcPolicyName(policy);
-        cell.dispatch = core::dispatchPolicyName(
-            platform.dispatchPolicy(core::Phase::Fc));
+        cell.dispatch = dispatch;
         cell.result = core::ServingEngine(platform).run(stream, spec,
                                                         model, opt);
         cell.wall = secondsSince(start);
@@ -1696,7 +1694,7 @@ writeJson(std::FILE *f, bool quick, bool legacy_only,
         const core::ServingResult &r = c.result;
         std::fprintf(
             f,
-            "      {\"policy\": \"%s\", \"dispatch\": \"%s\",\n"
+            "      {\"dispatch\": \"%s\",\n"
             "       \"makespan_seconds\": %.6f, "
             "\"sim_tokens_per_sec\": %.6e,\n"
             "       \"mean_latency_seconds\": %.6f, "
@@ -1706,7 +1704,7 @@ writeJson(std::FILE *f, bool quick, bool legacy_only,
             "\"fc_pim_iterations\": %llu,\n"
             "       \"energy_joules\": %.4f, "
             "\"wall_seconds\": %.6f}%s\n",
-            c.policy, c.dispatch.c_str(), r.makespanSeconds,
+            c.dispatch.c_str(), r.makespanSeconds,
             r.throughputTokensPerSecond(), r.meanLatencySeconds,
             r.p95LatencySeconds,
             static_cast<unsigned long long>(r.reschedules),
@@ -1716,7 +1714,7 @@ writeJson(std::FILE *f, bool quick, bool legacy_only,
             i + 1 < pb.cells.size() ? "," : "");
     }
     std::fprintf(f, "    ],\n");
-    // Cells are ordered dynamic, always-gpu, always-pim, oracle.
+    // Cells are ordered threshold, static:gpu, static:fc-pim, oracle.
     std::fprintf(
         f,
         "    \"dynamic_speedup_vs_always_gpu\": %.3f,\n"

@@ -51,8 +51,13 @@ platformFromConfig(const sim::Config &config)
         config.getInt("num_fc_devices", cfg.numFcDevices));
     cfg.numAttnDevices = static_cast<std::uint32_t>(
         config.getInt("num_attn_devices", cfg.numAttnDevices));
+    // The retired key must not fall through to the default policy.
     if (config.has("fc_policy"))
-        cfg.fcPolicy = fcPolicyFromName(config.getString("fc_policy"));
+        sim::fatal("config: fc_policy = '", config.getString("fc_policy"),
+                   "' is no longer read; set fc_dispatch instead "
+                   "(always-gpu -> static:gpu, always-pim -> "
+                   "static:fc-pim, dynamic -> threshold:fc-pim->gpu, "
+                   "oracle -> oracle:gpu,fc-pim)");
     if (config.has("fc_dispatch"))
         cfg.fcDispatch =
             dispatchPolicyFromName(config.getString("fc_dispatch"));

@@ -13,12 +13,11 @@
  *   num_gpus              GPUs in the tensor-parallel group
  *   num_fc_devices        FC-weight PIM/HBM devices
  *   num_attn_devices      Attention PIM devices
- *   fc_policy             always-gpu | always-pim | dynamic | oracle
- *   fc_dispatch           explicit FC dispatch policy, overriding
- *                         fc_policy: "static:<target>",
+ *   fc_dispatch           FC dispatch policy: "static:<target>",
  *                         "threshold:<below>-><above>", or
  *                         "oracle:<t1>,<t2>,..." over the registry
- *                         target names (gpu, fc-pim, attn-pim)
+ *                         target names (gpu, fc-pim, attn-pim);
+ *                         defaults to the platform's own
  *   attn_dispatch         attention-phase dispatch policy (static or
  *                         oracle; threshold is fc-only - no runtime
  *                         alpha is plumbed for other phases)
@@ -31,6 +30,10 @@
  *   gpu.mem_bandwidth_gbs per-GPU HBM bandwidth
  *   fc_pim.fpus_per_group / fc_pim.banks_per_group   FC-PIM xPyB
  *   attn_pim.fpus_per_group / attn_pim.banks_per_group
+ *
+ * The retired FC-policy enum key is fatal rather than ignored, and
+ * the message names the fc_dispatch spelling of each old value, so
+ * an old config cannot silently run the default policy.
  */
 
 #ifndef PAPI_CORE_CONFIG_LOADER_HH

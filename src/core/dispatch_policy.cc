@@ -8,53 +8,29 @@
 
 namespace papi::core {
 
-const char *
-fcPolicyName(FcPolicy policy)
+namespace {
+
+/**
+ * The oracle rule: the candidate whose @p seconds cost is smallest;
+ * ties go to the earlier candidate.
+ */
+template <typename CostFn>
+DispatchDecision
+fastest(const std::vector<TargetId> &ids, CostFn &&seconds)
 {
-    switch (policy) {
-      case FcPolicy::AlwaysGpu: return "always-gpu";
-      case FcPolicy::AlwaysPim: return "always-pim";
-      case FcPolicy::Dynamic: return "dynamic";
-      case FcPolicy::Oracle: return "oracle";
+    DispatchDecision d{ids.front(), 0.0};
+    double best = std::numeric_limits<double>::infinity();
+    for (TargetId id : ids) {
+        double s = seconds(id);
+        if (s < best) {
+            best = s;
+            d.target = id;
+        }
     }
-    return "unknown";
+    return d;
 }
 
-const char *
-fcTargetName(FcTarget target)
-{
-    switch (target) {
-      case FcTarget::Gpu: return "gpu";
-      case FcTarget::FcPim: return "fc-pim";
-    }
-    return "unknown";
-}
-
-FcPolicy
-fcPolicyFromName(const std::string &name)
-{
-    if (name == "always-gpu")
-        return FcPolicy::AlwaysGpu;
-    if (name == "always-pim")
-        return FcPolicy::AlwaysPim;
-    if (name == "dynamic")
-        return FcPolicy::Dynamic;
-    if (name == "oracle")
-        return FcPolicy::Oracle;
-    sim::fatal("fcPolicyFromName: unknown fc policy '", name,
-               "' (always-gpu | always-pim | dynamic | oracle)");
-}
-
-FcTarget
-fcTargetFromName(const std::string &name)
-{
-    if (name == "gpu")
-        return FcTarget::Gpu;
-    if (name == "fc-pim")
-        return FcTarget::FcPim;
-    sim::fatal("fcTargetFromName: unknown fc target '", name,
-               "' (gpu | fc-pim)");
-}
+} // namespace
 
 const char *
 dispatchRuleName(DispatchRule rule)
@@ -106,23 +82,6 @@ oracleDispatch(std::vector<std::string> targets)
     p.rule = DispatchRule::Oracle;
     p.targets = std::move(targets);
     return p;
-}
-
-DispatchPolicy
-dispatchFromFcPolicy(FcPolicy policy)
-{
-    switch (policy) {
-      case FcPolicy::AlwaysGpu:
-        return staticDispatch("gpu");
-      case FcPolicy::AlwaysPim:
-        return staticDispatch("fc-pim");
-      case FcPolicy::Dynamic:
-        // Memory-bound side first: AI <= alpha stays on PIM.
-        return thresholdDispatch("fc-pim", "gpu");
-      case FcPolicy::Oracle:
-        return oracleDispatch({"gpu", "fc-pim"});
-    }
-    sim::fatal("dispatchFromFcPolicy: bad policy");
 }
 
 std::string
@@ -202,18 +161,6 @@ dispatchPolicyFromName(const std::string &name)
     return p;
 }
 
-DispatchDecision
-thresholdDecision(double alpha, std::uint32_t rlp, std::uint32_t tlp,
-                  const AiEstimateFn &estimator, TargetPair pair)
-{
-    DispatchDecision d;
-    d.estimatedAi = estimator
-                        ? estimator(rlp, tlp)
-                        : llm::fcArithmeticIntensityEstimate(rlp, tlp);
-    d.target = d.estimatedAi > alpha ? pair.above : pair.below;
-    return d;
-}
-
 // ----------------------------------------------------- PhaseDispatcher
 
 PhaseDispatcher::PhaseDispatcher(const Platform &platform, Phase phase,
@@ -246,6 +193,18 @@ PhaseDispatcher::pair() const
 }
 
 DispatchDecision
+PhaseDispatcher::thresholdDecision(std::uint32_t rlp,
+                                   std::uint32_t tlp) const
+{
+    DispatchDecision d;
+    d.estimatedAi = _estimator
+                        ? _estimator(rlp, tlp)
+                        : llm::fcArithmeticIntensityEstimate(rlp, tlp);
+    d.target = d.estimatedAi > _alpha ? _ids[1] : _ids[0];
+    return d;
+}
+
+DispatchDecision
 PhaseDispatcher::select(const llm::ModelConfig &model,
                         std::uint32_t rlp, std::uint32_t tlp,
                         std::uint32_t tokens) const
@@ -254,20 +213,11 @@ PhaseDispatcher::select(const llm::ModelConfig &model,
       case DispatchRule::Static:
         return DispatchDecision{_ids.front(), 0.0};
       case DispatchRule::Threshold:
-        return thresholdDecision(_alpha, rlp, tlp, _estimator,
-                                 TargetPair{_ids[0], _ids[1]});
-      case DispatchRule::Oracle: {
-        DispatchDecision d{_ids.front(), 0.0};
-        double best = std::numeric_limits<double>::infinity();
-        for (TargetId id : _ids) {
-            double s = _platform->fcExec(model, tokens, id).seconds;
-            if (s < best) {
-                best = s;
-                d.target = id;
-            }
-        }
-        return d;
-      }
+        return thresholdDecision(rlp, tlp);
+      case DispatchRule::Oracle:
+        return fastest(_ids, [&](TargetId id) {
+            return _platform->fcExec(model, tokens, id).seconds;
+        });
     }
     sim::panic("PhaseDispatcher: bad rule");
 }
@@ -278,28 +228,11 @@ PhaseDispatcher::selectAttention(
     const std::vector<std::uint32_t> &ctx_lens,
     std::uint32_t tlp) const
 {
-    switch (_rule) {
-      case DispatchRule::Static:
+    if (_rule == DispatchRule::Static)
         return DispatchDecision{_ids.front(), 0.0};
-      case DispatchRule::Threshold:
-        return thresholdDecision(
-            _alpha, static_cast<std::uint32_t>(ctx_lens.size()), tlp,
-            _estimator, TargetPair{_ids[0], _ids[1]});
-      case DispatchRule::Oracle: {
-        DispatchDecision d{_ids.front(), 0.0};
-        double best = std::numeric_limits<double>::infinity();
-        for (TargetId id : _ids) {
-            double s =
-                _platform->attnExec(model, ctx_lens, tlp, id).seconds;
-            if (s < best) {
-                best = s;
-                d.target = id;
-            }
-        }
-        return d;
-      }
-    }
-    sim::panic("PhaseDispatcher: bad rule");
+    return fastest(_ids, [&](TargetId id) {
+        return _platform->attnExec(model, ctx_lens, tlp, id).seconds;
+    });
 }
 
 DispatchDecision
@@ -307,28 +240,11 @@ PhaseDispatcher::selectPrefill(
     const llm::ModelConfig &model,
     const std::vector<std::uint32_t> &input_lens) const
 {
-    switch (_rule) {
-      case DispatchRule::Static:
+    if (_rule == DispatchRule::Static)
         return DispatchDecision{_ids.front(), 0.0};
-      case DispatchRule::Threshold:
-        return thresholdDecision(
-            _alpha, static_cast<std::uint32_t>(input_lens.size()), 1,
-            _estimator, TargetPair{_ids[0], _ids[1]});
-      case DispatchRule::Oracle: {
-        DispatchDecision d{_ids.front(), 0.0};
-        double best = std::numeric_limits<double>::infinity();
-        for (TargetId id : _ids) {
-            double s =
-                _platform->prefillExec(model, input_lens, id).seconds;
-            if (s < best) {
-                best = s;
-                d.target = id;
-            }
-        }
-        return d;
-      }
-    }
-    sim::panic("PhaseDispatcher: bad rule");
+    return fastest(_ids, [&](TargetId id) {
+        return _platform->prefillExec(model, input_lens, id).seconds;
+    });
 }
 
 } // namespace papi::core

@@ -18,11 +18,6 @@
  * carried by PlatformConfig per phase; a PhaseDispatcher is that
  * policy bound to a concrete Platform registry plus the runtime
  * threshold alpha, making per-iteration picks.
- *
- * The legacy two-way vocabulary (FcTarget/FcPolicy) lives here too:
- * it remains the paper-facing shorthand that factories, benchmarks,
- * and reports speak, translated into registry policies at Platform
- * construction.
  */
 
 #ifndef PAPI_CORE_DISPATCH_POLICY_HH
@@ -36,33 +31,6 @@
 #include "core/exec_target.hh"
 
 namespace papi::core {
-
-// ------------------------------------------------- legacy vocabulary
-
-/** Where an FC kernel may execute (the paper's two-way view). */
-enum class FcTarget : std::uint8_t
-{
-    Gpu,   ///< The GPU's processing units.
-    FcPim, ///< The near-bank FC-PIM devices.
-};
-
-/** FC scheduling policy of a platform (paper-level shorthand). */
-enum class FcPolicy : std::uint8_t
-{
-    AlwaysGpu, ///< Static: FC on the GPU (AttAcc/HBM-PIM baselines).
-    AlwaysPim, ///< Static: FC on PIM (AttAcc-only, PIM-only PAPI).
-    Dynamic,   ///< PAPI: AI-threshold dynamic scheduling.
-    Oracle,    ///< Ablation: pick the faster target with hindsight.
-};
-
-/** Printable policy name ("always-gpu", "dynamic", ...). */
-const char *fcPolicyName(FcPolicy policy);
-/** Printable target name ("gpu" or "fc-pim"). */
-const char *fcTargetName(FcTarget target);
-/** Inverse of fcPolicyName; fatal on unknown names. */
-FcPolicy fcPolicyFromName(const std::string &name);
-/** Inverse of fcTargetName; fatal on unknown names. */
-FcTarget fcTargetFromName(const std::string &name);
 
 // -------------------------------------------------- dispatch policy
 
@@ -88,8 +56,8 @@ DispatchRule dispatchRuleFromName(const std::string &name);
  *    (AI <= alpha) first, the compute-bound side second.
  *  - Oracle: targets = the raced candidates (two or more).
  *
- * An empty target list means "unset"; Platform derives a default
- * from the legacy FcPolicy (FC), the attention devices (attention),
+ * An empty target list means "unset"; Platform derives a default:
+ * "threshold:fc-pim->gpu" (FC), the attention devices (attention),
  * or GPU presence (prefill).
  */
 struct DispatchPolicy
@@ -107,8 +75,6 @@ DispatchPolicy staticDispatch(std::string target);
 DispatchPolicy thresholdDispatch(std::string below, std::string above);
 /** Oracle race over @p targets. */
 DispatchPolicy oracleDispatch(std::vector<std::string> targets);
-/** Translate the paper-level FcPolicy into a registry policy. */
-DispatchPolicy dispatchFromFcPolicy(FcPolicy policy);
 
 /**
  * Printable round-trippable form: "static:gpu",
@@ -118,7 +84,7 @@ std::string dispatchPolicyName(const DispatchPolicy &policy);
 /** Inverse of dispatchPolicyName; fatal on malformed strings. */
 DispatchPolicy dispatchPolicyFromName(const std::string &name);
 
-// ----------------------------------------------- threshold decision
+// ------------------------------------------------ dispatch decision
 
 /**
  * Pluggable arithmetic-intensity estimate for threshold dispatch.
@@ -141,16 +107,6 @@ struct DispatchDecision
     TargetId target = 0;      ///< The selected target.
     double estimatedAi = 0.0; ///< AI estimate (threshold rule only).
 };
-
-/**
- * The paper's Section 5 rule, shared by DynamicScheduler and
- * PhaseDispatcher: estimate AI from the parallelism and route
- * estimates strictly greater than @p alpha to @p pair.above.
- */
-DispatchDecision thresholdDecision(double alpha, std::uint32_t rlp,
-                                   std::uint32_t tlp,
-                                   const AiEstimateFn &estimator,
-                                   TargetPair pair);
 
 // --------------------------------------------------- bound dispatch
 
@@ -196,18 +152,32 @@ class PhaseDispatcher
                             std::uint32_t rlp, std::uint32_t tlp,
                             std::uint32_t tokens) const;
 
-    /** Pick the attention-phase target over live contexts. */
+    /**
+     * Pick the attention-phase target over live contexts. Static or
+     * oracle only: Platform rejects threshold policies outside FC.
+     */
     DispatchDecision
     selectAttention(const llm::ModelConfig &model,
                     const std::vector<std::uint32_t> &ctx_lens,
                     std::uint32_t tlp) const;
 
-    /** Pick the prefill target over admitted prompt lengths. */
+    /**
+     * Pick the prefill target over admitted prompt lengths. Static
+     * or oracle only, as for selectAttention.
+     */
     DispatchDecision
     selectPrefill(const llm::ModelConfig &model,
                   const std::vector<std::uint32_t> &input_lens) const;
 
   private:
+    /**
+     * The paper's Section 5 rule: estimate AI from the parallelism
+     * and route estimates strictly greater than alpha to the
+     * compute-bound side of the pair.
+     */
+    DispatchDecision thresholdDecision(std::uint32_t rlp,
+                                       std::uint32_t tlp) const;
+
     const Platform *_platform;
     Phase _phase;
     DispatchRule _rule;

@@ -118,7 +118,7 @@ Platform::buildRegistry()
                                const std::vector<std::uint32_t> &l) {
             return prefillOnGpu(m, l);
         };
-        _gpuId = _registry.add(std::move(t));
+        _registry.add(std::move(t));
     }
     if (_config.fcDevicesCompute) {
         ExecTarget t;
@@ -132,7 +132,7 @@ Platform::buildRegistry()
                                const std::vector<std::uint32_t> &l) {
             return prefillOnPim(m, l);
         };
-        _fcPimId = _registry.add(std::move(t));
+        _registry.add(std::move(t));
     }
     {
         ExecTarget t;
@@ -143,7 +143,7 @@ Platform::buildRegistry()
                             std::uint32_t tlp) {
             return attnOnPim(m, ctx, tlp);
         };
-        _attnPimId = _registry.add(std::move(t));
+        _registry.add(std::move(t));
     }
 }
 
@@ -201,7 +201,7 @@ Platform::resolveDispatch()
 {
     _fcDispatch = _config.fcDispatch.configured()
                       ? _config.fcDispatch
-                      : dispatchFromFcPolicy(_config.fcPolicy);
+                      : thresholdDispatch("fc-pim", "gpu");
     _attnDispatch = _config.attnDispatch.configured()
                         ? _config.attnDispatch
                         : staticDispatch("attn-pim");
@@ -239,24 +239,6 @@ Platform::dispatcher(Phase phase, double alpha,
     return PhaseDispatcher(*this, phase, alpha, std::move(estimator));
 }
 
-TargetId
-Platform::targetIdFor(FcTarget target) const
-{
-    TargetId id = target == FcTarget::Gpu ? _gpuId : _fcPimId;
-    if (id == kInvalidTargetId)
-        sim::fatal("Platform '", _config.name, "': no '",
-                   fcTargetName(target),
-                   "' execution target registered");
-    return id;
-}
-
-FcTarget
-Platform::legacyFcTarget(TargetId id) const
-{
-    return _registry.at(id).kind == TargetKind::Gpu ? FcTarget::Gpu
-                                                    : FcTarget::FcPim;
-}
-
 void
 Platform::validateFit(const llm::ModelConfig &model,
                       std::uint64_t peak_kv_bytes) const
@@ -276,16 +258,6 @@ Platform::validateFit(const llm::ModelConfig &model,
         sim::fatal("Platform '", _config.name, "': peak KV cache (",
                    peak_kv_bytes, " B) exceeds attention device "
                    "capacity (", kv_capacity, " B)");
-}
-
-FcTarget
-Platform::staticFcTarget() const
-{
-    if (_fcDispatch.rule != DispatchRule::Static)
-        sim::fatal("Platform '", _config.name, "': no static FC "
-                   "target for a ", dispatchRuleName(_fcDispatch.rule),
-                   " dispatch policy");
-    return legacyFcTarget(_registry.require(_fcDispatch.targets[0]));
 }
 
 KernelExec
@@ -394,15 +366,6 @@ Platform::fcExec(const llm::ModelConfig &model, std::uint32_t tokens,
     key.shape0 = tokens;
     key.kind = kindFcBase + id;
     return cached(key, [&] { return target.fcCost(model, tokens); });
-}
-
-KernelExec
-Platform::fcExec(const llm::ModelConfig &model, std::uint32_t tokens,
-                 FcTarget target) const
-{
-    if (tokens == 0)
-        sim::fatal("Platform::fcExec: zero tokens");
-    return fcExec(model, tokens, targetIdFor(target));
 }
 
 double
@@ -710,7 +673,7 @@ makePapiConfig()
 {
     PlatformConfig cfg = baseConfig();
     cfg.name = "papi";
-    cfg.fcPolicy = FcPolicy::Dynamic;
+    cfg.fcDispatch = dispatchPolicyFromName("threshold:fc-pim->gpu");
     cfg.tracksRuntimeRlp = true;
     cfg.hasGpu = true;
     cfg.fcDeviceConfig = pim::fcPimConfig();
@@ -724,7 +687,7 @@ makeA100AttAccConfig()
 {
     PlatformConfig cfg = baseConfig();
     cfg.name = "a100+attacc";
-    cfg.fcPolicy = FcPolicy::AlwaysGpu;
+    cfg.fcDispatch = dispatchPolicyFromName("static:gpu");
     cfg.hasGpu = true;
     // Weights live in plain GPU HBM: model as AttAcc stacks with
     // near-bank compute disabled.
@@ -749,7 +712,7 @@ makeAttAccOnlyConfig()
 {
     PlatformConfig cfg = baseConfig();
     cfg.name = "attacc-only";
-    cfg.fcPolicy = FcPolicy::AlwaysPim;
+    cfg.fcDispatch = dispatchPolicyFromName("static:fc-pim");
     cfg.hasGpu = false;
     cfg.fcDeviceConfig = pim::attAccConfig();
     cfg.fcDevicesCompute = true;

@@ -21,9 +21,6 @@
  * describing every compute resource it can run a kernel phase on -
  * "gpu", "fc-pim", "attn-pim" as configured - and one DispatchPolicy
  * per phase (prefill, FC, attention) selecting over that registry.
- * The paper-level FcPolicy enum remains the configuration shorthand;
- * it is translated into a registry policy at construction, and
- * explicit per-phase policies in PlatformConfig override it.
  */
 
 #ifndef PAPI_CORE_PLATFORM_HH
@@ -58,15 +55,13 @@ namespace papi::core {
 struct PlatformConfig
 {
     std::string name = "platform"; ///< Display/report name.
-    FcPolicy fcPolicy = FcPolicy::Dynamic; ///< FC scheduling policy.
 
     /**
      * Per-phase dispatch policies over the target registry. Unset
      * (empty-target) policies are derived at Platform construction:
-     * FC from @ref fcPolicy, attention pinned to "attn-pim", prefill
-     * pinned to "gpu" when present else "fc-pim". Setting these
-     * explicitly overrides the legacy enum and admits shapes the
-     * enum cannot express (e.g. oracle attention offload).
+     * FC "threshold:fc-pim->gpu" (PAPI's dynamic rule), attention
+     * pinned to "attn-pim", prefill pinned to "gpu" when present
+     * else "fc-pim".
      */
     DispatchPolicy fcDispatch;      ///< FC phase policy.
     DispatchPolicy attnDispatch;    ///< Attention phase policy.
@@ -169,12 +164,6 @@ class Platform
     PhaseDispatcher dispatcher(Phase phase, double alpha = 0.0,
                                AiEstimateFn estimator = {}) const;
 
-    /** Registry id of the legacy two-way FC target; fatal if absent. */
-    TargetId targetIdFor(FcTarget target) const;
-
-    /** Two-way view of a registry target (Gpu kind vs everything else). */
-    FcTarget legacyFcTarget(TargetId id) const;
-
     /**
      * Verify the model's weights fit the FC devices and a batch's
      * peak KV cache fits the attention devices; fatal otherwise.
@@ -190,10 +179,6 @@ class Platform
      */
     KernelExec fcExec(const llm::ModelConfig &model,
                       std::uint32_t tokens, TargetId id) const;
-
-    /** Legacy two-way overload of @ref fcExec. */
-    KernelExec fcExec(const llm::ModelConfig &model,
-                      std::uint32_t tokens, FcTarget target) const;
 
     /**
      * One decode iteration's attention phase over live contexts
@@ -237,9 +222,6 @@ class Platform
 
     /** Non-GEMV overhead of one decode iteration. */
     double otherSeconds(const llm::ModelConfig &model) const;
-
-    /** The FC target a static policy implies (fatal otherwise). */
-    FcTarget staticFcTarget() const;
 
   private:
     void buildRegistry();
@@ -310,9 +292,6 @@ class Platform
     std::unique_ptr<gpu::GpuModel> _gpu;
 
     TargetRegistry _registry;
-    TargetId _gpuId = kInvalidTargetId;
-    TargetId _fcPimId = kInvalidTargetId;
-    TargetId _attnPimId = kInvalidTargetId;
     DispatchPolicy _fcDispatch;      ///< Resolved FC policy.
     DispatchPolicy _attnDispatch;    ///< Resolved attention policy.
     DispatchPolicy _prefillDispatch; ///< Resolved prefill policy.

@@ -1278,7 +1278,6 @@ ServingSim::stepDecodeLegacy()
         tr.tlp = _spec.length;
         tr.estimatedAi = _dynamic ? plan.decision.estimatedAi : 0.0;
         tr.targetId = target;
-        tr.fcTarget = _platform.legacyFcTarget(target);
         tr.rescheduled = rescheduled;
         tr.eosCount = eos;
         tr.iterationSeconds = iter_seconds;

@@ -243,7 +243,6 @@ struct IterationTrace
     std::uint32_t tlp = 0;       ///< Speculation length.
     double estimatedAi = 0.0;    ///< Scheduler's RLP x TLP estimate.
     TargetId targetId = 0;       ///< Chosen FC registry target.
-    FcTarget fcTarget = FcTarget::Gpu; ///< Two-way view of targetId.
     bool rescheduled = false;    ///< Target changed vs last iteration.
     std::uint32_t eosCount = 0;  ///< Requests that finished here.
     double iterationSeconds = 0.0; ///< Wall time of the iteration.

@@ -14,7 +14,7 @@ ThresholdCalibrator::calibrate(const Platform &platform,
         DispatchRule::Threshold) {
         pair = platform.dispatcher(Phase::Fc, 1.0).pair();
     } else {
-        // Legacy default: the paper's (FC-PIM, GPU) pair.
+        // Static or oracle FC policy: the paper's (FC-PIM, GPU) pair.
         pair.below = platform.targetId("fc-pim");
         pair.above = platform.targetId("gpu");
     }

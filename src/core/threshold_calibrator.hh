@@ -49,7 +49,7 @@ class ThresholdCalibrator
   public:
     /**
      * Calibrate the platform's own threshold pair: the FC dispatch
-     * policy's pair when its rule is Threshold, otherwise the legacy
+     * policy's pair when its rule is Threshold, otherwise the paper's
      * (fc-pim, gpu) pair. Fatal if the platform lacks either target.
      */
     static CalibrationResult calibrate(const Platform &platform,

@@ -65,7 +65,6 @@
 #include "core/metrics.hh"
 #include "core/platform.hh"
 #include "core/report.hh"
-#include "core/scheduler.hh"
 #include "core/serving_engine.hh"
 #include "core/threshold_calibrator.hh"
 

@@ -110,9 +110,10 @@ TEST_F(EngineTest, DynamicPolicySwitchesOnRlpDecay)
     // Trace: GPU iterations first (high RLP), then PIM.
     const auto &trace = engine.trace();
     ASSERT_EQ(trace.size(), r.iterations);
+    const TargetId pim = papi.targetId("fc-pim");
     bool seen_pim = false;
     for (const auto &t : trace) {
-        if (t.fcTarget == FcTarget::FcPim)
+        if (t.targetId == pim)
             seen_pim = true;
         else
             EXPECT_FALSE(seen_pim) << "GPU after PIM at iteration "
@@ -123,7 +124,7 @@ TEST_F(EngineTest, DynamicPolicySwitchesOnRlpDecay)
 TEST_F(EngineTest, OraclePolicyNeverLosesToStaticTargets)
 {
     PlatformConfig cfg = makePapiConfig();
-    cfg.fcPolicy = FcPolicy::Oracle;
+    cfg.fcDispatch = dispatchPolicyFromName("oracle:gpu,fc-pim");
     Platform oracle(cfg);
     Platform papi(makePapiConfig());
     double alpha = ThresholdCalibrator::calibrate(papi, model).alpha;

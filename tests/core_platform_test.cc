@@ -17,15 +17,34 @@ using namespace papi::core;
 namespace llm = papi::llm;
 using papi::sim::FatalError;
 
-TEST(PlatformFactories, NamesAndPolicies)
+TEST(PlatformFactories, FcDispatchPolicies)
 {
-    EXPECT_EQ(makePapiConfig().fcPolicy, FcPolicy::Dynamic);
-    EXPECT_EQ(makeA100AttAccConfig().fcPolicy, FcPolicy::AlwaysGpu);
-    EXPECT_EQ(makeA100HbmPimConfig().fcPolicy, FcPolicy::AlwaysGpu);
-    EXPECT_EQ(makeAttAccOnlyConfig().fcPolicy, FcPolicy::AlwaysPim);
-    EXPECT_EQ(makePimOnlyPapiConfig().fcPolicy, FcPolicy::AlwaysPim);
-    EXPECT_FALSE(makeAttAccOnlyConfig().hasGpu);
-    EXPECT_FALSE(makePimOnlyPapiConfig().hasGpu);
+    const struct
+    {
+        PlatformConfig config;
+        const char *fcDispatch;
+        bool hasGpu;
+    } factories[] = {
+        {makePapiConfig(), "threshold:fc-pim->gpu", true},
+        {makeA100AttAccConfig(), "static:gpu", true},
+        {makeA100HbmPimConfig(), "static:gpu", true},
+        {makeAttAccOnlyConfig(), "static:fc-pim", false},
+        {makePimOnlyPapiConfig(), "static:fc-pim", false},
+    };
+    for (const auto &f : factories) {
+        Platform p(f.config);
+        EXPECT_EQ(dispatchPolicyName(p.dispatchPolicy(Phase::Fc)),
+                  f.fcDispatch)
+            << f.config.name;
+        EXPECT_EQ(p.hasGpu(), f.hasGpu) << f.config.name;
+    }
+
+    // An unset FC policy resolves to PAPI's threshold rule.
+    PlatformConfig unset = makePapiConfig();
+    unset.fcDispatch = {};
+    EXPECT_EQ(dispatchPolicyName(
+                  Platform(unset).dispatchPolicy(Phase::Fc)),
+              "threshold:fc-pim->gpu");
 }
 
 TEST(PlatformFactories, NinetyHbmDevicesEverywhere)
@@ -52,18 +71,8 @@ TEST(PlatformFactories, PapiUsesHybridPim)
 TEST(Platform, GpulessPlatformRejectsGpuPolicies)
 {
     PlatformConfig bad = makeAttAccOnlyConfig();
-    bad.fcPolicy = FcPolicy::AlwaysGpu;
+    bad.fcDispatch = dispatchPolicyFromName("static:gpu");
     EXPECT_THROW(Platform{bad}, FatalError);
-}
-
-TEST(Platform, StaticTargetMatchesPolicy)
-{
-    Platform gpu_fc(makeA100AttAccConfig());
-    EXPECT_EQ(gpu_fc.staticFcTarget(), FcTarget::Gpu);
-    Platform pim_fc(makeAttAccOnlyConfig());
-    EXPECT_EQ(pim_fc.staticFcTarget(), FcTarget::FcPim);
-    Platform papi(makePapiConfig());
-    EXPECT_THROW(papi.staticFcTarget(), FatalError);
 }
 
 TEST(Platform, ValidateFitRejectsOversizedModels)
@@ -85,11 +94,13 @@ TEST(Platform, FcOnPimBeatsGpuAtLowParallelismOnly)
     // kernel at low batch/speculation, the GPU wins at high.
     Platform papi(makePapiConfig());
     llm::ModelConfig m = llm::gpt3_66b();
-    double pim_lo = papi.fcExec(m, 2, FcTarget::FcPim).seconds;
-    double gpu_lo = papi.fcExec(m, 2, FcTarget::Gpu).seconds;
+    const TargetId gpu = papi.targetId("gpu");
+    const TargetId pim = papi.targetId("fc-pim");
+    double pim_lo = papi.fcExec(m, 2, pim).seconds;
+    double gpu_lo = papi.fcExec(m, 2, gpu).seconds;
     EXPECT_LT(pim_lo, gpu_lo);
-    double pim_hi = papi.fcExec(m, 256, FcTarget::FcPim).seconds;
-    double gpu_hi = papi.fcExec(m, 256, FcTarget::Gpu).seconds;
+    double pim_hi = papi.fcExec(m, 256, pim).seconds;
+    double gpu_hi = papi.fcExec(m, 256, gpu).seconds;
     EXPECT_LT(gpu_hi, pim_hi);
 }
 
@@ -97,19 +108,23 @@ TEST(Platform, FcOnGpuLatencyFlatWhileMemoryBound)
 {
     Platform papi(makePapiConfig());
     llm::ModelConfig m = llm::gpt3_66b();
-    double t1 = papi.fcExec(m, 1, FcTarget::Gpu).seconds;
-    double t64 = papi.fcExec(m, 64, FcTarget::Gpu).seconds;
+    const TargetId gpu = papi.targetId("gpu");
+    double t1 = papi.fcExec(m, 1, gpu).seconds;
+    double t64 = papi.fcExec(m, 64, gpu).seconds;
     // Below the roofline ridge (~161), time barely moves.
     EXPECT_LT(t64 / t1, 1.2);
 }
 
-TEST(Platform, FcTargetsDisallowedWhereUnsupported)
+TEST(Platform, FcExecRejectsUnsupportedTargets)
 {
     Platform baseline(makeA100AttAccConfig());
     llm::ModelConfig m = llm::gpt3_66b();
     // The baseline's FC stacks are plain memory - no PIM execution.
-    EXPECT_THROW(baseline.fcExec(m, 4, FcTarget::FcPim), FatalError);
-    EXPECT_THROW(baseline.fcExec(m, 0, FcTarget::Gpu), FatalError);
+    EXPECT_THROW(baseline.targetId("fc-pim"), FatalError);
+    EXPECT_THROW(baseline.fcExec(m, 4, baseline.targetId("attn-pim")),
+                 FatalError);
+    EXPECT_THROW(baseline.fcExec(m, 0, baseline.targetId("gpu")),
+                 FatalError);
 }
 
 TEST(Platform, AttentionScalesWithContextAndRequests)
@@ -171,7 +186,7 @@ TEST(Platform, CommIncludedInPimFcPhase)
 {
     Platform papi(makePapiConfig());
     llm::ModelConfig m = llm::llama65b();
-    KernelExec fc = papi.fcExec(m, 4, FcTarget::FcPim);
+    KernelExec fc = papi.fcExec(m, 4, papi.targetId("fc-pim"));
     EXPECT_GT(fc.commSeconds, 0.0);
     EXPECT_LT(fc.commSeconds, fc.seconds);
     KernelExec at = papi.attnExec(m, {128, 128}, 1);
@@ -194,19 +209,11 @@ TEST(Platform, EnergyPositiveAndFinite)
 {
     Platform papi(makePapiConfig());
     llm::ModelConfig m = llm::gpt3_66b();
-    for (auto target : {FcTarget::Gpu, FcTarget::FcPim}) {
-        KernelExec e = papi.fcExec(m, 8, target);
+    for (const char *target : {"gpu", "fc-pim"}) {
+        KernelExec e = papi.fcExec(m, 8, papi.targetId(target));
         EXPECT_GT(e.energyJoules, 0.0);
         EXPECT_TRUE(std::isfinite(e.energyJoules));
     }
-}
-
-TEST(Platform, PolicyAndTargetNames)
-{
-    EXPECT_STREQ(fcPolicyName(FcPolicy::Dynamic), "dynamic");
-    EXPECT_STREQ(fcPolicyName(FcPolicy::AlwaysGpu), "always-gpu");
-    EXPECT_STREQ(fcTargetName(FcTarget::Gpu), "gpu");
-    EXPECT_STREQ(fcTargetName(FcTarget::FcPim), "fc-pim");
 }
 
 } // namespace

@@ -276,8 +276,9 @@ TEST(Moe, PimFcLatencyReflectsSparsity)
     // per-expert reuse stays near the balance point.
     Platform papi(makePapiConfig());
     llm::ModelConfig moe = llm::mixtral8x22b();
-    KernelExec lo = papi.fcExec(moe, 8, FcTarget::FcPim);
-    KernelExec hi = papi.fcExec(moe, 64, FcTarget::FcPim);
+    const TargetId pim = papi.targetId("fc-pim");
+    KernelExec lo = papi.fcExec(moe, 8, pim);
+    KernelExec hi = papi.fcExec(moe, 64, pim);
     // 8x the tokens costs far less than 8x the time: expert
     // coverage saturates and reuse-per-expert grows instead.
     EXPECT_LT(hi.seconds, lo.seconds * 4.0);
@@ -308,23 +309,42 @@ TEST(ConfigLoader, OverridesApply)
     EXPECT_EQ(cfg.numFcDevices, 30u);
 }
 
-TEST(ConfigLoader, PolicyAndTargetNamesRoundTrip)
+TEST(ConfigLoader, RetiredPolicyKeyIsFatalWithDispatchSpelling)
 {
-    // Every name the printers can emit must parse back to the same
-    // value - config files written from report output stay loadable.
-    for (FcPolicy p : {FcPolicy::AlwaysGpu, FcPolicy::AlwaysPim,
-                       FcPolicy::Dynamic, FcPolicy::Oracle})
-        EXPECT_EQ(fcPolicyFromName(fcPolicyName(p)), p);
-    for (FcTarget t : {FcTarget::Gpu, FcTarget::FcPim})
-        EXPECT_EQ(fcTargetFromName(fcTargetName(t)), t);
-    for (DispatchRule r : {DispatchRule::Static,
-                           DispatchRule::Threshold,
-                           DispatchRule::Oracle})
-        EXPECT_EQ(dispatchRuleFromName(dispatchRuleName(r)), r);
-
-    EXPECT_THROW(fcPolicyFromName("sometimes"), FatalError);
-    EXPECT_THROW(fcTargetFromName("tpu"), FatalError);
-    EXPECT_THROW(dispatchRuleFromName("vibes"), FatalError);
+    // A config line from before fc_dispatch must not quietly run the
+    // default policy: it is fatal, and the message spells each old
+    // value as the fc_dispatch policy it used to select.
+    const struct
+    {
+        const char *old;
+        const char *spelling;
+    } retired[] = {
+        {"always-gpu", "static:gpu"},
+        {"always-pim", "static:fc-pim"},
+        {"dynamic", "threshold:fc-pim->gpu"},
+        {"oracle", "oracle:gpu,fc-pim"},
+    };
+    for (const auto &r : retired) {
+        papi::sim::Config c;
+        c.set("fc_policy", std::string(r.old));
+        std::string msg;
+        try {
+            platformFromConfig(c);
+        } catch (const FatalError &e) {
+            msg = e.what();
+        }
+        EXPECT_NE(msg.find("fc_dispatch"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'" + std::string(r.old) + "'"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::string(r.old) + " -> " + r.spelling),
+                  std::string::npos)
+            << msg;
+        // The advice is a policy the PAPI platform accepts.
+        PlatformConfig cfg = makePapiConfig();
+        cfg.fcDispatch = dispatchPolicyFromName(r.spelling);
+        EXPECT_NO_THROW(Platform{cfg}) << r.spelling;
+    }
 }
 
 TEST(ConfigLoader, DispatchPolicyStringsRoundTrip)
@@ -339,10 +359,6 @@ TEST(ConfigLoader, DispatchPolicyStringsRoundTrip)
         thresholdDispatch("gpu", "fc-pim"),
         oracleDispatch({"gpu", "fc-pim"}),
         oracleDispatch({"gpu", "fc-pim", "attn-pim"}),
-        dispatchFromFcPolicy(FcPolicy::AlwaysGpu),
-        dispatchFromFcPolicy(FcPolicy::AlwaysPim),
-        dispatchFromFcPolicy(FcPolicy::Dynamic),
-        dispatchFromFcPolicy(FcPolicy::Oracle),
     };
     for (const auto &p : policies) {
         DispatchPolicy back =
@@ -383,11 +399,8 @@ TEST(ConfigLoader, DispatchKeysApply)
     EXPECT_THROW(Platform{cfg2}, FatalError);
 }
 
-TEST(ConfigLoader, BadPolicyOrLinkIsFatal)
+TEST(ConfigLoader, BadLinkIsFatal)
 {
-    papi::sim::Config c;
-    c.set("fc_policy", std::string("sometimes"));
-    EXPECT_THROW(platformFromConfig(c), FatalError);
     papi::sim::Config d;
     d.set("attn_fabric", std::string("carrier-pigeon"));
     EXPECT_THROW(platformFromConfig(d), FatalError);

@@ -49,9 +49,13 @@ bits(double d)
     return u;
 }
 
-/** FNV chain over the schedule trace; pinned pre-refactor. */
+/**
+ * FNV chain over the schedule trace; pinned pre-refactor. The FC
+ * target folds as 0 for the GPU and 1 for any other kind.
+ */
 std::uint64_t
-traceHash(const std::vector<IterationTrace> &trace)
+traceHash(const Platform &platform,
+          const std::vector<IterationTrace> &trace)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const auto &t : trace) {
@@ -59,7 +63,10 @@ traceHash(const std::vector<IterationTrace> &trace)
         h = fold(h, t.rlp);
         h = fold(h, t.tlp);
         h = fold(h, bits(t.estimatedAi));
-        h = fold(h, t.fcTarget == FcTarget::Gpu ? 0u : 1u);
+        h = fold(h, platform.targets().at(t.targetId).kind ==
+                            TargetKind::Gpu
+                        ? 0u
+                        : 1u);
         h = fold(h, t.rescheduled ? 1u : 0u);
         h = fold(h, t.eosCount);
         h = fold(h, bits(t.iterationSeconds));
@@ -151,7 +158,7 @@ TEST(DecodeIdentity, PapiDynamicSpeculativeWithTrace)
                   0.42071565062377358, 7017.413006130284, 286, 9946,
                   191, 95, 1});
     ASSERT_EQ(e.trace().size(), 286u);
-    EXPECT_EQ(traceHash(e.trace()), 0x7f344eb7158f2ce9ULL);
+    EXPECT_EQ(traceHash(p, e.trace()), 0x7f344eb7158f2ce9ULL);
 }
 
 TEST(DecodeIdentity, AlwaysGpuPaddedBatch)
@@ -188,7 +195,7 @@ TEST(DecodeIdentity, AttAccOnlyGpuless)
 TEST(DecodeIdentity, OraclePolicy)
 {
     PlatformConfig cfg = makePapiConfig();
-    cfg.fcPolicy = FcPolicy::Oracle;
+    cfg.fcDispatch = dispatchPolicyFromName("oracle:gpu,fc-pim");
     Platform p(cfg);
     DecodeEngine e(p);
     llm::ModelConfig model = llm::llama65b();
@@ -221,7 +228,7 @@ TEST(DecodeIdentity, PhaseOverlapHiding)
                   0.053145139746876881, 0.18098950029187888,
                   0.42071565062377358, 7017.413006130284, 286, 9946,
                   191, 95, 1});
-    EXPECT_EQ(traceHash(e.trace()), 0x312b3edabbfc0afeULL);
+    EXPECT_EQ(traceHash(p, e.trace()), 0x312b3edabbfc0afeULL);
 }
 
 TEST(DecodeIdentity, MoeEstimatorPath)
@@ -346,7 +353,7 @@ TEST(ServingIdentity, AlwaysGpuBaseline)
 TEST(ServingIdentity, OracleServing)
 {
     PlatformConfig cfg = makePapiConfig();
-    cfg.fcPolicy = FcPolicy::Oracle;
+    cfg.fcDispatch = dispatchPolicyFromName("oracle:gpu,fc-pim");
     Platform p(cfg);
     ServingResult r = ServingEngine(p).run(
         makeStream(50.0, 32, 5), {}, llm::llama65b(), servingOpts());
@@ -435,22 +442,6 @@ TEST(TargetRegistry, RejectsDuplicateAndEmptyNames)
 
 // ------------------------------------------------ dispatch mechanics
 
-TEST(Dispatch, LegacyPoliciesTranslate)
-{
-    EXPECT_EQ(dispatchPolicyName(
-                  dispatchFromFcPolicy(FcPolicy::AlwaysGpu)),
-              "static:gpu");
-    EXPECT_EQ(dispatchPolicyName(
-                  dispatchFromFcPolicy(FcPolicy::AlwaysPim)),
-              "static:fc-pim");
-    EXPECT_EQ(dispatchPolicyName(
-                  dispatchFromFcPolicy(FcPolicy::Dynamic)),
-              "threshold:fc-pim->gpu");
-    EXPECT_EQ(dispatchPolicyName(
-                  dispatchFromFcPolicy(FcPolicy::Oracle)),
-              "oracle:gpu,fc-pim");
-}
-
 TEST(Dispatch, PlatformResolvesPerPhasePolicies)
 {
     Platform papi(makePapiConfig());
@@ -480,12 +471,32 @@ TEST(Dispatch, ThresholdDispatcherMatchesScheduler)
     EXPECT_EQ(d.select(m, 64, 1, 64).target, pair.above);
     EXPECT_EQ(d.select(m, 8, 2, 16).target, pair.below);
     EXPECT_DOUBLE_EQ(d.select(m, 8, 2, 16).estimatedAi, 16.0);
+    // RLP decaying onto alpha moves FC to PIM: only estimates
+    // strictly greater than alpha are compute-bound.
+    EXPECT_EQ(d.select(m, 25, 1, 25).target, pair.above);
+    EXPECT_EQ(d.select(m, 24, 1, 24).target, pair.below);
+    // At fixed RLP, raising the speculation length flips the pick.
+    EXPECT_EQ(d.select(m, 8, 1, 8).target, pair.below);
+    DispatchDecision raised = d.select(m, 8, 4, 32);
+    EXPECT_EQ(raised.target, pair.above);
+    EXPECT_DOUBLE_EQ(raised.estimatedAi, 32.0);
+
+    // The rule is pair-agnostic: a reversed pair swaps the sides.
+    PlatformConfig cfg = makePapiConfig();
+    cfg.fcDispatch = dispatchPolicyFromName("threshold:gpu->fc-pim");
+    Platform reversed(cfg);
+    PhaseDispatcher r = reversed.dispatcher(Phase::Fc, 24.0);
+    EXPECT_EQ(r.pair().below, reversed.targetId("gpu"));
+    EXPECT_EQ(r.pair().above, reversed.targetId("fc-pim"));
+    EXPECT_EQ(r.select(m, 64, 1, 64).target,
+              reversed.targetId("fc-pim"));
+    EXPECT_EQ(r.select(m, 8, 2, 16).target, reversed.targetId("gpu"));
 }
 
 TEST(Dispatch, OracleRacesCandidates)
 {
     PlatformConfig cfg = makePapiConfig();
-    cfg.fcPolicy = FcPolicy::Oracle;
+    cfg.fcDispatch = dispatchPolicyFromName("oracle:gpu,fc-pim");
     Platform p(cfg);
     llm::ModelConfig m = llm::llama65b();
     PhaseDispatcher d = p.dispatcher(Phase::Fc);
@@ -498,17 +509,6 @@ TEST(Dispatch, OracleRacesCandidates)
     // The race agrees with the raw cost model.
     EXPECT_LE(p.fcExec(m, 2, lo).seconds,
               p.fcExec(m, 2, p.targetId("gpu")).seconds);
-}
-
-TEST(Dispatch, ExplicitPolicyOverridesLegacyEnum)
-{
-    // fcPolicy says Dynamic, but an explicit static pin wins.
-    PlatformConfig cfg = makePapiConfig();
-    cfg.fcDispatch = staticDispatch("fc-pim");
-    Platform p(cfg);
-    EXPECT_EQ(p.staticFcTarget(), FcTarget::FcPim);
-    EXPECT_EQ(dispatchPolicyName(p.dispatchPolicy(Phase::Fc)),
-              "static:fc-pim");
 }
 
 TEST(Dispatch, InvalidPoliciesAreConstructionErrors)
@@ -594,10 +594,9 @@ TEST(Dispatch, BreakdownStaysInChargedUnitsUnderTpCostModel)
 
 TEST(Dispatch, ExplicitThresholdPolicyRunsEndToEnd)
 {
-    // An explicitly-configured threshold policy (not via the legacy
-    // enum) drives a full serving run and reschedules.
+    // A threshold policy built with thresholdDispatch drives a full
+    // serving run and reschedules.
     PlatformConfig cfg = makePapiConfig();
-    cfg.fcPolicy = FcPolicy::AlwaysGpu; // overridden below
     cfg.fcDispatch = thresholdDispatch("fc-pim", "gpu");
     Platform p(cfg);
     llm::SpeculativeConfig spec;

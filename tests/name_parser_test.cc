@@ -36,31 +36,6 @@ fatalMessage(Fn &&parse)
     return {};
 }
 
-TEST(NameParsers, FcPolicyRoundTripAndFatalListsNames)
-{
-    for (FcPolicy p : {FcPolicy::AlwaysGpu, FcPolicy::AlwaysPim,
-                       FcPolicy::Dynamic, FcPolicy::Oracle})
-        EXPECT_EQ(fcPolicyFromName(fcPolicyName(p)), p);
-
-    const std::string msg = fatalMessage(
-        [](const std::string &s) { fcPolicyFromName(s); });
-    EXPECT_NE(msg.find("no-such-name"), std::string::npos);
-    for (const char *name :
-         {"always-gpu", "always-pim", "dynamic", "oracle"})
-        EXPECT_NE(msg.find(name), std::string::npos) << name;
-}
-
-TEST(NameParsers, FcTargetRoundTripAndFatalListsNames)
-{
-    for (FcTarget t : {FcTarget::Gpu, FcTarget::FcPim})
-        EXPECT_EQ(fcTargetFromName(fcTargetName(t)), t);
-
-    const std::string msg = fatalMessage(
-        [](const std::string &s) { fcTargetFromName(s); });
-    for (const char *name : {"gpu", "fc-pim"})
-        EXPECT_NE(msg.find(name), std::string::npos) << name;
-}
-
 TEST(NameParsers, DispatchRuleRoundTripAndFatalListsNames)
 {
     for (DispatchRule r : {DispatchRule::Static,

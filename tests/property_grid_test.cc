@@ -148,7 +148,9 @@ TEST(GridProperty, MoreFcDevicesNeverSlower)
         PlatformConfig cfg = makePimOnlyPapiConfig();
         cfg.numFcDevices = devices;
         Platform platform(cfg);
-        double t = platform.fcExec(model, 4, FcTarget::FcPim).seconds;
+        double t =
+            platform.fcExec(model, 4, platform.targetId("fc-pim"))
+                .seconds;
         EXPECT_LT(t, prev) << "devices=" << devices;
         prev = t;
     }

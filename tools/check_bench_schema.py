@@ -79,7 +79,7 @@ def main():
           "dynamic_speedup_vs_always_pim", "oracle_over_dynamic"])
     for i, cell in enumerate(policy.get("policies", [])):
         need(cell, f"$.policy.policies[{i}]",
-             ["policy", "dispatch", "makespan_seconds",
+             ["dispatch", "makespan_seconds",
               "sim_tokens_per_sec", "mean_latency_seconds",
               "p95_latency_seconds", "reschedules",
               "fc_gpu_iterations", "fc_pim_iterations",
