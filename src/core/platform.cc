@@ -24,7 +24,6 @@ hashCombine(std::uint64_t h, std::uint64_t v)
  * never collide.
  */
 constexpr std::uint32_t kindFcBase = 0x100;
-constexpr std::uint32_t kindAttnBase = 0x200;
 constexpr std::uint32_t kindPrefillBase = 0x300;
 
 /** Entry count at which the kernel cache is discarded wholesale. */
@@ -399,22 +398,11 @@ Platform::attnExec(const llm::ModelConfig &model,
     if (!target.attnCost)
         sim::fatal("Platform '", _config.name, "': target '",
                    target.name, "' cannot run the attention phase");
-
-    std::uint64_t total_len = 0;
-    for (std::uint32_t len : ctx_lens)
-        total_len += len;
-
-    // The result depends on ctx_lens only through the total context
-    // length and the request count, so the cache key is exact.
-    KernelKey key;
-    key.model = modelShapeHash(model);
-    key.shape0 = total_len;
-    key.shape1 = (static_cast<std::uint64_t>(ctx_lens.size()) << 32) |
-                 tlp;
-    key.kind = kindAttnBase + id;
-    return cached(key, [&] {
-        return target.attnCost(model, ctx_lens, tlp);
-    });
+    // Not memoized here: the context sum grows every decode
+    // iteration, so a (sum, count, TLP) key almost never repeats,
+    // while the command-stream replay underneath is already memoized
+    // by pim::GemvEngine on a bounded key.
+    return target.attnCost(model, ctx_lens, tlp);
 }
 
 KernelExec

@@ -255,20 +255,24 @@ class Platform
     void addKvWriteout(std::uint64_t kv_bytes, KernelExec &out) const;
 
     /**
-     * Memoization of kernel-phase results. Every query above is a
-     * pure function of the model's numeric shape and a handful of
-     * workload scalars, yet decode loops, oracle policies, and
-     * threshold calibration re-ask the same shapes millions of times
-     * per figure run. Keys fold the model's identity fields with the
-     * workload shape; the cache is cleared wholesale if it ever grows
-     * pathologically large (long serving sweeps with ever-changing
-     * context sums).
+     * Memoization of the FC and prefill phase results. Each is a pure
+     * function of the model's numeric shape and a handful of
+     * workload scalars, and decode loops, oracle policies, and
+     * threshold calibration re-ask the same FC token counts and
+     * prompt shapes millions of times per figure run, while a cold
+     * FC cost is tens of microseconds. Attention is not memoized
+     * here: its (context sum, count, TLP) shape grows every decode
+     * iteration and almost never repeats, and its expensive part,
+     * the command-stream replay, already hits pim::GemvEngine's memo
+     * on a bounded key. Keys fold the model's identity fields with
+     * the workload shape; the cache is cleared wholesale if it ever
+     * grows pathologically large.
      */
     struct KernelKey
     {
         std::uint64_t model = 0;  ///< Hash of the model's shape fields.
-        std::uint64_t shape0 = 0; ///< tokens / total context length.
-        std::uint64_t shape1 = 0; ///< request count, TLP, ...
+        std::uint64_t shape0 = 0; ///< FC tokens / total prompt length.
+        std::uint64_t shape1 = 0; ///< prefill request count.
         std::uint64_t shape2 = 0; ///< prefill sum of squared lengths.
         std::uint32_t kind = 0;   ///< (phase, target id) of the query.
 
@@ -299,10 +303,10 @@ class Platform
     std::optional<PhaseDispatcher> _attnDispatcher;
     std::optional<PhaseDispatcher> _prefillDispatcher;
 
-    // detlint: allow(unordered-decl): memo cache with find/emplace/
-    // clear only (Platform::cached); a hit returns the exact value a
-    // recompute would produce, and no code walks the table, so
-    // bucket order cannot reach results or stats.
+    // detlint: allow(unordered-decl): FC/prefill memo cache with
+    // find/emplace/clear only (Platform::cached); a hit returns the
+    // exact value a recompute would produce, and no code walks the
+    // table, so bucket order cannot reach results or stats.
     mutable std::unordered_map<KernelKey, KernelExec, KernelKeyHash>
         _kernelCache;
 };

@@ -1548,12 +1548,17 @@ ServingSim::ensureKvHeadroom()
     // availableBlocks() counts cached-prefix blocks as reclaimable
     // headroom: eviction happens lazily inside KvCacheManager's
     // growth path, so the cache is always sacrificed before any
-    // live request is preempted (evict-before-preempt).
-    while (_batch.size() > 1 &&
-           worstGrowthBlocks() > _kv.availableBlocks())
+    // live request is preempted (evict-before-preempt). The batch's
+    // growth is summed once, and again only after a preemption
+    // changed the batch.
+    if (_batch.empty())
+        return;
+    std::uint64_t need = worstGrowthBlocks();
+    while (_batch.size() > 1 && need > _kv.availableBlocks()) {
         preemptYoungest();
-    if (!_batch.empty() &&
-        worstGrowthBlocks() > _kv.availableBlocks())
+        need = worstGrowthBlocks();
+    }
+    if (need > _kv.availableBlocks())
         sim::fatal("ServingSim: KV pool cannot hold even a single "
                    "request's next-iteration growth (request ",
                    _batch.id.front(),

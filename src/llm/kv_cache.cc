@@ -59,22 +59,50 @@ KvCacheManager::find(std::uint64_t id) const
     return _slots[it->second];
 }
 
+std::uint32_t
+KvCacheManager::scanLeastUsed() const
+{
+    // min_element returns the first minimum: lowest index on ties.
+    return static_cast<std::uint32_t>(
+        std::min_element(_usedPerDevice.begin(),
+                         _usedPerDevice.end()) -
+        _usedPerDevice.begin());
+}
+
+std::uint32_t
+KvCacheManager::nextPick(std::uint32_t placed,
+                         std::uint64_t level) const
+{
+    // `placed` was the lowest-index device at the fleet minimum
+    // `level` and now holds one block more. Any other device at
+    // `level` sits above it in index order; failing that, every
+    // device holds more than `level`, so the lowest index at
+    // level + 1 (at worst `placed` itself) is the new pick.
+    const auto begin = _usedPerDevice.begin();
+    const auto end = _usedPerDevice.end();
+    auto it = std::find(begin + placed + 1, end, level);
+    if (it == end)
+        it = std::find(begin, end, level + 1);
+    return static_cast<std::uint32_t>(it - begin);
+}
+
 void
 KvCacheManager::allocBlocks(RequestState &state, std::uint64_t add)
 {
     const std::size_t n = _usedPerDevice.size();
     if (add <= 8 || n <= 1) {
-        // Few blocks: the block-at-a-time least-loaded scan is
-        // cheapest (and is the definition the closed form below
-        // must reproduce).
+        // Few blocks: place them one at a time on the least-loaded
+        // device, lowest index on ties (the definition the closed
+        // form below must reproduce). The pick is carried between
+        // blocks and calls, so only a level change other than the
+        // pick's own (release, eviction, bulk fill) costs a scan.
+        if (_pick == kNoPick)
+            _pick = scanLeastUsed();
         for (std::uint64_t b = 0; b < add; ++b) {
-            std::uint32_t best = 0;
-            for (std::uint32_t i = 1; i < n; ++i) {
-                if (_usedPerDevice[i] < _usedPerDevice[best])
-                    best = i;
-            }
-            ++_usedPerDevice[best];
-            ++state.perDevice[best];
+            const std::uint32_t d = _pick;
+            const std::uint64_t level = _usedPerDevice[d]++;
+            ++state.perDevice[d];
+            _pick = nextPick(d, level);
         }
     } else {
         // Closed-form water-filling, bit-identical to the scan:
@@ -133,6 +161,7 @@ KvCacheManager::allocBlocks(RequestState &state, std::uint64_t add)
             u += give;
             state.perDevice[d] += give;
         }
+        _pick = kNoPick; // every level moved: rescan on next use
     }
     state.blocks += add;
     _usedTotal += add;
@@ -253,6 +282,7 @@ KvCacheManager::release(std::uint64_t id)
         _usedPerDevice[d] -= state.perDevice[d];
     }
     _usedTotal -= state.blocks;
+    _pick = kNoPick;
     state.tokens = 0;
     state.blocks = 0;
     _freeSlots.push_back(it->second);
@@ -301,6 +331,7 @@ KvCacheManager::evictPrefixSlot(std::uint32_t slot)
         _usedPerDevice[d] -= state.perDevice[d];
     }
     _usedTotal -= state.blocks;
+    _pick = kNoPick;
     _cachedBlocks -= state.blocks;
     _prefixEvictedBytes += state.blocks * _blockBytes;
     _prefixIndex.erase(e.key);

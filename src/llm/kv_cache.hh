@@ -19,7 +19,13 @@
  * therefore a water-filling of the per-device load levels, and
  * grow() computes that fill in closed form instead of scanning the
  * fleet once per block - the resulting distribution is bit-identical
- * to the block-at-a-time loop (pinned by a fuzz test). Request
+ * to the block-at-a-time loop (pinned by a fuzz test). Small grows
+ * place block by block but pay no fleet scan either: the current
+ * pick is kept and advanced to the next device at its level (a
+ * forward walk that amortizes to O(1) per block while the levels
+ * stay water-filled), and only release, prefix eviction, or a bulk
+ * fill force one rescan (pinned against an independent scan model
+ * by a churn test). Request
  * lookup is an id -> slot hash with pooled per-device vectors, and
  * used-block totals are maintained incrementally so freeBlocks() /
  * canAdmit() / utilization() are O(1) - these run inside the serving
@@ -320,6 +326,14 @@ class KvCacheManager
      *  first, lowest index on ties (caller checked capacity). */
     void allocBlocks(RequestState &state, std::uint64_t add);
 
+    /** Least-used device, lowest index on ties: an O(n) scan. */
+    std::uint32_t scanLeastUsed() const;
+
+    /** The pick after one block went to @p placed, the lowest-index
+     *  device at the fleet minimum @p level, without a full scan. */
+    std::uint32_t nextPick(std::uint32_t placed,
+                           std::uint64_t level) const;
+
     /** grow() body on a located slot. */
     std::uint64_t growState(std::uint64_t id, RequestState &state,
                             std::uint64_t new_tokens);
@@ -348,6 +362,11 @@ class KvCacheManager
     std::uint64_t _blocksPerDevice;
     std::uint64_t _usedTotal = 0;
     std::vector<std::uint64_t> _usedPerDevice;
+    /** "No pick" sentinel: the levels moved, rescan on next use. */
+    static constexpr std::uint32_t kNoPick = 0xffffffffu;
+    /** Device the next small-grow block goes to (scanLeastUsed()'s
+     *  answer), or kNoPick. */
+    std::uint32_t _pick = kNoPick;
     /** id -> slot index into _slots. */
     // detlint: allow(unordered-decl): keyed find/emplace/erase by
     // request id only; size() feeds liveRequests()/occupancy() as a

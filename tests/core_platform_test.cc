@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "core/platform.hh"
@@ -146,6 +147,76 @@ TEST(Platform, AttentionScalesWithContextAndRequests)
     EXPECT_GT(t_long, t_short * 3.0);
     EXPECT_GT(t_many, t_short * 3.0);
     EXPECT_THROW(papi.attnExec(m, {}, 1), FatalError);
+}
+
+/**
+ * ServingSim's plan memo is keyed on (RLP, tokens, context sum),
+ * which is sound only if attention cost depends on the context
+ * vector through its sum and count alone. Every vector is costed on
+ * a fresh platform, so no memo can answer one shape with another's
+ * value: even, one-long-rest-short, and scattered vectors of equal
+ * sum and count must cost bitwise the same on every factory
+ * platform's attention targets.
+ */
+TEST(Platform, AttentionDependsOnContextsOnlyThroughSumAndCount)
+{
+    const llm::ModelConfig m = llm::llama65b();
+    std::uint64_t lcg = 0xD1B54A32D192ED03ull;
+    auto rnd = [&lcg](std::uint32_t bound) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>((lcg >> 33) % bound);
+    };
+    const std::vector<std::vector<std::uint32_t>> evens = {
+        std::vector<std::uint32_t>(2, 500),
+        std::vector<std::uint32_t>(3, 1366),
+        std::vector<std::uint32_t>(8, 1001),
+        std::vector<std::uint32_t>(16, 2048),
+        std::vector<std::uint32_t>(64, 300),
+    };
+    auto bits = [](const KernelExec &e) {
+        return std::vector<std::uint64_t>{
+            std::bit_cast<std::uint64_t>(e.seconds),
+            std::bit_cast<std::uint64_t>(e.commSeconds),
+            std::bit_cast<std::uint64_t>(e.energyJoules),
+            std::bit_cast<std::uint64_t>(e.commJoules),
+            e.computeBound ? 1u : 0u};
+    };
+    const PlatformConfig configs[] = {
+        makePapiConfig(), makeA100AttAccConfig(),
+        makeA100HbmPimConfig(), makeAttAccOnlyConfig(),
+        makePimOnlyPapiConfig()};
+    for (const PlatformConfig &cfg : configs) {
+        const std::vector<TargetId> targets =
+            Platform(cfg).targets().supporting(Phase::Attention);
+        ASSERT_FALSE(targets.empty()) << cfg.name;
+        for (const std::vector<std::uint32_t> &even : evens) {
+            const std::size_t n = even.size();
+            const std::uint32_t sum = even[0] * n;
+            // One long context, the rest a single token each.
+            std::vector<std::uint32_t> skewed(n, 1);
+            skewed[0] = sum - static_cast<std::uint32_t>(n - 1);
+            // Scattered: move random amounts between neighbours.
+            std::vector<std::uint32_t> scattered = even;
+            for (std::size_t i = 0; i + 1 < n; ++i) {
+                const std::uint32_t d = rnd(scattered[i]);
+                scattered[i] -= d;
+                scattered[i + 1] += d;
+            }
+            for (TargetId id : targets) {
+                for (std::uint32_t tlp : {1u, 4u}) {
+                    const auto ref =
+                        bits(Platform(cfg).attnExec(m, even, tlp, id));
+                    for (const auto *ctx : {&skewed, &scattered}) {
+                        EXPECT_EQ(bits(Platform(cfg).attnExec(
+                                      m, *ctx, tlp, id)),
+                                  ref)
+                            << cfg.name << " target " << id << " n "
+                            << n << " sum " << sum << " tlp " << tlp;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Platform, HbmPimAttentionSlowerThanAttAcc)

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <numeric>
+#include <vector>
+
 #include "llm/kv_cache.hh"
 #include "llm/model_config.hh"
 #include "sim/logging.hh"
@@ -239,6 +246,290 @@ TEST(KvWaterFill, BulkGrowMatchesSequentialScanExactly)
             << "from the sequential least-loaded definition";
         EXPECT_EQ(a.freeBlocks(), b.freeBlocks());
     }
+}
+
+/**
+ * Test-local placement reference: every block goes to the least-used
+ * device, lowest index on ties, found by a full scan per block - the
+ * definition, written independently of both of the manager's
+ * allocation paths (the closed-form bulk fill and the small-grow
+ * pick it carries between blocks). The prefix cache's LRU and
+ * evict-before-fail rules are restated on top, because evictions
+ * are what move device levels other than through placement.
+ */
+class ScanPlacementModel
+{
+  public:
+    struct Holding
+    {
+        std::uint64_t tokens = 0;
+        std::uint64_t blocks = 0;
+        std::vector<std::uint64_t> perDevice;
+    };
+
+    ScanPlacementModel(std::uint32_t devices,
+                       std::uint64_t blocks_per_device,
+                       std::uint32_t block_tokens)
+        : used(devices, 0), _capacity(blocks_per_device),
+          _blockTokens(block_tokens)
+    {}
+
+    std::uint64_t
+    blocksFor(std::uint64_t tokens) const
+    {
+        return (tokens + _blockTokens - 1) / _blockTokens;
+    }
+
+    std::uint64_t
+    freeBlocks() const
+    {
+        return _capacity * used.size() -
+               std::accumulate(used.begin(), used.end(),
+                               std::uint64_t{0});
+    }
+
+    std::uint64_t
+    cachedBlocks() const
+    {
+        std::uint64_t s = 0;
+        for (const auto &e : lru)
+            s += e.second.blocks;
+        return s;
+    }
+
+    /** Whether the manager can grow a holding by @p add blocks
+     *  without failing (cached blocks are reclaimable). */
+    bool
+    fits(std::uint64_t add) const
+    {
+        return add <= freeBlocks() + cachedBlocks();
+    }
+
+    void
+    admit(std::uint64_t id, std::uint64_t tokens)
+    {
+        Holding &h = live[id];
+        h.perDevice.assign(used.size(), 0);
+        grow(id, std::max<std::uint64_t>(tokens, 1));
+    }
+
+    void
+    grow(std::uint64_t id, std::uint64_t tokens)
+    {
+        Holding &h = live.at(id);
+        const std::uint64_t need = blocksFor(tokens);
+        if (need > h.blocks) {
+            const std::uint64_t add = need - h.blocks;
+            reclaim(add);
+            ASSERT_LE(add, freeBlocks());
+            place(h, add);
+        }
+        h.tokens = tokens;
+    }
+
+    void
+    release(std::uint64_t id)
+    {
+        drop(live.at(id));
+        live.erase(id);
+    }
+
+    void
+    insert(std::uint64_t key, std::uint64_t tokens)
+    {
+        auto it = findEntry(key);
+        if (it != lru.end()) {
+            // Unlinked first, so the extension's reclaim cannot
+            // evict the entry itself.
+            std::list<std::pair<std::uint64_t, Holding>> self;
+            self.splice(self.begin(), lru, it);
+            Holding &h = self.front().second;
+            if (tokens > h.tokens) {
+                const std::uint64_t need = blocksFor(tokens);
+                if (need > h.blocks) {
+                    const std::uint64_t add = need - h.blocks;
+                    reclaim(add);
+                    if (add <= freeBlocks()) {
+                        place(h, add);
+                        h.tokens = tokens;
+                    }
+                } else {
+                    h.tokens = tokens;
+                }
+            }
+            lru.splice(lru.begin(), self);
+            return;
+        }
+        const std::uint64_t need = blocksFor(tokens);
+        reclaim(need);
+        if (need > freeBlocks())
+            return; // dropped: the pool is too hot
+        Holding h;
+        h.tokens = tokens;
+        h.perDevice.assign(used.size(), 0);
+        place(h, need);
+        lru.emplace_front(key, std::move(h));
+    }
+
+    void
+    lookup(std::uint64_t key, std::uint64_t max_tokens)
+    {
+        auto it = findEntry(key);
+        if (it == lru.end())
+            return;
+        const std::uint64_t hit = std::min(it->second.tokens,
+                                           max_tokens);
+        if (hit / _blockTokens > 0)
+            lru.splice(lru.begin(), lru, it); // promote to MRU
+    }
+
+    std::vector<std::uint64_t> used;
+    std::map<std::uint64_t, Holding> live;
+    /** Prefix entries, most recently used first. */
+    std::list<std::pair<std::uint64_t, Holding>> lru;
+
+  private:
+    std::list<std::pair<std::uint64_t, Holding>>::iterator
+    findEntry(std::uint64_t key)
+    {
+        return std::find_if(lru.begin(), lru.end(),
+                            [key](const auto &e) {
+                                return e.first == key;
+                            });
+    }
+
+    void
+    place(Holding &h, std::uint64_t add)
+    {
+        for (std::uint64_t b = 0; b < add; ++b) {
+            std::size_t best = 0;
+            for (std::size_t d = 1; d < used.size(); ++d) {
+                if (used[d] < used[best])
+                    best = d;
+            }
+            ++used[best];
+            ++h.perDevice[best];
+        }
+        h.blocks += add;
+    }
+
+    void
+    drop(const Holding &h)
+    {
+        for (std::size_t d = 0; d < used.size(); ++d)
+            used[d] -= h.perDevice[d];
+    }
+
+    /** Evict LRU entries until @p need blocks are free. */
+    void
+    reclaim(std::uint64_t need)
+    {
+        while (freeBlocks() < need && !lru.empty()) {
+            drop(lru.back().second);
+            lru.pop_back();
+        }
+    }
+
+    std::uint64_t _capacity;
+    std::uint32_t _blockTokens;
+};
+
+/**
+ * Seeded churn of admits, 1-8-block grows, releases, prefix inserts
+ * (new and re-inserted keys) and lookups on a tight pool, so prefix
+ * entries are LRU-evicted by growth and by other inserts. After
+ * every operation the manager's per-device levels must equal the
+ * scan model's, at small fleets and at the platforms' 60 devices.
+ */
+TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
+{
+    const ModelConfig m = opt30b();
+    const std::uint32_t bt = 16;
+    const std::uint64_t block_bytes = bt * m.kvBytesPerToken();
+    std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+    auto rnd = [&lcg](std::uint64_t bound) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg >> 33) % bound;
+    };
+
+    std::vector<std::uint32_t> fleets;
+    for (std::uint32_t d = 2; d <= 8; ++d)
+        fleets.insert(fleets.end(), {d, d});
+    fleets.insert(fleets.end(), {60, 60, 60});
+
+    std::uint64_t evicted_bytes = 0;
+    std::uint64_t bulk_placements = 0; // admits/inserts over 8 blocks
+    for (std::size_t round = 0; round < fleets.size(); ++round) {
+        const std::uint32_t devices = fleets[round];
+        const std::uint64_t per_device = 6 + rnd(10);
+        KvCacheManager mgr(m, devices, per_device * block_bytes, bt);
+        mgr.setPrefixCacheEnabled(true);
+        ScanPlacementModel ref(devices, per_device, bt);
+        // Footprints scale with the fleet so the pool stays tight;
+        // admits and inserts above 8 blocks take the bulk fill.
+        const std::uint64_t max_blocks =
+            std::max<std::uint64_t>(12, per_device * devices / 6);
+        std::uint64_t next_id = 1;
+        const int ops = devices >= 60 ? 3000 : 600;
+
+        for (int op = 0; op < ops; ++op) {
+            const std::uint64_t kind = rnd(100);
+            if (kind < 25) {
+                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
+                if (!ref.fits(ref.blocksFor(tokens)))
+                    continue;
+                bulk_placements += ref.blocksFor(tokens) > 8;
+                mgr.admit(next_id, tokens);
+                ref.admit(next_id, tokens);
+                ++next_id;
+            } else if (kind < 60) {
+                if (ref.live.empty())
+                    continue;
+                auto it = ref.live.begin();
+                std::advance(it, static_cast<long>(
+                                     rnd(ref.live.size())));
+                const std::uint64_t k = 1 + rnd(8);
+                if (!ref.fits(k))
+                    continue;
+                const std::uint64_t tokens =
+                    it->second.blocks * bt + (k - 1) * bt + 1 +
+                    rnd(bt);
+                mgr.grow(it->first, tokens);
+                ref.grow(it->first, tokens);
+            } else if (kind < 78) {
+                if (ref.live.empty())
+                    continue;
+                auto it = ref.live.begin();
+                std::advance(it, static_cast<long>(
+                                     rnd(ref.live.size())));
+                const std::uint64_t id = it->first;
+                mgr.release(id);
+                ref.release(id);
+            } else if (kind < 93) {
+                const std::uint64_t key = 1 + rnd(12);
+                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
+                mgr.prefixInsert(key, tokens);
+                ref.insert(key, tokens);
+            } else {
+                const std::uint64_t key = 1 + rnd(12);
+                const std::uint64_t max_tokens = 1 + rnd(4 * bt);
+                mgr.prefixLookup(key, max_tokens);
+                ref.lookup(key, max_tokens);
+            }
+            ASSERT_EQ(mgr.usedPerDevice(), ref.used)
+                << "round " << round << " (" << devices
+                << " devices), op " << op;
+            ASSERT_EQ(mgr.cachedBlocks(), ref.cachedBlocks())
+                << "round " << round << ", op " << op;
+            ASSERT_EQ(mgr.prefixEntries(), ref.lru.size())
+                << "round " << round << ", op " << op;
+            ASSERT_EQ(mgr.liveRequests(), ref.live.size());
+        }
+        evicted_bytes += mgr.prefixEvictedBytes();
+    }
+    // The churn must exercise LRU eviction and the bulk fill.
+    EXPECT_GT(evicted_bytes, 0u);
+    EXPECT_GT(bulk_placements, 0u);
 }
 
 } // namespace
