@@ -15,6 +15,7 @@ BatchState::reserve(std::size_t n)
     admitSeq.reserve(n);
     sessionId.reserve(n);
     kvBlocks.reserve(n);
+    kvSlot.reserve(n);
     prefixKey.reserve(n);
     prefixTokens.reserve(n);
     prefixHit.reserve(n);
@@ -40,6 +41,7 @@ BatchState::push(const ActiveSnapshot &s)
     admitSeq.push_back(s.admitSeq);
     sessionId.push_back(s.sessionId);
     kvBlocks.push_back(s.kvBlocks);
+    kvSlot.push_back(s.kvSlot);
     prefixKey.push_back(s.request.prefixKey);
     prefixTokens.push_back(s.request.prefixTokens);
     prefixHit.push_back(s.prefixHitTokens);
@@ -66,6 +68,7 @@ BatchState::snapshot(std::size_t i) const
     s.admitSeq = admitSeq[i];
     s.sessionId = sessionId[i];
     s.kvBlocks = kvBlocks[i];
+    s.kvSlot = kvSlot[i];
     s.request.prefixKey = prefixKey[i];
     s.request.prefixTokens = prefixTokens[i];
     s.prefixHitTokens = prefixHit[i];
@@ -92,6 +95,7 @@ BatchState::popBack()
     admitSeq.pop_back();
     sessionId.pop_back();
     kvBlocks.pop_back();
+    kvSlot.pop_back();
     prefixKey.pop_back();
     prefixTokens.pop_back();
     prefixHit.pop_back();
@@ -119,6 +123,7 @@ BatchState::moveTo(std::size_t to, std::size_t from)
     admitSeq[to] = admitSeq[from];
     sessionId[to] = sessionId[from];
     kvBlocks[to] = kvBlocks[from];
+    kvSlot[to] = kvSlot[from];
     prefixKey[to] = prefixKey[from];
     prefixTokens[to] = prefixTokens[from];
     prefixHit[to] = prefixHit[from];
@@ -144,6 +149,7 @@ BatchState::truncate(std::size_t n)
     admitSeq.resize(n);
     sessionId.resize(n);
     kvBlocks.resize(n);
+    kvSlot.resize(n);
     prefixKey.resize(n);
     prefixTokens.resize(n);
     prefixHit.resize(n);

@@ -31,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "llm/kv_cache.hh"
 #include "llm/request.hh"
 
 namespace papi::core {
@@ -66,6 +67,11 @@ struct ActiveSnapshot
      *  requestBlocks(); lets the headroom gate run without per-id
      *  hash lookups). */
     std::uint64_t kvBlocks = 0;
+    /** KvCacheManager slot from admission (an llm::KvHandle with
+     *  the request id; kNoKvSlot when the request holds no KV).
+     *  Stale once the request leaves the batch: a resume admits
+     *  afresh. */
+    std::uint32_t kvSlot = llm::kNoKvSlot;
     /** Prompt tokens covered by a prefix-cache hit at admission
      *  (their prefill cost was skipped; the ledger invariant
      *  prefixHitTokens + miss tokens == inputLen is pinned by a
@@ -90,6 +96,7 @@ class BatchState
     std::vector<std::uint64_t> admitSeq; ///< Admission sequence.
     std::vector<std::uint64_t> sessionId; ///< Session identity.
     std::vector<std::uint64_t> kvBlocks; ///< KV blocks held.
+    std::vector<std::uint32_t> kvSlot;   ///< KV handle slot.
     // Shared-prefix identity (cold columns: admission, retirement,
     // crash harvest and preemption snapshots only).
     std::vector<std::uint64_t> prefixKey;  ///< Reusable-span key.
@@ -108,7 +115,7 @@ class BatchState
      *  fails compilation the moment a column is added or removed, so
      *  push/snapshot/popBack/moveTo/truncate/clear (and this count)
      *  can never silently fall out of sync with the data members. */
-    static constexpr std::size_t kColumns = 20;
+    static constexpr std::size_t kColumns = 21;
 
     /** Live request count (every column has this many elements). */
     std::size_t size() const { return id.size(); }

@@ -18,57 +18,53 @@ hashCombine(std::uint64_t h, std::uint64_t v)
     return h * 0x100000001b3ULL;
 }
 
-/**
- * Kernel-cache query kinds: the phase in the high byte, the registry
- * target id below it. Target ids are small dense indexes, so the two
- * never collide.
- */
-constexpr std::uint32_t kindFcBase = 0x100;
-constexpr std::uint32_t kindPrefillBase = 0x300;
-
-/** Entry count at which the kernel cache is discarded wholesale. */
-constexpr std::size_t kernelCacheMaxEntries = 1u << 20;
+/** Entry count at which the prefill memo is discarded wholesale. */
+constexpr std::size_t prefillCacheMaxEntries = 1u << 20;
 
 } // namespace
 
 std::size_t
-Platform::KernelKeyHash::operator()(const KernelKey &k) const
+Platform::PrefillKeyHash::operator()(const PrefillKey &k) const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     h = hashCombine(h, k.model);
-    h = hashCombine(h, k.shape0);
-    h = hashCombine(h, k.shape1);
-    h = hashCombine(h, k.shape2);
-    h = hashCombine(h, k.kind);
+    h = hashCombine(h, k.shape.sum);
+    h = hashCombine(h, k.shape.count);
+    h = hashCombine(h, k.shape.sumSq);
+    h = hashCombine(h, k.target);
     return static_cast<std::size_t>(h);
 }
 
-std::uint64_t
-Platform::modelShapeHash(const llm::ModelConfig &model)
+std::size_t
+Platform::addModel(const ModelShape &shape) const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = hashCombine(h, model.hiddenDim);
-    h = hashCombine(h, model.numLayers);
-    h = hashCombine(h, model.numHeads);
-    h = hashCombine(h, model.ffnDim);
-    h = hashCombine(h, model.ffnMatrices);
-    h = hashCombine(h, model.maxSeqLen);
-    h = hashCombine(h, model.bytesPerParam);
-    h = hashCombine(h, model.moeExperts);
-    h = hashCombine(h, model.moeTopK);
-    return h;
+    ModelMemo m;
+    m.shape = shape;
+    m.fc.resize(_registry.size());
+    _models.push_back(std::move(m));
+    return _models.size() - 1;
 }
 
-template <typename ComputeFn>
+template <typename LensFn>
 KernelExec
-Platform::cached(const KernelKey &key, ComputeFn &&compute) const
+Platform::prefillCached(const llm::ModelConfig &model,
+                        const PrefillShape &shape, TargetId id,
+                        LensFn &&lens) const
 {
-    if (auto it = _kernelCache.find(key); it != _kernelCache.end())
+    const ExecTarget &target = _registry.at(id);
+    if (!target.prefillCost)
+        sim::fatal("Platform '", _config.name, "': target '",
+                   target.name, "' cannot run the prefill phase");
+    PrefillKey key;
+    key.model = modelIndex(model);
+    key.shape = shape;
+    key.target = id;
+    if (auto it = _prefillCache.find(key); it != _prefillCache.end())
         return it->second;
-    KernelExec out = compute();
-    if (_kernelCache.size() >= kernelCacheMaxEntries)
-        _kernelCache.clear();
-    _kernelCache.emplace(key, out);
+    KernelExec out = target.prefillCost(model, lens());
+    if (_prefillCache.size() >= prefillCacheMaxEntries)
+        _prefillCache.clear();
+    _prefillCache.emplace(key, out);
     return out;
 }
 
@@ -353,18 +349,35 @@ KernelExec
 Platform::fcExec(const llm::ModelConfig &model, std::uint32_t tokens,
                  TargetId id) const
 {
+    // A filled entry proves the target was checked when it was
+    // computed, so a hit skips straight to the table.
+    const std::size_t m = modelIndex(model);
+    const std::vector<std::vector<FcEntry>> &tables = _models[m].fc;
+    if (id < tables.size()) {
+        const std::vector<FcEntry> &table = tables[id];
+        if (tokens < table.size() && table[tokens].filled)
+            return table[tokens].exec;
+    }
+    return fcFill(model, m, tokens, id);
+}
+
+KernelExec
+Platform::fcFill(const llm::ModelConfig &model, std::size_t m,
+                 std::uint32_t tokens, TargetId id) const
+{
     if (tokens == 0)
         sim::fatal("Platform::fcExec: zero tokens");
     const ExecTarget &target = _registry.at(id);
     if (!target.fcCost)
         sim::fatal("Platform '", _config.name, "': target '",
                    target.name, "' cannot run the fc phase");
-
-    KernelKey key;
-    key.model = modelShapeHash(model);
-    key.shape0 = tokens;
-    key.kind = kindFcBase + id;
-    return cached(key, [&] { return target.fcCost(model, tokens); });
+    std::vector<FcEntry> &table = _models[m].fc[id];
+    if (tokens >= table.size())
+        table.resize(static_cast<std::size_t>(tokens) + 1);
+    FcEntry &e = table[tokens];
+    e.exec = target.fcCost(model, tokens);
+    e.filled = true;
+    return e.exec;
 }
 
 double
@@ -462,29 +475,16 @@ Platform::prefillExec(const llm::ModelConfig &model,
 {
     if (input_lens.empty())
         sim::fatal("Platform::prefillExec: no requests");
-    const ExecTarget &target = _registry.at(id);
-    if (!target.prefillCost)
-        sim::fatal("Platform '", _config.name, "': target '",
-                   target.name, "' cannot run the prefill phase");
-
     // The result depends on input_lens only through the total length,
     // the sum of squared lengths (prefill attention FLOPs), and the
     // request count.
-    std::uint64_t sum = 0;
-    std::uint64_t sum_sq = 0;
-    for (std::uint32_t len : input_lens) {
-        sum += len;
-        sum_sq += static_cast<std::uint64_t>(len) * len;
-    }
-    KernelKey key;
-    key.model = modelShapeHash(model);
-    key.shape0 = sum;
-    key.shape1 = input_lens.size();
-    key.shape2 = sum_sq;
-    key.kind = kindPrefillBase + id;
-    return cached(key, [&] {
-        return target.prefillCost(model, input_lens);
-    });
+    PrefillShape shape;
+    for (std::uint32_t len : input_lens)
+        shape.add(len);
+    return prefillCached(model, shape, id,
+                         [&]() -> const std::vector<std::uint32_t> & {
+                             return input_lens;
+                         });
 }
 
 KernelExec
@@ -505,32 +505,58 @@ Platform::prefillChunkExec(
     const std::vector<std::uint32_t> &prior_lens,
     const std::vector<std::uint32_t> &chunk_lens) const
 {
-    if (prior_lens.size() != chunk_lens.size())
+    const std::size_t n = prior_lens.size();
+    if (chunk_lens.size() != n)
         sim::fatal("Platform::prefillChunkExec: prior/chunk length "
                    "mismatch");
-    std::vector<std::uint32_t> before;
-    std::vector<std::uint32_t> after;
-    before.reserve(prior_lens.size());
-    after.reserve(prior_lens.size());
-    for (std::size_t i = 0; i < prior_lens.size(); ++i) {
+    // The "after" batch holds prior + chunk of every request with a
+    // nonzero chunk, the "before" batch the nonzero priors among
+    // them. Their memo keys come straight from the columns; the
+    // length vectors are built only when a cost must be computed.
+    PrefillShape after;
+    PrefillShape before;
+    for (std::size_t i = 0; i < n; ++i) {
         if (chunk_lens[i] == 0)
             continue;
-        after.push_back(prior_lens[i] + chunk_lens[i]);
+        after.add(prior_lens[i] + chunk_lens[i]);
         if (prior_lens[i] > 0)
-            before.push_back(prior_lens[i]);
+            before.add(prior_lens[i]);
     }
     KernelExec out;
-    if (after.empty())
+    if (after.count == 0)
         return out;
+    const auto after_lens = [&] {
+        std::vector<std::uint32_t> lens;
+        lens.reserve(after.count);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (chunk_lens[i] != 0)
+                lens.push_back(prior_lens[i] + chunk_lens[i]);
+        }
+        return lens;
+    };
+    const auto before_lens = [&] {
+        std::vector<std::uint32_t> lens;
+        lens.reserve(before.count);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (chunk_lens[i] != 0 && prior_lens[i] > 0)
+                lens.push_back(prior_lens[i]);
+        }
+        return lens;
+    };
     // Both endpoints are costed on the SAME target - the one the
     // prefill dispatcher picks for the full (after) batch -
     // otherwise a non-static prefill policy could dispatch the two
-    // batches differently and make the difference meaningless.
+    // batches differently and make the difference meaningless. A
+    // static policy needs no lengths to pick.
     const TargetId target =
-        _prefillDispatcher->selectPrefill(model, after).target;
-    out = prefillExec(model, after, target);
-    if (!before.empty()) {
-        KernelExec prior = prefillExec(model, before, target);
+        _prefillDispatcher->rule() == DispatchRule::Static
+            ? _prefillDispatcher->candidates().front()
+            : _prefillDispatcher->selectPrefill(model, after_lens())
+                  .target;
+    out = prefillCached(model, after, target, after_lens);
+    if (before.count > 0) {
+        KernelExec prior =
+            prefillCached(model, before, target, before_lens);
         out.seconds = std::max(out.seconds - prior.seconds, 0.0);
         out.commSeconds =
             std::max(out.commSeconds - prior.commSeconds, 0.0);

@@ -26,6 +26,7 @@
 #ifndef PAPI_CORE_PLATFORM_HH
 #define PAPI_CORE_PLATFORM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -260,35 +261,121 @@ class Platform
      * workload scalars, and decode loops, oracle policies, and
      * threshold calibration re-ask the same FC token counts and
      * prompt shapes millions of times per figure run, while a cold
-     * FC cost is tens of microseconds. Attention is not memoized
-     * here: its (context sum, count, TLP) shape grows every decode
-     * iteration and almost never repeats, and its expensive part,
-     * the command-stream replay, already hits pim::GemvEngine's memo
-     * on a bounded key. Keys fold the model's identity fields with
-     * the workload shape; the cache is cleared wholesale if it ever
-     * grows pathologically large.
+     * FC cost is tens of microseconds.
+     *
+     *  - FC: one dense table per (model, target), indexed by token
+     *    count and filled lazily. Tokens are at most maxRlp x TLP
+     *    on the serving path, so a hit is two array indexes.
+     *  - Prefill: a hash on (model, sum, count, sum of squares) of
+     *    the prompt lengths - the only aggregates a prefill cost
+     *    reads, and unbounded, so no dense table fits. It is
+     *    cleared wholesale if it ever grows pathologically large.
+     *  - Attention: not memoized here. Its (context sum, count, TLP)
+     *    shape grows every decode iteration and almost never
+     *    repeats, and its expensive part, the command-stream
+     *    replay, already hits pim::GemvEngine's memo on a bounded
+     *    key.
+     *
+     * Both memos find the model by comparing its nine numeric shape
+     * fields (ModelShape) against the models seen so far, so two
+     * models can never share an entry.
      */
-    struct KernelKey
-    {
-        std::uint64_t model = 0;  ///< Hash of the model's shape fields.
-        std::uint64_t shape0 = 0; ///< FC tokens / total prompt length.
-        std::uint64_t shape1 = 0; ///< prefill request count.
-        std::uint64_t shape2 = 0; ///< prefill sum of squared lengths.
-        std::uint32_t kind = 0;   ///< (phase, target id) of the query.
+    using ModelShape = std::array<std::uint32_t, 9>;
 
-        bool operator==(const KernelKey &) const = default;
+    /** @p model's numeric shape fields. */
+    static ModelShape
+    modelShape(const llm::ModelConfig &model)
+    {
+        return {model.hiddenDim,     model.numLayers,
+                model.numHeads,      model.ffnDim,
+                model.ffnMatrices,   model.maxSeqLen,
+                model.bytesPerParam, model.moeExperts,
+                model.moeTopK};
+    }
+
+    /** Index of @p model's shape in _models (appended if new). The
+     *  fields are compared one by one, in modelShape() order, which
+     *  keeps this hot check free of a memcmp call. */
+    std::size_t
+    modelIndex(const llm::ModelConfig &model) const
+    {
+        for (std::size_t i = 0; i < _models.size(); ++i) {
+            const ModelShape &s = _models[i].shape;
+            if (s[0] == model.hiddenDim && s[1] == model.numLayers &&
+                s[2] == model.numHeads && s[3] == model.ffnDim &&
+                s[4] == model.ffnMatrices && s[5] == model.maxSeqLen &&
+                s[6] == model.bytesPerParam &&
+                s[7] == model.moeExperts && s[8] == model.moeTopK)
+                return i;
+        }
+        return addModel(modelShape(model));
+    }
+    /** Append a model of @p shape to _models; returns its index. */
+    std::size_t addModel(const ModelShape &shape) const;
+
+    /** fcExec() miss: validate, compute, and store the entry of
+     *  model index @p m. */
+    KernelExec fcFill(const llm::ModelConfig &model, std::size_t m,
+                      std::uint32_t tokens, TargetId id) const;
+
+    /** One memoized FC cost (filled = computed). */
+    struct FcEntry
+    {
+        KernelExec exec;
+        bool filled = false;
     };
 
-    struct KernelKeyHash
+    /** A model seen by the memos: its shape and per-target FC
+     *  tables (indexed by TargetId, then tokens). */
+    struct ModelMemo
     {
-        std::size_t operator()(const KernelKey &k) const;
+        ModelShape shape{};
+        std::vector<std::vector<FcEntry>> fc;
     };
 
-    static std::uint64_t modelShapeHash(const llm::ModelConfig &model);
+    /** Integer aggregates of a prefill batch's prompt lengths. */
+    struct PrefillShape
+    {
+        std::uint64_t sum = 0;   ///< Total prompt tokens.
+        std::uint64_t count = 0; ///< Requests.
+        std::uint64_t sumSq = 0; ///< Sum of squared lengths.
 
-    /** Look up @p key or compute-and-insert via @p compute. */
-    template <typename ComputeFn>
-    KernelExec cached(const KernelKey &key, ComputeFn &&compute) const;
+        /** Fold one prompt of @p len tokens in. */
+        void
+        add(std::uint32_t len)
+        {
+            sum += len;
+            ++count;
+            sumSq += static_cast<std::uint64_t>(len) * len;
+        }
+
+        bool operator==(const PrefillShape &) const = default;
+    };
+
+    /** Prefill memo key: model index, shape, target. */
+    struct PrefillKey
+    {
+        std::uint64_t model = 0; ///< Index into _models.
+        PrefillShape shape;
+        TargetId target = 0;
+
+        bool operator==(const PrefillKey &) const = default;
+    };
+
+    struct PrefillKeyHash
+    {
+        std::size_t operator()(const PrefillKey &k) const;
+    };
+
+    /**
+     * Prefill cost of a batch with aggregates @p shape on target
+     * @p id: the memoized value, or on a miss the target's cost over
+     * the lengths @p lens() builds (called only then).
+     */
+    template <typename LensFn>
+    KernelExec prefillCached(const llm::ModelConfig &model,
+                             const PrefillShape &shape, TargetId id,
+                             LensFn &&lens) const;
 
     PlatformConfig _config;
     std::unique_ptr<pim::PimDevice> _fcDevice;
@@ -303,12 +390,15 @@ class Platform
     std::optional<PhaseDispatcher> _attnDispatcher;
     std::optional<PhaseDispatcher> _prefillDispatcher;
 
-    // detlint: allow(unordered-decl): FC/prefill memo cache with
-    // find/emplace/clear only (Platform::cached); a hit returns the
-    // exact value a recompute would produce, and no code walks the
+    /** Models the memos have seen, in first-use order. */
+    mutable std::vector<ModelMemo> _models;
+
+    // detlint: allow(unordered-decl): prefill memo cache with
+    // find/emplace/clear only (Platform::prefillCached); a hit
+    // returns the value stored for that key, and no code walks the
     // table, so bucket order cannot reach results or stats.
-    mutable std::unordered_map<KernelKey, KernelExec, KernelKeyHash>
-        _kernelCache;
+    mutable std::unordered_map<PrefillKey, KernelExec, PrefillKeyHash>
+        _prefillCache;
 };
 
 /** Factory: the PAPI system (dynamic scheduling, hybrid PIM). */

@@ -103,6 +103,7 @@ ServingSim::ServingSim(const Platform &platform,
     _decoding.reserve(options.maxRlp);
     _growIdx.reserve(options.maxRlp);
     _growIds.reserve(options.maxRlp);
+    _growSlots.reserve(options.maxRlp);
     _growTok.reserve(options.maxRlp);
     _growBlocks.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
@@ -216,7 +217,7 @@ ServingSim::crash(double when)
         l.generatedLost = _batch.generated[i];
         l.prefillLostTokens =
             _batch.inputLen[i] - _batch.prefillRemaining[i];
-        _kv.release(_batch.id[i]);
+        _kv.release(kvHandle(i));
         lost.push_back(l);
     }
     _batch.clear();
@@ -299,7 +300,7 @@ ServingSim::handoffPrefilled(std::size_t i)
     h.request.arrivalSeconds = _batch.arrivalSeconds[i];
     h.readySeconds = _now;
     h.kvTokens = _batch.contextLen(i);
-    const llm::KvExport kv = _kv.exportRequest(_batch.id[i]);
+    const llm::KvExport kv = _kv.exportRequest(kvHandle(i));
     std::uint64_t blocks = kv.blocks;
     std::uint64_t bytes = kv.bytes;
     if (_prefixOn && _batch.prefixHit[i] > 0 && kv.blocks > 0) {
@@ -440,30 +441,32 @@ ServingSim::admit()
         a.admitSeq = _admitSeqNext++;
         a.stallSeconds += _now - pr.preemptSeconds;
         _out.evictionStallSeconds += _now - pr.preemptSeconds;
+        llm::KvAdmission kv;
         if (recompute) {
             _out.recomputedPrefillTokens += pr.kvTokens;
             if (_chunked) {
                 a.prefillRemaining = ctx;
                 a.kvTokens = 0;
-                a.kvBlocks = _kv.admit(a.request.id, 0);
+                kv = _kv.admit(a.request.id, 0);
             } else {
                 a.prefillRemaining = 0;
                 a.kvTokens = ctx;
-                a.kvBlocks = _kv.admit(a.request.id, ctx);
+                kv = _kv.admit(a.request.id, ctx);
                 _prefillLens.push_back(ctx);
             }
         } else {
             // SwapRestore: the KV content survives off-device; pay
             // the transfer back over the attention fabric.
             a.kvTokens = pr.kvTokens;
-            a.kvBlocks = _kv.admit(
-                a.request.id,
-                std::max<std::uint32_t>(a.kvTokens, 1));
+            kv = _kv.admit(a.request.id,
+                           std::max<std::uint32_t>(a.kvTokens, 1));
             swap_seconds +=
                 static_cast<double>(a.kvTokens) *
                 static_cast<double>(_model.kvBytesPerToken()) /
                 (_options.kvSwapGBps * 1e9);
         }
+        a.kvSlot = kv.slot;
+        a.kvBlocks = kv.blocks;
         _batch.push(a);
         _allSeen = false;
         _steadyValid = false;
@@ -489,7 +492,7 @@ ServingSim::admit()
             continue;
         }
         const llm::Request &req = pp.request.request;
-        std::uint64_t kv_blocks;
+        llm::KvAdmission kv;
         if (!_preempt) {
             // Migration-aware reservation: the migrated footprint
             // is already real, the worst case adds the full output.
@@ -497,7 +500,7 @@ ServingSim::admit()
                 pp.kvTokens + req.outputLen;
             if (!_kv.canAdmit(worst))
                 break;
-            kv_blocks = _kv.admit(req.id, worst);
+            kv = _kv.admit(req.id, worst);
         } else {
             // On-demand mode: import the migrated footprint plus
             // this request's own first-iteration growth, keeping
@@ -508,7 +511,7 @@ ServingSim::admit()
             if (_kv.availableBlocks() <
                 reserve + worstGrowthBlocks())
                 break;
-            kv_blocks = _kv.importRequest(req.id, pp.kvTokens);
+            kv = _kv.importRequest(req.id, pp.kvTokens);
         }
         ActiveSnapshot a;
         a.request = req;
@@ -517,7 +520,8 @@ ServingSim::admit()
         a.admitSeq = _admitSeqNext++;
         a.prefillRemaining = 0;
         a.kvTokens = static_cast<std::uint32_t>(pp.kvTokens);
-        a.kvBlocks = kv_blocks;
+        a.kvBlocks = kv.blocks;
+        a.kvSlot = kv.slot;
         a.sessionId = pp.request.sessionId;
         _batch.push(a);
         _allSeen = false;
@@ -537,7 +541,7 @@ ServingSim::admit()
             continue;
         }
         const llm::Request &req = _pending.front().request.request;
-        std::uint64_t kv_blocks = 0;
+        llm::KvAdmission kv; // static-batch runs hold no KV
         std::uint32_t hit = 0;
         if (!_static.enabled) {
             if (!_preempt) {
@@ -554,7 +558,7 @@ ServingSim::admit()
                 if (!_kv.canAdmit(worst))
                     break;
                 hit = lookup_prefix(req);
-                kv_blocks = _kv.admit(req.id, worst);
+                kv = _kv.admit(req.id, worst);
             } else {
                 // Reserve the prompt footprint plus this request's
                 // own first-iteration growth, and keep headroom for
@@ -573,8 +577,7 @@ ServingSim::admit()
                 // will grow over it); hit == 0 keeps the legacy
                 // admit-at-zero bit-for-bit.
                 hit = lookup_prefix(req);
-                kv_blocks = _kv.admit(req.id,
-                                      _chunked ? hit : req.inputLen);
+                kv = _kv.admit(req.id, _chunked ? hit : req.inputLen);
             }
         }
         ActiveSnapshot a;
@@ -583,7 +586,8 @@ ServingSim::admit()
         a.admissionSeconds = decision_time;
         a.admitSeq = _admitSeqNext++;
         a.sessionId = _pending.front().request.sessionId;
-        a.kvBlocks = kv_blocks;
+        a.kvBlocks = kv.blocks;
+        a.kvSlot = kv.slot;
         a.prefixHitTokens = hit;
         if (_prefixOn) {
             _out.prefixHitTokens += hit;
@@ -1148,7 +1152,7 @@ ServingSim::advanceAndRetire(std::uint32_t accepted, bool release_kv)
             if (gen[r] >= out[r]) {
                 recordRetirementAt(r);
                 if (release_kv) {
-                    _kv.release(_batch.id[r]);
+                    _kv.release(kvHandle(r));
                     publishPrefix(r);
                 }
             } else {
@@ -1247,25 +1251,15 @@ ServingSim::stepDecodeLegacy()
         // then restore the next iteration's worst-case growth
         // headroom (evicting if pressure hit).
         const std::size_t n = _batch.size();
-        _growIdx.clear();
-        _growIds.clear();
-        _growTok.clear();
+        clearGrowScratch();
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint32_t ctx = _batch.contextLen(i);
             if (ctx > _batch.kvTokens[i]) {
                 _batch.kvTokens[i] = ctx;
-                _growIdx.push_back(i);
-                _growIds.push_back(_batch.id[i]);
-                _growTok.push_back(ctx);
+                gatherGrow(i, ctx);
             }
         }
-        if (!_growIds.empty()) {
-            _growBlocks.resize(_growIds.size());
-            _kv.growMany(_growIds.data(), _growTok.data(),
-                         _growBlocks.data(), _growIds.size());
-            for (std::size_t j = 0; j < _growIdx.size(); ++j)
-                _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
-        }
+        growGathered();
         ensureKvHeadroom();
         _out.peakKvUtilization = std::max(_out.peakKvUtilization,
                                           _kv.utilization());
@@ -1380,28 +1374,18 @@ ServingSim::stepDecodeChunked()
     // ascending batch order - the allocation sequence of the old
     // per-request loop).
     if (plan.chunkTokens > 0) {
-        _growIdx.clear();
-        _growIds.clear();
-        _growTok.clear();
+        clearGrowScratch();
         for (std::size_t i = 0; i < n; ++i) {
             if (_chunkPlan[i] == 0)
                 continue;
             _batch.prefillRemaining[i] -= _chunkPlan[i];
             if (_preempt) {
                 _batch.kvTokens[i] += _chunkPlan[i];
-                _growIdx.push_back(i);
-                _growIds.push_back(_batch.id[i]);
-                _growTok.push_back(std::max<std::uint32_t>(
-                    _batch.kvTokens[i], 1));
+                gatherGrow(i, std::max<std::uint32_t>(
+                                  _batch.kvTokens[i], 1));
             }
         }
-        if (!_growIds.empty()) {
-            _growBlocks.resize(_growIds.size());
-            _kv.growMany(_growIds.data(), _growTok.data(),
-                         _growBlocks.data(), _growIds.size());
-            for (std::size_t j = 0; j < _growIdx.size(); ++j)
-                _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
-        }
+        growGathered();
     }
 
     // Advance the decoders; requests still prefilling produce no
@@ -1427,11 +1411,11 @@ ServingSim::stepDecodeChunked()
         if (_preempt && used > 0) {
             _batch.kvTokens[r] += used;
             _batch.kvBlocks[r] =
-                _kv.grow(_batch.id[r], _batch.kvTokens[r]);
+                _kv.grow(kvHandle(r), _batch.kvTokens[r]);
         }
         if (_batch.generated[r] >= _batch.outputLen[r]) {
             recordRetirementAt(r);
-            _kv.release(_batch.id[r]);
+            _kv.release(kvHandle(r));
             publishPrefix(r);
         } else {
             _batch.moveTo(w, r);
@@ -1451,6 +1435,36 @@ ServingSim::stepDecodeChunked()
     // instead of letting them join the decode set.
     if (_role == ServingRole::Prefill)
         handoffCompletedPrefills();
+}
+
+void
+ServingSim::clearGrowScratch()
+{
+    _growIdx.clear();
+    _growSlots.clear();
+    _growIds.clear();
+    _growTok.clear();
+}
+
+void
+ServingSim::gatherGrow(std::size_t i, std::uint64_t tokens)
+{
+    _growIdx.push_back(i);
+    _growSlots.push_back(_batch.kvSlot[i]);
+    _growIds.push_back(_batch.id[i]);
+    _growTok.push_back(tokens);
+}
+
+void
+ServingSim::growGathered()
+{
+    if (_growIdx.empty())
+        return;
+    _growBlocks.resize(_growIdx.size());
+    _kv.growMany(_growSlots.data(), _growIds.data(), _growTok.data(),
+                 _growBlocks.data(), _growIdx.size());
+    for (std::size_t j = 0; j < _growIdx.size(); ++j)
+        _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
 }
 
 std::uint64_t
@@ -1510,7 +1524,7 @@ ServingSim::preemptYoungest()
     _steadyValid = false;
     ActiveSnapshot a = _batch.snapshot(_batch.size() - 1);
     _batch.popBack();
-    _kv.release(a.request.id);
+    _kv.release(llm::KvHandle{a.request.id, a.kvSlot});
     if (_options.preemptPolicy == KvPreemptPolicy::SwapRestore) {
         // The swap-out leg of the transfer is paid here; the
         // swap-in leg at resume (admit). Recompute frees for free -

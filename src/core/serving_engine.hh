@@ -892,6 +892,23 @@ class ServingSim
     /** Evict the youngest-admitted active request. */
     void preemptYoungest();
 
+    /** Batch element @p i's KV handle (its slot and id). */
+    llm::KvHandle
+    kvHandle(std::size_t i) const
+    {
+        return {_batch.id[i], _batch.kvSlot[i]};
+    }
+
+    /**
+     * Bulk KV growth in three steps: clear the gather scratch,
+     * gather each growing element (batch order), then one growMany
+     * over the gathered handles that scatters the block counts back
+     * into the kvBlocks column.
+     */
+    void clearGrowScratch();
+    void gatherGrow(std::size_t i, std::uint64_t tokens);
+    void growGathered();
+
     /** Per-request next-iteration chunk budget, admission order
      *  (chunked mode; fills @p chunks aligned with _active). */
     void planChunks(std::vector<std::uint32_t> &chunks) const;
@@ -1002,6 +1019,7 @@ class ServingSim
     std::vector<std::uint8_t> _decoding;
     // Gather/scatter scratch for bulk KV growth (growMany).
     std::vector<std::size_t> _growIdx;
+    std::vector<std::uint32_t> _growSlots;
     std::vector<std::uint64_t> _growIds;
     std::vector<std::uint64_t> _growTok;
     std::vector<std::uint64_t> _growBlocks;

@@ -41,22 +41,23 @@ KvCacheManager::canAdmit(std::uint64_t max_tokens) const
     return blocksForTokens(max_tokens) <= availableBlocks();
 }
 
-KvCacheManager::RequestState &
-KvCacheManager::find(std::uint64_t id)
+std::uint32_t
+KvCacheManager::slotOf(std::uint64_t id) const
 {
     auto it = _requests.find(id);
     if (it == _requests.end())
         sim::fatal("KvCacheManager: unknown request ", id);
-    return _slots[it->second];
+    return it->second;
 }
 
-const KvCacheManager::RequestState &
-KvCacheManager::find(std::uint64_t id) const
+std::uint32_t
+KvCacheManager::slotOf(KvHandle h) const
 {
-    auto it = _requests.find(id);
-    if (it == _requests.end())
-        sim::fatal("KvCacheManager: unknown request ", id);
-    return _slots[it->second];
+    if (h.slot >= _slots.size() || !_slots[h.slot].live ||
+        _slots[h.slot].id != h.id)
+        sim::fatal("KvCacheManager: stale handle (request ", h.id,
+                   ", slot ", h.slot, ")");
+    return h.slot;
 }
 
 std::uint32_t
@@ -192,7 +193,7 @@ KvCacheManager::growState(std::uint64_t id, RequestState &state,
     return state.blocks;
 }
 
-std::uint64_t
+KvAdmission
 KvCacheManager::admit(std::uint64_t id, std::uint64_t initial_tokens)
 {
     if (_requests.count(id))
@@ -205,56 +206,78 @@ KvCacheManager::admit(std::uint64_t id, std::uint64_t initial_tokens)
         slot = static_cast<std::uint32_t>(_slots.size());
         _slots.emplace_back();
     }
-    RequestState &state = _slots[slot];
+    RequestSlot &s = _slots[slot];
+    s.id = id;
+    s.live = true;
+    RequestState &state = s.state;
     state.tokens = 0;
     state.blocks = 0;
     state.perDevice.assign(_usedPerDevice.size(), 0);
     _requests.emplace(id, slot);
-    return growState(id, state,
-                     std::max<std::uint64_t>(initial_tokens, 1));
+    KvAdmission out;
+    out.slot = slot;
+    out.blocks = growState(id, state,
+                           std::max<std::uint64_t>(initial_tokens, 1));
+    return out;
 }
 
 std::uint64_t
 KvCacheManager::grow(std::uint64_t id, std::uint64_t new_tokens)
 {
-    return growState(id, find(id), new_tokens);
+    return growState(id, _slots[slotOf(id)].state, new_tokens);
+}
+
+std::uint64_t
+KvCacheManager::grow(KvHandle h, std::uint64_t new_tokens)
+{
+    return growState(h.id, _slots[slotOf(h)].state, new_tokens);
 }
 
 void
-KvCacheManager::growMany(const std::uint64_t *ids,
+KvCacheManager::growMany(const std::uint32_t *slots,
+                         const std::uint64_t *ids,
                          const std::uint64_t *new_tokens,
                          std::uint64_t *blocks_out, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        blocks_out[i] = growState(ids[i], find(ids[i]),
-                                  new_tokens[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t slot = slotOf(KvHandle{ids[i], slots[i]});
+        blocks_out[i] =
+            growState(ids[i], _slots[slot].state, new_tokens[i]);
+    }
 }
 
 std::uint64_t
 KvCacheManager::requestBlocks(std::uint64_t id) const
 {
-    return find(id).blocks;
+    return _slots[slotOf(id)].state.blocks;
 }
 
 std::uint64_t
 KvCacheManager::requestTokens(std::uint64_t id) const
 {
-    return find(id).tokens;
+    return _slots[slotOf(id)].state.tokens;
 }
 
 KvExport
 KvCacheManager::exportRequest(std::uint64_t id)
 {
-    const RequestState &state = find(id);
+    return exportRequest(KvHandle{id, slotOf(id)});
+}
+
+KvExport
+KvCacheManager::exportRequest(KvHandle h)
+{
+    const std::uint32_t slot = slotOf(h);
+    const RequestState &state = _slots[slot].state;
     KvExport out;
     out.tokens = state.tokens;
     out.blocks = state.blocks;
     out.bytes = state.blocks * _blockBytes;
-    release(id);
+    releaseSlot(slot);
     return out;
 }
 
-std::uint64_t
+KvAdmission
 KvCacheManager::importRequest(std::uint64_t id, std::uint64_t tokens)
 {
     return admit(id, tokens);
@@ -272,10 +295,20 @@ KvCacheManager::growthBlocks(std::uint64_t id,
 void
 KvCacheManager::release(std::uint64_t id)
 {
-    auto it = _requests.find(id);
-    if (it == _requests.end())
-        sim::fatal("KvCacheManager: unknown request ", id);
-    RequestState &state = _slots[it->second];
+    releaseSlot(slotOf(id));
+}
+
+void
+KvCacheManager::release(KvHandle h)
+{
+    releaseSlot(slotOf(h));
+}
+
+void
+KvCacheManager::releaseSlot(std::uint32_t slot)
+{
+    RequestSlot &s = _slots[slot];
+    RequestState &state = s.state;
     for (std::uint32_t d = 0; d < _usedPerDevice.size(); ++d) {
         if (state.perDevice[d] > _usedPerDevice[d])
             sim::panic("KvCacheManager: accounting underflow");
@@ -285,8 +318,9 @@ KvCacheManager::release(std::uint64_t id)
     _pick = kNoPick;
     state.tokens = 0;
     state.blocks = 0;
-    _freeSlots.push_back(it->second);
-    _requests.erase(it);
+    s.live = false;
+    _freeSlots.push_back(slot);
+    _requests.erase(s.id);
 }
 
 void

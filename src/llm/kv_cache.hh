@@ -25,9 +25,15 @@
  * forward walk that amortizes to O(1) per block while the levels
  * stay water-filled), and only release, prefix eviction, or a bulk
  * fill force one rescan (pinned against an independent scan model
- * by a churn test). Request
- * lookup is an id -> slot hash with pooled per-device vectors, and
- * used-block totals are maintained incrementally so freeBlocks() /
+ * by a churn test). Each live request owns a slot in a pool whose
+ * per-device vectors are reused across occupants. admit() and
+ * importRequest() hand the slot back as a KvHandle, and the hot
+ * calls (grow, growMany, release, exportRequest) index it directly:
+ * a per-iteration grow costs no hash lookup. A slot records its
+ * request id, so a stale handle (its slot released, perhaps reused)
+ * is fatal, as an unknown id is. The id -> slot map remains for the
+ * duplicate-id check at admission and the id-keyed overloads.
+ * Used-block totals are maintained incrementally so freeBlocks() /
  * canAdmit() / utilization() are O(1) - these run inside the serving
  * simulator's per-iteration admission gate.
  *
@@ -107,6 +113,29 @@ struct KvExport
     std::uint64_t bytes = 0;  ///< blocks x blockBytes().
 };
 
+/** "No slot" marker for requests that hold no KV (static-batch
+ *  runs bypass the allocator). */
+inline constexpr std::uint32_t kNoKvSlot = 0xffffffffu;
+
+/**
+ * A live request's handle: the slot admit() or importRequest() put
+ * it in, plus the id that slot must still hold. Handle calls index
+ * the slot directly instead of looking the id up.
+ */
+struct KvHandle
+{
+    std::uint64_t id = 0;           ///< Request id the slot must hold.
+    std::uint32_t slot = kNoKvSlot; ///< Slot from KvAdmission.
+};
+
+/** Outcome of an admission or import: the request's slot and the
+ *  blocks it holds. */
+struct KvAdmission
+{
+    std::uint32_t slot = kNoKvSlot; ///< Handle slot (see KvHandle).
+    std::uint64_t blocks = 0;       ///< Blocks held after admission.
+};
+
 /** KV-cache capacity manager for a fleet of attention devices. */
 class KvCacheManager
 {
@@ -141,10 +170,10 @@ class KvCacheManager
      * Register request @p id with an initial context of
      * @p initial_tokens (the prompt). Fatal if it does not fit or
      * the id is already live.
-     * @return Blocks held after admission.
+     * @return The request's slot and the blocks held after
+     *         admission.
      */
-    std::uint64_t admit(std::uint64_t id,
-                        std::uint64_t initial_tokens);
+    KvAdmission admit(std::uint64_t id, std::uint64_t initial_tokens);
 
     /**
      * Grow request @p id's context to @p new_tokens, allocating
@@ -155,21 +184,28 @@ class KvCacheManager
      */
     std::uint64_t grow(std::uint64_t id, std::uint64_t new_tokens);
 
+    /** grow() through a handle (fatal if the handle is stale). */
+    std::uint64_t grow(KvHandle h, std::uint64_t new_tokens);
+
     /**
-     * Bulk grow over parallel id/token arrays (the serving
+     * Bulk grow over parallel slot/id/token arrays (the serving
      * simulator's per-iteration KV materialization): equivalent to
-     * grow(ids[i], new_tokens[i]) for i in order, writing the
-     * resulting block counts to @p blocks_out[i]. One call per
-     * iteration instead of one per request keeps the structure-of-
-     * arrays hot loop free of per-element function-call overhead.
+     * grow(KvHandle{ids[i], slots[i]}, new_tokens[i]) for i in
+     * order, writing the resulting block counts to
+     * @p blocks_out[i]. One call per iteration instead of one per
+     * request keeps the structure-of-arrays hot loop free of
+     * per-element function-call overhead.
      */
-    void growMany(const std::uint64_t *ids,
+    void growMany(const std::uint32_t *slots, const std::uint64_t *ids,
                   const std::uint64_t *new_tokens,
                   std::uint64_t *blocks_out, std::size_t n);
 
     /** Release all blocks of request @p id (at <eos>, or when the
      *  request is preempted under KV pressure). */
     void release(std::uint64_t id);
+
+    /** release() through a handle (fatal if the handle is stale). */
+    void release(KvHandle h);
 
     /** Blocks currently held by request @p id (fatal if the id is
      *  not live). */
@@ -187,15 +223,18 @@ class KvCacheManager
      */
     KvExport exportRequest(std::uint64_t id);
 
+    /** exportRequest() through a handle (fatal if it is stale). */
+    KvExport exportRequest(KvHandle h);
+
     /**
      * Import a migrated request into this pool: admit @p id with
      * @p tokens of context already materialized. Fatal if the id is
      * already live or the pool cannot hold the footprint - callers
      * gate with canAdmit()/freeBlocks() first.
-     * @return Blocks held after the import.
+     * @return The request's slot and the blocks held after the
+     *         import.
      */
-    std::uint64_t importRequest(std::uint64_t id,
-                                std::uint64_t tokens);
+    KvAdmission importRequest(std::uint64_t id, std::uint64_t tokens);
 
     /**
      * Additional blocks a grow of request @p id to @p new_tokens
@@ -318,9 +357,22 @@ class KvCacheManager
         std::vector<std::uint64_t> perDevice;
     };
 
-    /** Locate @p id's slot (fatal if not live). */
-    RequestState &find(std::uint64_t id);
-    const RequestState &find(std::uint64_t id) const;
+    /** A request slot: its occupant's holdings and identity. */
+    struct RequestSlot
+    {
+        RequestState state;
+        std::uint64_t id = 0; ///< Occupant's id (valid while live).
+        bool live = false;    ///< True while a request occupies it.
+    };
+
+    /** Locate @p id's slot index (fatal if not live). */
+    std::uint32_t slotOf(std::uint64_t id) const;
+    /** @p h's slot index, after checking the slot is live and holds
+     *  h.id (fatal otherwise). */
+    std::uint32_t slotOf(KvHandle h) const;
+
+    /** release() body on a located slot. */
+    void releaseSlot(std::uint32_t slot);
 
     /** Allocate @p add blocks into @p state, least-loaded device
      *  first, lowest index on ties (caller checked capacity). */
@@ -369,13 +421,16 @@ class KvCacheManager
     std::uint32_t _pick = kNoPick;
     /** id -> slot index into _slots. */
     // detlint: allow(unordered-decl): keyed find/emplace/erase by
-    // request id only; size() feeds liveRequests()/occupancy() as a
-    // scalar count. Never iterated - per-request block placement
-    // order lives in the _slots vectors.
+    // request id only - the duplicate-id check in admit(), the
+    // erase at release, and the id-keyed overloads the tests and
+    // the frozen reference engine call (the serving hot path goes
+    // through KvHandle slots); size() feeds liveRequests()/
+    // occupancy() as a scalar count. Never iterated - per-request
+    // block placement order lives in the _slots vectors.
     std::unordered_map<std::uint64_t, std::uint32_t> _requests;
     /** Slot pool: per-device vectors are retained across occupants
      *  so a steady-state admit/release cycle does not allocate. */
-    std::vector<RequestState> _slots;
+    std::vector<RequestSlot> _slots;
     std::vector<std::uint32_t> _freeSlots;
 
     // ---- shared prefix cache ----

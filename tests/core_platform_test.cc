@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "core/platform.hh"
 #include "llm/model_config.hh"
+#include "llm/moe.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -214,6 +217,151 @@ TEST(Platform, AttentionDependsOnContextsOnlyThroughSumAndCount)
                             << n << " sum " << sum << " tlp " << tlp;
                     }
                 }
+            }
+        }
+    }
+}
+
+/** Every field of a KernelExec, doubles as their bit patterns. */
+std::vector<std::uint64_t>
+execBits(const KernelExec &e)
+{
+    return {std::bit_cast<std::uint64_t>(e.seconds),
+            std::bit_cast<std::uint64_t>(e.commSeconds),
+            std::bit_cast<std::uint64_t>(e.energyJoules),
+            std::bit_cast<std::uint64_t>(e.commJoules),
+            e.computeBound ? 1u : 0u};
+}
+
+/**
+ * The FC memo is one dense table per (model, target), found by
+ * comparing the model's shape fields. Three models of different
+ * shape, plus an 8-bit llama65b that differs from it in one field
+ * only, are interleaved on one platform, on every FC target, and
+ * 512 tokens is asked before 64 so a table grows while the others
+ * are in use. Every answer, first ask or repeat, must equal bitwise
+ * a cold call on a fresh platform.
+ */
+TEST(Platform, FcTableKeepsModelsApart)
+{
+    llm::ModelConfig llama_int8 = llm::llama65b();
+    llama_int8.name = "llama-65b-int8";
+    llama_int8.bytesPerParam = 1;
+    const llm::ModelConfig models[] = {llm::llama65b(), llm::opt30b(),
+                                       llm::mixtral8x22b(), llama_int8};
+    const std::uint32_t tokens[] = {1, 7, 512, 64};
+    for (const PlatformConfig &cfg :
+         {makePapiConfig(), makePimOnlyPapiConfig()}) {
+        const Platform shared(cfg);
+        const std::vector<TargetId> targets =
+            shared.targets().supporting(Phase::Fc);
+        ASSERT_FALSE(targets.empty()) << cfg.name;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::uint32_t tok : tokens) {
+                for (const llm::ModelConfig &m : models) {
+                    for (TargetId id : targets) {
+                        EXPECT_EQ(
+                            execBits(shared.fcExec(m, tok, id)),
+                            execBits(Platform(cfg).fcExec(m, tok, id)))
+                            << cfg.name << " " << m.name << " target "
+                            << id << " tokens " << tok << " pass "
+                            << pass;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * prefillChunkExec keys its memo on aggregates computed straight from
+ * the prior/chunk columns, building length vectors only to compute a
+ * miss. It must still equal, bitwise, the definition: the prefill of
+ * the "after" batch (prior + chunk of each request with a nonzero
+ * chunk) minus that of the "before" batch (its nonzero priors), both
+ * on the target the prefill dispatcher picks for "after", computed
+ * on a fresh platform from explicitly built vectors. Seeded random
+ * columns include zero chunks, zero priors and an all-zero chunk;
+ * every case runs twice on the platform under test, so the second
+ * answer comes from its memo. The oracle prefill policy covers the
+ * branch that shows the dispatcher the lengths.
+ */
+TEST(Platform, PrefillChunkKeysMatchExplicitBatches)
+{
+    const llm::ModelConfig m = llm::llama65b();
+    std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
+    auto rnd = [&lcg](std::uint32_t bound) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>((lcg >> 33) % bound);
+    };
+    struct Case
+    {
+        std::vector<std::uint32_t> prior, chunk;
+    };
+    std::vector<Case> cases;
+    cases.push_back({{0, 0, 0}, {64, 32, 1}}); // fresh prompts
+    cases.push_back({{128, 256}, {0, 0}});     // all-zero chunk
+    cases.push_back({{}, {}});                 // empty batch
+    // Batches that share a sum, or a sum and a count, and differ in
+    // the rest: a key missing an aggregate would answer one with
+    // another's cost. A chunk-less request's prior must not count.
+    cases.push_back({{50, 150}, {50, 150}});  // after {100, 300}
+    cases.push_back({{100, 100}, {100, 100}}); // after {200, 200}
+    cases.push_back({{0, 0}, {200, 200}});     // before empty
+    cases.push_back({{200}, {200}});           // after {400}
+    cases.push_back({{300, 200}, {0, 200}});   // prior 300 idle
+    for (int c = 0; c < 40; ++c) {
+        const std::size_t n = 1 + rnd(16);
+        Case k;
+        for (std::size_t i = 0; i < n; ++i) {
+            k.prior.push_back(rnd(3) == 0 ? 0 : rnd(2048));
+            k.chunk.push_back(rnd(4) == 0 ? 0 : 1 + rnd(256));
+        }
+        cases.push_back(std::move(k));
+    }
+
+    PlatformConfig oracle = makePapiConfig();
+    oracle.name = "papi-oracle-prefill";
+    oracle.prefillDispatch = dispatchPolicyFromName("oracle:gpu,fc-pim");
+    for (const PlatformConfig &cfg :
+         {makePapiConfig(), makePimOnlyPapiConfig(), oracle}) {
+        const Platform tested(cfg);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t c = 0; c < cases.size(); ++c) {
+                const Case &k = cases[c];
+                std::vector<std::uint32_t> after, before;
+                for (std::size_t i = 0; i < k.prior.size(); ++i) {
+                    if (k.chunk[i] == 0)
+                        continue;
+                    after.push_back(k.prior[i] + k.chunk[i]);
+                    if (k.prior[i] > 0)
+                        before.push_back(k.prior[i]);
+                }
+                KernelExec want;
+                if (!after.empty()) {
+                    const Platform fresh(cfg);
+                    const TargetId target =
+                        fresh.dispatcher(Phase::Prefill)
+                            .selectPrefill(m, after)
+                            .target;
+                    want = fresh.prefillExec(m, after, target);
+                    if (!before.empty()) {
+                        const KernelExec prior =
+                            fresh.prefillExec(m, before, target);
+                        want.seconds =
+                            std::max(want.seconds - prior.seconds, 0.0);
+                        want.commSeconds = std::max(
+                            want.commSeconds - prior.commSeconds, 0.0);
+                        want.energyJoules = std::max(
+                            want.energyJoules - prior.energyJoules, 0.0);
+                        want.commJoules = std::max(
+                            want.commJoules - prior.commJoules, 0.0);
+                    }
+                }
+                EXPECT_EQ(
+                    execBits(tested.prefillChunkExec(m, k.prior, k.chunk)),
+                    execBits(want))
+                    << cfg.name << " case " << c << " pass " << pass;
             }
         }
     }

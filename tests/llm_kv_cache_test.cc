@@ -532,4 +532,168 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
     EXPECT_GT(bulk_placements, 0u);
 }
 
+// ------------------------------------------------------ KV handles
+
+/**
+ * The handle API is the id API without the hash lookup. A seeded
+ * churn drives one manager through KvHandle slots (admit's slot,
+ * grow, growMany, release) and a twin through request ids, with
+ * prefix inserts LRU-evicted by growth on both. Released slots are
+ * reused by later admissions. After every operation the twins must
+ * agree on per-device levels and on every live request's blocks
+ * and tokens.
+ */
+TEST(KvHandle, ChurnMatchesIdApi)
+{
+    const ModelConfig m = opt30b();
+    const std::uint32_t bt = 16;
+    const std::uint64_t block_bytes = bt * m.kvBytesPerToken();
+    std::uint64_t lcg = 0xD1B54A32D192ED03ull;
+    auto rnd = [&lcg](std::uint64_t bound) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg >> 33) % bound;
+    };
+
+    std::uint64_t slot_reuses = 0;
+    std::uint64_t evicted_bytes = 0;
+    for (const std::uint32_t devices : {2u, 3u, 8u, 60u}) {
+        const std::uint64_t per_device = 6 + rnd(10);
+        KvCacheManager by_handle(m, devices, per_device * block_bytes,
+                                 bt);
+        KvCacheManager by_id(m, devices, per_device * block_bytes, bt);
+        by_handle.setPrefixCacheEnabled(true);
+        by_id.setPrefixCacheEnabled(true);
+        const std::uint64_t max_blocks =
+            std::max<std::uint64_t>(12, per_device * devices / 6);
+        std::vector<KvHandle> live; // admission order
+        std::vector<bool> slot_used;
+        std::uint64_t next_id = 1;
+        // Tokens that grow request @p id by exactly @p k blocks.
+        const auto grown = [&](std::uint64_t id, std::uint64_t k) {
+            return by_id.requestBlocks(id) * bt + (k - 1) * bt + 1 +
+                   rnd(bt);
+        };
+        const int ops = devices >= 60 ? 3000 : 800;
+
+        for (int op = 0; op < ops; ++op) {
+            const std::uint64_t kind = rnd(100);
+            if (kind < 25) {
+                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
+                if (by_id.blocksForTokens(tokens) >
+                    by_id.availableBlocks())
+                    continue;
+                const KvAdmission a = by_handle.admit(next_id, tokens);
+                const KvAdmission b = by_id.admit(next_id, tokens);
+                ASSERT_EQ(a.blocks, b.blocks);
+                if (a.slot >= slot_used.size())
+                    slot_used.resize(a.slot + 1, false);
+                slot_reuses += slot_used[a.slot];
+                slot_used[a.slot] = true;
+                live.push_back({next_id, a.slot});
+                ++next_id;
+            } else if (kind < 45) {
+                if (live.empty())
+                    continue;
+                const KvHandle h = live[rnd(live.size())];
+                const std::uint64_t k = 1 + rnd(8);
+                if (k > by_id.availableBlocks())
+                    continue;
+                const std::uint64_t tokens = grown(h.id, k);
+                ASSERT_EQ(by_handle.grow(h, tokens),
+                          by_id.grow(h.id, tokens));
+            } else if (kind < 60) {
+                // One growMany over a batch-ordered subset, against
+                // per-id grows in the same order.
+                std::vector<std::uint32_t> slots;
+                std::vector<std::uint64_t> ids, toks;
+                std::uint64_t add = 0;
+                for (const KvHandle &h : live) {
+                    const std::uint64_t k = 1 + rnd(2);
+                    if (rnd(2) == 0 ||
+                        add + k > by_id.availableBlocks())
+                        continue;
+                    add += k;
+                    slots.push_back(h.slot);
+                    ids.push_back(h.id);
+                    toks.push_back(grown(h.id, k));
+                }
+                std::vector<std::uint64_t> blocks(ids.size());
+                by_handle.growMany(slots.data(), ids.data(),
+                                   toks.data(), blocks.data(),
+                                   ids.size());
+                for (std::size_t j = 0; j < ids.size(); ++j)
+                    ASSERT_EQ(blocks[j], by_id.grow(ids[j], toks[j]));
+            } else if (kind < 80) {
+                if (live.empty())
+                    continue;
+                const std::size_t i = rnd(live.size());
+                by_handle.release(live[i]);
+                by_id.release(live[i].id);
+                live.erase(live.begin() + static_cast<long>(i));
+            } else if (kind < 93) {
+                const std::uint64_t key = 1 + rnd(12);
+                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
+                by_handle.prefixInsert(key, tokens);
+                by_id.prefixInsert(key, tokens);
+            } else {
+                const std::uint64_t key = 1 + rnd(12);
+                const std::uint64_t max_tokens = 1 + rnd(4 * bt);
+                ASSERT_EQ(by_handle.prefixLookup(key, max_tokens),
+                          by_id.prefixLookup(key, max_tokens));
+            }
+            ASSERT_EQ(by_handle.usedPerDevice(), by_id.usedPerDevice())
+                << devices << " devices, op " << op;
+            ASSERT_EQ(by_handle.cachedBlocks(), by_id.cachedBlocks());
+            ASSERT_EQ(by_handle.liveRequests(), live.size());
+            for (const KvHandle &h : live) {
+                ASSERT_EQ(by_handle.requestBlocks(h.id),
+                          by_id.requestBlocks(h.id));
+                ASSERT_EQ(by_handle.requestTokens(h.id),
+                          by_id.requestTokens(h.id));
+            }
+        }
+        evicted_bytes += by_handle.prefixEvictedBytes();
+        EXPECT_EQ(by_handle.prefixEvictedBytes(),
+                  by_id.prefixEvictedBytes());
+    }
+    // The churn must reuse released slots and evict prefix entries.
+    EXPECT_GT(slot_reuses, 0u);
+    EXPECT_GT(evicted_bytes, 0u);
+}
+
+/**
+ * A handle outlives its request: once the slot is released, and
+ * especially once it is given to another id, every handle call must
+ * be fatal instead of touching the new occupant's blocks.
+ */
+TEST(KvHandle, StaleHandleIsFatal)
+{
+    KvCacheManager mgr(opt30b(), 4, 1ULL << 30, 16);
+    const KvAdmission first = mgr.admit(1, 32);
+    const KvHandle stale{1, first.slot};
+    mgr.release(stale);
+    const KvAdmission second = mgr.admit(2, 32);
+    ASSERT_EQ(second.slot, first.slot); // slot handed to request 2
+    const std::vector<std::uint64_t> used = mgr.usedPerDevice();
+
+    EXPECT_THROW(mgr.grow(stale, 64), FatalError);
+    EXPECT_THROW(mgr.release(stale), FatalError);
+    EXPECT_THROW(mgr.exportRequest(stale), FatalError);
+    const std::uint64_t id = stale.id;
+    const std::uint64_t tokens = 64;
+    std::uint64_t blocks = 0;
+    EXPECT_THROW(mgr.growMany(&stale.slot, &id, &tokens, &blocks, 1),
+                 FatalError);
+    // Request 2 kept its blocks through every rejected call.
+    EXPECT_EQ(mgr.usedPerDevice(), used);
+    EXPECT_EQ(mgr.requestBlocks(2), 2u);
+
+    // A released slot nobody reused, and a slot never handed out.
+    const KvHandle second_handle{2, second.slot};
+    mgr.release(second_handle);
+    EXPECT_THROW(mgr.grow(second_handle, 64), FatalError);
+    EXPECT_THROW(mgr.release(KvHandle{2, 99}), FatalError);
+    EXPECT_EQ(mgr.liveRequests(), 0u);
+}
+
 } // namespace

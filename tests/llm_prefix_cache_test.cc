@@ -99,7 +99,7 @@ TEST_F(PrefixCacheTest, AdmissionReclaimsCacheBeforeFailing)
     EXPECT_TRUE(mgr.canAdmit(8 * 16));
     // ...and a grow past the free pool evicts cache entries instead
     // of dying (the evict-before-preempt primitive).
-    EXPECT_EQ(mgr.admit(9, 8 * 16), 8u);
+    EXPECT_EQ(mgr.admit(9, 8 * 16).blocks, 8u);
     EXPECT_EQ(mgr.cachedBlocks(), 0u);
     EXPECT_EQ(mgr.prefixEntries(), 0u);
     EXPECT_EQ(mgr.prefixEvictedBytes(), 6 * mgr.blockBytes());

@@ -9,10 +9,12 @@
  * This test instruments the global allocator (this binary only) and
  * counts allocations across a long no-retirement decode window.
  *
- * The platform kernel memos key on (context sum, batch size), which
- * change every iteration, so a first run over the workload warms
+ * The memos below the serving loop are filled lazily: the ServingSim
+ * plan memo (keyed on batch size, FC tokens and context sum), the
+ * platform's dense FC table and prefill memo, and the GEMV command-
+ * stream memo under attention. A first run over the workload warms
  * them; the counted run replays the identical iteration sequence and
- * must hit those memos without inserting.
+ * must hit them without inserting.
  */
 
 #include <gtest/gtest.h>
@@ -191,6 +193,59 @@ TEST(ServingZeroAlloc, ChunkedSteadyStateDecodeDoesNotAllocate)
         sim.step();
     ServingResult r = sim.finish();
     EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
+}
+
+TEST(ServingZeroAlloc, MixedChunkedPrefillWindowDoesNotAllocate)
+{
+    // Mixed iterations: one request's prompt chunk runs beside the
+    // decodes of the requests already prefilled, with on-demand KV
+    // growth. The chunk cost goes through Platform::prefillChunkExec
+    // and the KV growth through the batch's slot handles; neither
+    // may touch the heap once the memos are warm.
+    Platform papi(makePapiConfig());
+    const llm::ModelConfig model = llm::llama65b();
+    const auto reqs = uniformStream(16, 256, 512);
+
+    ServingOptions opt;
+    opt.maxRlp = 16;
+    opt.prefillChunkTokens = 64;
+    opt.preemptOnKvPressure = true;
+
+    {
+        ServingSim warm(papi, {}, model, opt);
+        for (const auto &tr : reqs)
+            warm.deliver(tr);
+        while (warm.canStep())
+            warm.step();
+        (void)warm.finish();
+    }
+
+    ServingSim sim(papi, {}, model, opt);
+    for (const auto &tr : reqs)
+        sim.deliver(tr);
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(sim.canStep());
+        sim.step();
+    }
+    ASSERT_TRUE(sim.hasActive());
+
+    // 16 prompts x 256 tokens / 64-token chunks = 64 chunked
+    // iterations, one chunk each; steps 8..48 all mix a chunk with
+    // the decodes of the requests prefilled before it.
+    g_allocCount = 0;
+    g_counting = true;
+    for (int i = 0; i < 40; ++i)
+        sim.step();
+    g_counting = false;
+
+    EXPECT_EQ(g_allocCount, 0u)
+        << "mixed prefill/decode iterations touched the heap";
+
+    while (sim.canStep())
+        sim.step();
+    ServingResult r = sim.finish();
+    EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
+    EXPECT_EQ(r.preemptions, 0u);
 }
 
 } // namespace
