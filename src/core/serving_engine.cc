@@ -755,38 +755,6 @@ ServingSim::stepIdle()
     }
 }
 
-ServingSim::IterationTiming
-ServingSim::iterationTiming(TargetId target, std::uint32_t tokens,
-                            std::uint32_t tlp) const
-{
-    syncGen();
-    _batch.refillCtx(_ctx);
-
-    IterationTiming t;
-    t.fc = _platform.fcExec(_model, tokens, target);
-    t.at = _platform.attnExec(_model, _ctx, tlp);
-    t.other = _platform.otherSeconds(_model);
-    if (_static.enabled) {
-        // The draft model's serial proposal pass (speculative
-        // decoding): charged as a fraction of the verification cost.
-        if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
-            t.other += _spec.draftCostFraction *
-                       (t.fc.seconds + t.at.seconds);
-        // Kernels within a layer are dependent, so by default the
-        // phases serialize (FC -> attention -> FC ...). Platforms
-        // with sub-batch interleaving can hide a fraction of the
-        // shorter phase under the longer one.
-        t.hidden = _platform.config().phaseOverlapFraction *
-                   std::min(t.fc.seconds, t.at.seconds);
-    }
-    t.seconds =
-        _cost.trivial()
-            ? t.fc.seconds + t.at.seconds - t.hidden + t.other
-            : scaledSeconds(t.fc.seconds + t.at.seconds, t.other,
-                            tokens);
-    return t;
-}
-
 void
 ServingSim::planChunks(std::vector<std::uint32_t> &chunks) const
 {
@@ -809,7 +777,6 @@ ServingSim::IterationPlan
 ServingSim::planIteration() const
 {
     IterationPlan p;
-    planChunks(_chunkPlan);
     _chunkPrior.clear();
     _chunkNow.clear();
     const std::size_t n = _batch.size();
@@ -818,12 +785,14 @@ ServingSim::planIteration() const
     std::uint64_t ctx_sum = 0;
     const bool all_decoding = !_batch.anyPrefilling();
     if (all_decoding) {
-        // Steady-state fast path: everyone decodes, so the plan
-        // inputs reduce to one vectorized context sum (_ctx itself
-        // is only needed on a memo miss).
+        // Steady-state fast path (and every monolithic-prefill
+        // iteration): everyone decodes, so the plan inputs reduce to
+        // one vectorized context sum (_ctx itself is only needed on
+        // a memo miss, the chunk plan not at all).
         p.decodeRlp = static_cast<std::uint32_t>(n);
         ctx_sum = steadyCtxSum();
     } else {
+        planChunks(_chunkPlan);
         syncGen();
         _ctx.clear();
         const std::uint32_t *pre = _batch.prefillRemaining.data();
@@ -863,17 +832,35 @@ ServingSim::planIteration() const
                 syncGen();
                 _batch.refillCtx(_ctx);
             }
-            p.timing.fc = _platform.fcExec(_model, p.tokens,
-                                           p.decision.target);
-            p.timing.at = _platform.attnExec(_model, _ctx, tlp);
-            p.timing.other = _platform.otherSeconds(_model);
+            IterationTiming &t = p.timing;
+            t.fc = _platform.fcExec(_model, p.tokens,
+                                    p.decision.target);
+            t.at = _platform.attnExec(_model, _ctx, tlp);
+            t.other = _platform.otherSeconds(_model);
+            if (_static.enabled) {
+                // The draft model's serial proposal pass
+                // (speculative decoding): charged as a fraction of
+                // the verification cost.
+                if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
+                    t.other += _spec.draftCostFraction *
+                               (t.fc.seconds + t.at.seconds);
+                // Kernels within a layer are dependent, so by
+                // default the phases serialize (FC -> attention ->
+                // FC ...). Platforms with sub-batch interleaving can
+                // hide a fraction of the shorter phase under the
+                // longer one.
+                t.hidden = _platform.config().phaseOverlapFraction *
+                           std::min(t.fc.seconds, t.at.seconds);
+            }
             e.key1 = key1;
             e.key2 = ctx_sum;
             e.decision = p.decision;
-            e.timing = p.timing;
+            e.timing = t;
         }
         other = p.timing.other;
-        kernel = p.timing.fc.seconds + p.timing.at.seconds;
+        // hidden is 0.0 outside static mode, and x - 0.0 == x.
+        kernel = p.timing.fc.seconds + p.timing.at.seconds -
+                 p.timing.hidden;
     }
     if (!_chunkNow.empty())
         p.chunk = _platform.prefillChunkExec(_model, _chunkPrior,
@@ -891,36 +878,7 @@ ServingSim::refreshPlan() const
 {
     if (_planValid)
         return;
-    if (_chunked) {
-        _plan = planIteration();
-    } else {
-        const auto rlp = static_cast<std::uint32_t>(_batch.size());
-        const std::uint32_t tlp = _spec.length;
-        const std::uint32_t tokens = fcTokens(rlp, tlp);
-        const std::uint64_t ctx_sum = steadyCtxSum();
-        IterationPlan p;
-        p.decodeRlp = rlp;
-        p.tokens = tokens;
-        p.dispatched = true;
-        const std::uint64_t key1 =
-            (static_cast<std::uint64_t>(rlp) << 32) | tokens;
-        PlanMemoEntry &e = _planMemo[planMemoSlot(key1, ctx_sum)];
-        if (e.key1 == key1 && e.key2 == ctx_sum) {
-            p.decision = e.decision;
-            p.timing = e.timing;
-        } else {
-            p.decision = _fcDispatch.select(_model, rlp, tlp,
-                                            tokens);
-            p.timing =
-                iterationTiming(p.decision.target, tokens, tlp);
-            e.key1 = key1;
-            e.key2 = ctx_sum;
-            e.decision = p.decision;
-            e.timing = p.timing;
-        }
-        p.seconds = p.timing.seconds;
-        _plan = p;
-    }
+    _plan = planIteration();
     _planValid = true;
 }
 
@@ -1023,17 +981,6 @@ ServingSim::peekIterationSeconds() const
 }
 
 void
-ServingSim::stepDecode()
-{
-    if (_batch.empty())
-        sim::panic("ServingSim::stepDecode without a batch");
-    if (_chunked)
-        stepDecodeChunked();
-    else
-        stepDecodeLegacy();
-}
-
-void
 ServingSim::syncGen() const
 {
     if (_genShift == 0)
@@ -1081,7 +1028,7 @@ ServingSim::steadyCtxSum() const
 }
 
 std::uint32_t
-ServingSim::advanceAndRetire(std::uint32_t accepted, bool release_kv)
+ServingSim::advanceAndRetire(std::uint32_t accepted)
 {
     const std::size_t n = _batch.size();
     if (!_steadyValid)
@@ -1151,7 +1098,7 @@ ServingSim::advanceAndRetire(std::uint32_t accepted, bool release_kv)
         for (std::size_t r = 0; r < n; ++r) {
             if (gen[r] >= out[r]) {
                 recordRetirementAt(r);
-                if (release_kv) {
+                if (!_static.enabled) { // static batches hold no KV
                     _kv.release(kvHandle(r));
                     publishPrefix(r);
                 }
@@ -1167,268 +1114,213 @@ ServingSim::advanceAndRetire(std::uint32_t accepted, bool release_kv)
 }
 
 void
-ServingSim::stepDecodeLegacy()
+ServingSim::stepDecode()
 {
-    // Per-iteration decisions are stateless threshold checks (so
-    // the plan a driver peeked is the plan executed here); RLP
-    // transitions in both directions are counted below.
+    if (_batch.empty())
+        sim::panic("ServingSim::stepDecode without a batch");
+    // Per-iteration decisions are stateless threshold checks, so the
+    // plan a driver peeked is the plan executed here; RLP transitions
+    // in both directions are counted by noteDispatch. refreshPlan
+    // also refilled _chunkPlan when someone prefills, which the mixed
+    // loop below consumes; any mutation since a peek would have
+    // invalidated the cache.
     refreshPlan();
     const IterationPlan plan = _plan;
     _planValid = false;
-    const std::uint32_t rlp = plan.decodeRlp;
-    const std::uint32_t tokens = plan.tokens;
+    const IterationTiming &t = plan.timing;
     const TargetId target = plan.decision.target;
-    const bool rescheduled = noteDispatch(target);
+    const bool rescheduled = plan.dispatched && noteDispatch(target);
 
-    IterationTiming t = plan.timing;
-    const double iter_seconds = t.seconds;
-
-    // Per-component accounting. The overlap-hidden time executes
-    // under the longer phase, so the shorter phase's contributions
-    // shrink (compute first, then its communication share).
+    // Per-component accounting: decode FC and attention, prompt
+    // chunks under prefill. Overlap-hidden time (static mode only)
+    // executes under the longer phase, so the shorter phase's
+    // contributions shrink (compute first, then its communication
+    // share).
     double fc_part = t.fc.seconds - t.fc.commSeconds;
     double at_part = t.at.seconds - t.at.commSeconds;
     double comm_part = t.fc.commSeconds + t.at.commSeconds;
+    double chunk_part = plan.chunk.seconds;
     if (t.hidden > 0.0) {
         double &shorter =
             t.fc.seconds <= t.at.seconds ? fc_part : at_part;
-        double deduct = std::min(t.hidden, shorter);
+        const double deduct = std::min(t.hidden, shorter);
         shorter -= deduct;
         comm_part -= t.hidden - deduct;
     }
     // Under a tensor-parallel cost model the charged duration is the
-    // scaled one; keep the breakdown in the same units (the group's
-    // all-reduce counts as communication) so it still sums to the
+    // scaled one; keep the breakdown in the same units, counting
+    // whatever the charged time holds beyond the scaled phases (the
+    // group's all-reduce) as communication, so it still sums to the
     // busy time.
-    if (!_cost.trivial()) {
-        fc_part /= _cost.computeScale;
-        at_part /= _cost.computeScale;
-        comm_part /= _cost.computeScale;
-        if (_cost.extraSeconds)
-            comm_part += _cost.extraSeconds(tokens);
-    }
-    _breakdown.fcSeconds += fc_part;
-    _breakdown.attnSeconds += at_part;
-    _breakdown.commSeconds += comm_part;
-    _breakdown.otherSeconds += t.other;
-
-    _rlpTimeIntegral += iter_seconds * rlp;
-    _busySeconds += iter_seconds;
-    _now += iter_seconds;
-    // Energy accumulation preserves each pre-fold loop's exact
-    // floating-point association: the decode loop added the device
-    // and host terms separately, the serving loop added one sum.
-    if (_static.enabled) {
-        _out.energyJoules += t.fc.energyJoules + t.at.energyJoules;
-        _out.energyJoules += t.other * kHostWatts;
-    } else {
-        double iter_joules = t.fc.energyJoules + t.at.energyJoules +
-                             t.other * kHostWatts;
-        if (!_cost.trivial() && _cost.extraJoules)
-            iter_joules += _cost.extraJoules(tokens);
-        _out.energyJoules += iter_joules;
-    }
-    ++_out.iterations;
-    ++_targetIters[target];
-    if (_targetIsGpu[target])
-        ++_out.fcOnGpuIterations;
-    else
-        ++_out.fcOnPimIterations;
-
-    if (!_static.enabled)
-        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                          _kv.utilization());
-
-    // Advance generation; retire finished requests.
-    const std::uint32_t accepted = _spec.sampleAccepted(_rng);
-    const std::uint32_t eos =
-        advanceAndRetire(accepted, !_static.enabled);
-
-    if (_preempt) {
-        // On-demand accounting: materialize the tokens this
-        // iteration appended (one bulk grow, ascending batch order
-        // - the same allocation sequence as per-request calls),
-        // then restore the next iteration's worst-case growth
-        // headroom (evicting if pressure hit).
-        const std::size_t n = _batch.size();
-        clearGrowScratch();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t ctx = _batch.contextLen(i);
-            if (ctx > _batch.kvTokens[i]) {
-                _batch.kvTokens[i] = ctx;
-                gatherGrow(i, ctx);
-            }
-        }
-        growGathered();
-        ensureKvHeadroom();
-        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                          _kv.utilization());
-    }
-
-    if (_static.recordTrace) {
-        IterationTrace tr;
-        tr.iteration = _out.iterations;
-        tr.rlp = rlp;
-        tr.tlp = _spec.length;
-        tr.estimatedAi = _dynamic ? plan.decision.estimatedAi : 0.0;
-        tr.targetId = target;
-        tr.rescheduled = rescheduled;
-        tr.eosCount = eos;
-        tr.iterationSeconds = iter_seconds;
-        _trace.push_back(tr);
-    }
-}
-
-void
-ServingSim::stepDecodeChunked()
-{
-    // refreshPlan also refilled _chunkPlan (via planIteration),
-    // which the progress loop below consumes; any mutation since a
-    // peek would have invalidated the cache.
-    refreshPlan();
-    const IterationPlan plan = _plan;
-    _planValid = false;
-
-    if (plan.dispatched)
-        noteDispatch(plan.decision.target);
-
-    // Per-component accounting: decode FC/attention split as the
-    // legacy path does, prompt chunks under prefill.
-    double fc_part =
-        plan.timing.fc.seconds - plan.timing.fc.commSeconds;
-    double at_part =
-        plan.timing.at.seconds - plan.timing.at.commSeconds;
-    double comm_part =
-        plan.timing.fc.commSeconds + plan.timing.at.commSeconds;
-    double chunk_part = plan.chunk.seconds;
     if (!_cost.trivial()) {
         fc_part /= _cost.computeScale;
         at_part /= _cost.computeScale;
         comm_part /= _cost.computeScale;
         chunk_part /= _cost.computeScale;
         if (_cost.extraSeconds)
-            comm_part += plan.seconds -
-                         (fc_part + at_part + comm_part +
-                          chunk_part + plan.timing.other);
+            comm_part += plan.seconds - (fc_part + at_part + comm_part +
+                                         chunk_part + t.other);
     }
     _breakdown.fcSeconds += fc_part;
     _breakdown.attnSeconds += at_part;
     _breakdown.commSeconds += comm_part;
     _breakdown.prefillSeconds += chunk_part;
-    _breakdown.otherSeconds += plan.timing.other;
+    _breakdown.otherSeconds += t.other;
 
     const auto live = static_cast<std::uint32_t>(_batch.size());
     _rlpTimeIntegral += plan.seconds * live;
     _busySeconds += plan.seconds;
     _now += plan.seconds;
-
-    double iter_joules =
-        plan.chunk.energyJoules + plan.timing.other * kHostWatts;
-    if (plan.dispatched)
-        iter_joules += plan.timing.fc.energyJoules +
-                       plan.timing.at.energyJoules;
-    // Tokens in the fabric-energy term mirror the ones in the
-    // fabric-time term (scaledSeconds): decode plus prefill chunks.
-    if (!_cost.trivial() && _cost.extraJoules)
-        iter_joules +=
-            _cost.extraJoules(plan.tokens + plan.chunkTokens);
-    _out.energyJoules += iter_joules;
+    // Energy association is pinned bitwise: static batches add the
+    // device and host terms separately, serving runs add one sum per
+    // iteration (a missing chunk or dispatch contributes +0.0, which
+    // leaves the sum's bits alone).
+    if (_static.enabled) {
+        _out.energyJoules += t.fc.energyJoules + t.at.energyJoules;
+        _out.energyJoules += t.other * kHostWatts;
+    } else {
+        double iter_joules = plan.chunk.energyJoules +
+                             t.other * kHostWatts +
+                             (t.fc.energyJoules + t.at.energyJoules);
+        // Tokens in the fabric-energy term mirror the ones in the
+        // fabric-time term (scaledSeconds): decode plus prefill
+        // chunks.
+        if (!_cost.trivial() && _cost.extraJoules)
+            iter_joules +=
+                _cost.extraJoules(plan.tokens + plan.chunkTokens);
+        _out.energyJoules += iter_joules;
+    }
     ++_out.iterations;
     if (plan.dispatched) {
-        ++_targetIters[plan.decision.target];
-        if (_targetIsGpu[plan.decision.target])
+        ++_targetIters[target];
+        if (_targetIsGpu[target])
             ++_out.fcOnGpuIterations;
         else
             ++_out.fcOnPimIterations;
     }
 
-    const std::size_t n = _batch.size();
-    // All-decoding fast path: no chunks planned and nobody mid-
-    // prefill means the iteration reduces to the same vectorized
-    // advance as the legacy path (chunked serving always holds KV,
-    // so releases are unconditional).
-    const bool all_decoding =
-        plan.chunkTokens == 0 &&
-        plan.decodeRlp == static_cast<std::uint32_t>(n);
-
-    if (all_decoding && !_preempt) {
-        const std::uint32_t accepted =
-            plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
-        advanceAndRetire(accepted, true);
+    // Monolithic-prefill admission reserves each newcomer's KV as
+    // one wave, so the pool can peak at the admission just before
+    // this iteration: sample it before the advance too. Chunked runs
+    // sample only after the advance, which misses a peak reached at
+    // a chunked admission (a known under-report, kept bit-for-bit).
+    if (!_chunked)
         _out.peakKvUtilization = std::max(_out.peakKvUtilization,
                                           _kv.utilization());
-        if (_role == ServingRole::Prefill)
-            handoffCompletedPrefills();
-        return;
-    }
 
-    // Freeze the decode set before prefill progress: a request
-    // whose prefill completes in THIS iteration starts decoding at
-    // the NEXT one (its chunk was costed, its decode was not).
-    syncGen(); // the mixed loop below reads/writes generated[]
-    _decoding.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        _decoding[i] = _batch.prefillRemaining[i] == 0;
+    const std::size_t n = _batch.size();
+    std::uint32_t eos = 0;
+    // When everyone decodes, the iteration is one vectorized
+    // advance (then a bulk KV grow in on-demand mode). Chunked
+    // on-demand runs stay in the mixed loop even then: it grows each
+    // survivor before later requests in the batch retire, and that
+    // order decides which cached prefix blocks get evicted.
+    const bool bulk = plan.chunkTokens == 0 && plan.decodeRlp == n &&
+                      !(_chunked && _preempt);
+    if (bulk) {
+        eos = advanceAndRetire(_spec.sampleAccepted(_rng));
+        if (_preempt) {
+            // On-demand accounting: materialize the tokens this
+            // iteration appended (one bulk grow, ascending batch
+            // order - the same allocation sequence as per-request
+            // calls).
+            clearGrowScratch();
+            for (std::size_t i = 0; i < _batch.size(); ++i) {
+                const std::uint32_t ctx = _batch.contextLen(i);
+                if (ctx > _batch.kvTokens[i]) {
+                    _batch.kvTokens[i] = ctx;
+                    gatherGrow(i, ctx);
+                }
+            }
+            growGathered();
+        }
+    } else {
+        // Freeze the decode set before prefill progress: a request
+        // whose prefill completes in THIS iteration starts decoding
+        // at the NEXT one (its chunk was costed, its decode was
+        // not).
+        syncGen(); // the mixed loop below reads/writes generated[]
+        _decoding.assign(n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            _decoding[i] = _batch.prefillRemaining[i] == 0;
 
-    // Prefill progress; materialize the chunk's KV (bulk grow in
-    // ascending batch order - the allocation sequence of the old
-    // per-request loop).
-    if (plan.chunkTokens > 0) {
-        clearGrowScratch();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (_chunkPlan[i] == 0)
+        // Prefill progress; materialize the chunk's KV (one bulk
+        // grow in ascending batch order - the same allocation
+        // sequence as per-request calls).
+        if (plan.chunkTokens > 0) {
+            clearGrowScratch();
+            for (std::size_t i = 0; i < n; ++i) {
+                if (_chunkPlan[i] == 0)
+                    continue;
+                _batch.prefillRemaining[i] -= _chunkPlan[i];
+                if (_preempt) {
+                    _batch.kvTokens[i] += _chunkPlan[i];
+                    gatherGrow(i, std::max<std::uint32_t>(
+                                      _batch.kvTokens[i], 1));
+                }
+            }
+            growGathered();
+        }
+
+        // Advance the decoders; requests still prefilling produce
+        // no tokens this iteration (their TTFT reflects the chunk
+        // delay).
+        const std::uint32_t accepted =
+            plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
+        std::size_t w = 0;
+        for (std::size_t r = 0; r < n; ++r) {
+            if (!_decoding[r]) {
+                _batch.moveTo(w, r);
+                ++w;
                 continue;
-            _batch.prefillRemaining[i] -= _chunkPlan[i];
-            if (_preempt) {
-                _batch.kvTokens[i] += _chunkPlan[i];
-                gatherGrow(i, std::max<std::uint32_t>(
-                                  _batch.kvTokens[i], 1));
+            }
+            const std::uint32_t rem =
+                _batch.outputLen[r] - _batch.generated[r];
+            const std::uint32_t used = std::min(accepted, rem);
+            _batch.generated[r] += used;
+            _out.tokensGenerated += used;
+            if (used > 0 && _batch.firstTokenSeen[r] == 0) {
+                _batch.firstTokenSeconds[r] = _now;
+                _batch.firstTokenSeen[r] = 1;
+            }
+            if (_preempt && used > 0) {
+                _batch.kvTokens[r] += used;
+                _batch.kvBlocks[r] =
+                    _kv.grow(kvHandle(r), _batch.kvTokens[r]);
+            }
+            if (_batch.generated[r] >= _batch.outputLen[r]) {
+                recordRetirementAt(r);
+                _kv.release(kvHandle(r));
+                publishPrefix(r);
+                ++eos;
+            } else {
+                _batch.moveTo(w, r);
+                ++w;
             }
         }
-        growGathered();
+        _batch.truncate(w);
+        _steadyValid = false;
     }
 
-    // Advance the decoders; requests still prefilling produce no
-    // tokens this iteration (their TTFT reflects the chunk delay).
-    const std::uint32_t accepted =
-        plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-        if (!_decoding[r]) {
-            _batch.moveTo(w, r);
-            ++w;
-            continue;
-        }
-        const std::uint32_t rem =
-            _batch.outputLen[r] - _batch.generated[r];
-        const std::uint32_t used = std::min(accepted, rem);
-        _batch.generated[r] += used;
-        _out.tokensGenerated += used;
-        if (used > 0 && _batch.firstTokenSeen[r] == 0) {
-            _batch.firstTokenSeconds[r] = _now;
-            _batch.firstTokenSeen[r] = 1;
-        }
-        if (_preempt && used > 0) {
-            _batch.kvTokens[r] += used;
-            _batch.kvBlocks[r] =
-                _kv.grow(kvHandle(r), _batch.kvTokens[r]);
-        }
-        if (_batch.generated[r] >= _batch.outputLen[r]) {
-            recordRetirementAt(r);
-            _kv.release(kvHandle(r));
-            publishPrefix(r);
-        } else {
-            _batch.moveTo(w, r);
-            ++w;
-        }
-    }
-    _batch.truncate(w);
-    _steadyValid = false;
-
+    // Restore the next iteration's worst-case growth headroom
+    // (evicting if pressure hit).
     if (_preempt)
         ensureKvHeadroom();
     _out.peakKvUtilization = std::max(_out.peakKvUtilization,
                                       _kv.utilization());
+
+    if (_static.recordTrace) {
+        IterationTrace tr;
+        tr.iteration = _out.iterations;
+        tr.rlp = plan.decodeRlp;
+        tr.tlp = _spec.length;
+        tr.estimatedAi = _dynamic ? plan.decision.estimatedAi : 0.0;
+        tr.targetId = target;
+        tr.rescheduled = rescheduled;
+        tr.eosCount = eos;
+        tr.iterationSeconds = plan.seconds;
+        _trace.push_back(tr);
+    }
 
     // Prefill-pool replica: requests whose last chunk just ran are
     // done here - retire them into the handoff queue for migration
@@ -1472,44 +1364,30 @@ ServingSim::worstGrowthBlocks() const
 {
     // Pure array arithmetic against the kvBlocks mirror column - no
     // per-id hash lookups (kvBlocks[i] == _kv.requestBlocks(id[i])
-    // by construction).
+    // by construction). A request still prefilling grows by its next
+    // chunk; a decoding one appends at most TLP tokens, clipped at
+    // its remaining output.
     syncGen();
+    planChunks(_chunkPlan);
     const std::size_t n = _batch.size();
     const std::uint64_t bt = _kvBlockTokens;
+    const std::uint32_t tlp = _spec.length;
+    const std::uint32_t *in = _batch.inputLen.data();
+    const std::uint32_t *gen = _batch.generated.data();
+    const std::uint32_t *out = _batch.outputLen.data();
+    const std::uint32_t *pre = _batch.prefillRemaining.data();
+    const std::uint32_t *kvt = _batch.kvTokens.data();
+    const std::uint32_t *chunk = _chunkPlan.data();
+    const std::uint64_t *held = _batch.kvBlocks.data();
     std::uint64_t need = 0;
-    if (_chunked) {
-        planChunks(_chunkPlan);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t target;
-            if (_batch.prefillRemaining[i] > 0) {
-                target = std::max<std::uint64_t>(
-                    _batch.kvTokens[i] + _chunkPlan[i], 1);
-            } else {
-                const std::uint32_t rem =
-                    _batch.outputLen[i] - _batch.generated[i];
-                target = _batch.contextLen(i) +
-                         std::min(_spec.length, rem);
-            }
-            const std::uint64_t blocks = (target + bt - 1) / bt;
-            need += blocks > _batch.kvBlocks[i]
-                        ? blocks - _batch.kvBlocks[i]
-                        : 0;
-        }
-    } else {
-        const std::uint32_t tlp = _spec.length;
-        const std::uint32_t *in = _batch.inputLen.data();
-        const std::uint32_t *gen = _batch.generated.data();
-        const std::uint32_t *out = _batch.outputLen.data();
-        const std::uint64_t *held = _batch.kvBlocks.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            // Next decode iteration appends at most TLP tokens,
-            // clipped at the request's remaining output.
-            const std::uint32_t rem = out[i] - gen[i];
-            const std::uint64_t target =
-                in[i] + gen[i] + (tlp < rem ? tlp : rem);
-            const std::uint64_t blocks = (target + bt - 1) / bt;
-            need += blocks > held[i] ? blocks - held[i] : 0;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t rem = out[i] - gen[i];
+        const std::uint64_t target =
+            pre[i] > 0
+                ? std::max<std::uint64_t>(kvt[i] + chunk[i], 1)
+                : in[i] + gen[i] + (tlp < rem ? tlp : rem);
+        const std::uint64_t blocks = (target + bt - 1) / bt;
+        need += blocks > held[i] ? blocks - held[i] : 0;
     }
     return need;
 }

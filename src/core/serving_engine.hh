@@ -134,7 +134,7 @@ struct ServingOptions
      * tokens per decode iteration (shared budget across all
      * still-prefilling requests, oldest admission first) instead of
      * as one synchronous charge at admission - so a long prompt
-     * never stalls the decoding batch. 0 keeps the legacy
+     * never stalls the decoding batch. 0 keeps the monolithic
      * stop-the-world prefill.
      */
     std::uint32_t prefillChunkTokens = 0;
@@ -792,33 +792,24 @@ class ServingSim
     double scaledSeconds(double kernel_seconds, double other_seconds,
                          std::uint32_t tokens) const;
 
-    /** One decode iteration's kernel-phase costs. */
+    /** One decode iteration's decode-phase costs. */
     struct IterationTiming
     {
-        KernelExec fc;        ///< FC phase on the chosen target.
-        KernelExec at;        ///< Attention phase.
-        double other = 0.0;   ///< Non-GEMV overhead (+ draft charge).
-        double hidden = 0.0;  ///< Overlap-hidden seconds (static mode).
-        double seconds = 0.0; ///< Total charged duration.
+        KernelExec fc;       ///< FC phase on the chosen target.
+        KernelExec at;       ///< Attention phase.
+        /** Non-GEMV overhead (+ the draft charge in static mode). */
+        double other = 0.0;
+        double hidden = 0.0; ///< Overlap-hidden seconds (static mode).
     };
 
     /**
-     * Compute the next iteration's timing for @p target without
-     * advancing state (refills _ctx). The single source of truth
-     * shared by peekIterationSeconds() and stepDecode() - the
-     * cluster event loop's ordering depends on peeked and charged
-     * durations being exactly equal.
-     */
-    IterationTiming iterationTiming(TargetId target,
-                                    std::uint32_t tokens,
-                                    std::uint32_t tlp) const;
-
-    /**
-     * The full plan of the next iteration under continuous batching
-     * (chunked prefill): which requests decode, which prompt chunks
-     * are processed, the dispatch decision over the decode tokens,
-     * and the total charged duration. Pure with respect to sim state
-     * (scratch vectors aside) so peeks and steps agree exactly.
+     * The full plan of the next iteration: which requests decode,
+     * which prompt chunks are processed (chunked prefill), the
+     * dispatch decision over the decode tokens, and the total
+     * charged duration. Pure with respect to sim state (scratch
+     * vectors aside) so peeks and steps agree exactly - the cluster
+     * event loop's ordering depends on peeked and charged durations
+     * being equal.
      */
     struct IterationPlan
     {
@@ -833,12 +824,12 @@ class ServingSim
         double seconds = 0.0;        ///< Total charged duration.
     };
 
-    /** Build the chunked-mode plan (requires hasActive()). */
+    /** Build the next iteration's plan (requires hasActive()). */
     IterationPlan planIteration() const;
 
     /**
      * Ensure _plan describes the next iteration (computing it once
-     * for both paths). The plan computed by a peek is cached and
+     * via planIteration). The plan computed by a peek is cached and
      * consumed by the following stepDecode(), so the cost model
      * runs once per iteration even when a driver peeks to schedule
      * the boundary; state mutations (admission, decode, idle
@@ -848,13 +839,13 @@ class ServingSim
     void refreshPlan() const;
 
     /**
-     * Dynamic-dispatch reschedule accounting (shared by both decode
-     * paths). @return true if the target changed vs last iteration.
+     * Dynamic-dispatch reschedule accounting.
+     * @return true if the target changed vs last iteration.
      */
     bool noteDispatch(TargetId target);
 
-    /** Push batch element @p i's record/latency (shared by both
-     *  decode paths; caller releases KV and compacts). */
+    /** Push batch element @p i's record/latency (caller releases KV
+     *  and compacts). */
     void recordRetirementAt(std::size_t i);
 
     /** Publish batch element @p i's reusable span into the prefix
@@ -863,24 +854,16 @@ class ServingSim
      *  replica - nothing ever probes a decode-side insert). */
     void publishPrefix(std::size_t i);
 
-    /** Legacy (non-chunked) decode iteration; the pre-refactor body
-     *  of stepDecode(), bit-identical. */
-    void stepDecodeLegacy();
-
-    /** Chunked-mode decode/prefill iteration. */
-    void stepDecodeChunked();
-
     /**
      * Advance every batch member by @p accepted tokens and retire
-     * the finished ones (record, optional KV release, in-place
-     * ordered compaction). The advance itself is one branch-light
-     * pass over the generated/outputLen columns; the compaction
-     * pass runs only when the advance saw a finish. Shared by the
-     * legacy path and the all-decoding chunked fast path.
+     * the finished ones (record, KV release unless static mode,
+     * in-place ordered compaction). The advance itself is one
+     * branch-light pass over the generated/outputLen columns; the
+     * compaction pass runs only when the advance saw a finish.
+     * stepDecode's path for iterations in which everyone decodes.
      * @return Requests that finished (<eos> count).
      */
-    std::uint32_t advanceAndRetire(std::uint32_t accepted,
-                                   bool release_kv);
+    std::uint32_t advanceAndRetire(std::uint32_t accepted);
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
@@ -1015,7 +998,7 @@ class ServingSim
     mutable std::vector<std::uint32_t> _chunkPrior;
     mutable std::vector<std::uint32_t> _chunkNow;
     /** Decode-set snapshot of the running iteration (see
-     *  stepDecodeChunked). */
+     *  stepDecode's mixed prefill/decode loop). */
     std::vector<std::uint8_t> _decoding;
     // Gather/scatter scratch for bulk KV growth (growMany).
     std::vector<std::size_t> _growIdx;
@@ -1082,10 +1065,14 @@ class ServingSim
      * races fcExec over tokens), the platform's attention cost
      * reduces the context vector to integer aggregates (sum, count)
      * before any floating-point work, and the TP cost transform is
-     * token-count arithmetic. A hit therefore returns bitwise the
-     * values a recompute would - steady-state decode turns the
-     * whole plan pass into one vectorized context sum plus a table
-     * probe. Collisions simply overwrite (direct-mapped).
+     * token-count arithmetic. The static-mode extras (the draft
+     * charge folded into `other`, the overlap-hidden seconds) are
+     * functions of the cached FC and attention costs and of
+     * construction-time configuration, so the entry caches them too.
+     * A hit therefore returns bitwise the values a recompute would -
+     * steady-state decode turns the whole plan pass into one
+     * vectorized context sum plus a table probe. Collisions simply
+     * overwrite (direct-mapped).
      */
     struct PlanMemoEntry
     {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "core/decode_engine.hh"
 #include "core/platform.hh"
@@ -573,23 +574,28 @@ TEST(Dispatch, BreakdownStaysInChargedUnitsUnderTpCostModel)
 {
     // With a non-trivial tensor-parallel cost model the charged
     // iteration time is scaled; the per-component breakdown must be
-    // in the same units so it still sums to the busy time.
+    // in the same units so it still sums to the busy time, with
+    // monolithic and with chunked prefill.
     Platform p(makePapiConfig());
     llm::ModelConfig model = llm::llama65b();
     IterationCostModel cost;
     cost.computeScale = 2.0;
     cost.extraSeconds = [](std::uint32_t) { return 1.0e-4; };
-    ServingOptions opt;
-    opt.maxRlp = 8;
-    opt.alpha = 24.0;
-    ServingSim sim(p, {}, model, opt, cost);
-    for (const auto &tr : makeStream(100.0, 8, 5))
-        sim.deliver(tr);
-    while (sim.canStep())
-        sim.step();
-    sim.finish();
-    EXPECT_NEAR(sim.breakdown().totalSeconds(), sim.busySeconds(),
-                sim.busySeconds() * 1e-12);
+    for (std::uint32_t chunk : {0u, 64u}) {
+        SCOPED_TRACE("prefillChunkTokens=" + std::to_string(chunk));
+        ServingOptions opt;
+        opt.maxRlp = 8;
+        opt.alpha = 24.0;
+        opt.prefillChunkTokens = chunk;
+        ServingSim sim(p, {}, model, opt, cost);
+        for (const auto &tr : makeStream(100.0, 8, 5))
+            sim.deliver(tr);
+        while (sim.canStep())
+            sim.step();
+        sim.finish();
+        EXPECT_NEAR(sim.breakdown().totalSeconds(), sim.busySeconds(),
+                    sim.busySeconds() * 1e-12);
+    }
 }
 
 TEST(Dispatch, ExplicitThresholdPolicyRunsEndToEnd)

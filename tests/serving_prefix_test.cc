@@ -14,6 +14,9 @@
  *    blocks (same per-request kvTokens, fewer kvBlocks/kvBytes).
  *  - Under KV pressure, cached blocks are evicted (accounted in
  *    prefixEvictedBytes) before requests are preempted.
+ *  - Two chunked-prefill KV accounting rules (when peak utilization
+ *    is sampled, and the order of per-request growth under
+ *    preemption) are pinned bitwise.
  */
 
 #include <gtest/gtest.h>
@@ -288,6 +291,117 @@ TEST(ServingPrefix, PressureEvictsCacheDeterministically)
     expectResultsEqual(a.result, b.result);
     EXPECT_EQ(a.result.prefixEvictedBytes,
               b.result.prefixEvictedBytes);
+}
+
+/** A recorded ServingResult, every field (doubles bitwise). */
+struct ResultGolden
+{
+    double makespan, energy;
+    std::uint64_t iters, tokens, admits, resched, reschedGpu, fcGpu,
+        fcPim;
+    double meanLat, p95Lat, meanRlp, peakKv;
+    std::uint64_t preemptions, resumes, recomputed;
+    double evictionStall, swapStall;
+    std::uint64_t handoffs, handoffTokens, shed, lookups, hits,
+        hitTokens, missTokens, evictedBytes;
+    std::vector<std::uint64_t> evictionOrder;
+};
+
+void
+expectGolden(const ServingResult &r, const ResultGolden &g)
+{
+    EXPECT_EQ(r.makespanSeconds, g.makespan);
+    EXPECT_EQ(r.energyJoules, g.energy);
+    EXPECT_EQ(r.iterations, g.iters);
+    EXPECT_EQ(r.tokensGenerated, g.tokens);
+    EXPECT_EQ(r.admissions, g.admits);
+    EXPECT_EQ(r.reschedules, g.resched);
+    EXPECT_EQ(r.reschedulesToGpu, g.reschedGpu);
+    EXPECT_EQ(r.fcOnGpuIterations, g.fcGpu);
+    EXPECT_EQ(r.fcOnPimIterations, g.fcPim);
+    EXPECT_EQ(r.meanLatencySeconds, g.meanLat);
+    EXPECT_EQ(r.p95LatencySeconds, g.p95Lat);
+    EXPECT_EQ(r.meanRlp, g.meanRlp);
+    EXPECT_EQ(r.peakKvUtilization, g.peakKv);
+    EXPECT_EQ(r.preemptions, g.preemptions);
+    EXPECT_EQ(r.resumes, g.resumes);
+    EXPECT_EQ(r.recomputedPrefillTokens, g.recomputed);
+    EXPECT_EQ(r.evictionStallSeconds, g.evictionStall);
+    EXPECT_EQ(r.swapInducedStallSeconds, g.swapStall);
+    EXPECT_EQ(r.handoffs, g.handoffs);
+    EXPECT_EQ(r.prefillHandoffTokens, g.handoffTokens);
+    EXPECT_EQ(r.shedRequests, g.shed);
+    EXPECT_EQ(r.prefixLookups, g.lookups);
+    EXPECT_EQ(r.prefixHits, g.hits);
+    EXPECT_EQ(r.prefixHitTokens, g.hitTokens);
+    EXPECT_EQ(r.prefixMissTokens, g.missTokens);
+    EXPECT_EQ(r.prefixEvictedBytes, g.evictedBytes);
+    EXPECT_EQ(r.evictionOrder, g.evictionOrder);
+}
+
+/**
+ * Two places where chunked-prefill KV accounting differs from the
+ * monolithic-prefill runs that share the decode step, pinned
+ * bitwise on a shared-system-prompt trace with the prefix cache on
+ * and a small pool. Either difference, if dropped, still passes every
+ * other test in the suite but moves these results.
+ */
+TEST(ServingPrefix, ChunkedKvAccountingPins)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    const llm::ModelConfig model = llm::llama65b();
+    ServingOptions base;
+    base.maxRlp = 12;
+    base.prefixCacheEnabled = true;
+
+    // (a) Chunked runs sample KV utilization only after the advance.
+    // Admission here fills the pool to 1.0, which no post-advance
+    // sample sees, so 0.99166... is a known under-report, not a
+    // correct peak: see item (d) of "Correctness gates" in
+    // ROADMAP.md. Sampling before the advance as well, as
+    // monolithic-prefill runs do, reads 1.0.
+    {
+        SCOPED_TRACE("peak KV sampled after the advance");
+        ServingOptions opt = base;
+        opt.prefillChunkTokens = 128;
+        opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+            model, 4096, cfg.numAttnDevices);
+        const RunOutput out = runSim(
+            opt, stream(llm::TraceCategory::SharedQa, 300.0, 60, 1));
+        expectGolden(out.result,
+                     {4.5916443537333311, 6233.0293534702214, 590,
+                      5882, 60, 0, 0, 0, 589, 2.3329538858071204,
+                      4.1763887253664995, 10.769010882137231,
+                      0.9916666666666667, 0, 0, 0, 0.0, 0.0, 0, 0, 0,
+                      60, 48, 3072, 6323, 335544320, {}});
+    }
+
+    // (b) Chunked on-demand runs grow KV request by request inside
+    // the decode loop, so a survivor's growth can reclaim cached
+    // prefix blocks before a later request in the batch retires.
+    // Releasing every retiree first and then growing the survivors
+    // in bulk evicts different blocks (5200936960 bytes).
+    {
+        SCOPED_TRACE("per-request KV growth under preemption");
+        ServingOptions opt = base;
+        opt.prefillChunkTokens = 64;
+        opt.preemptOnKvPressure = true;
+        opt.preemptPolicy = KvPreemptPolicy::SwapRestore;
+        opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+            model, 2048, cfg.numAttnDevices);
+        const RunOutput out = runSim(
+            opt, stream(llm::TraceCategory::SharedQa, 300.0, 60, 2));
+        expectGolden(
+            out.result,
+            {5.5796368971926293, 7408.7024948867602, 796, 5309, 60, 0,
+             0, 0, 794, 2.7249453546587983, 5.053814100103609,
+             6.8829094705019216, 1.0, 34, 34, 0, 4.1340728616297095,
+             2.9189324799999996, 0, 0, 0, 60, 44, 2816, 6339,
+             5368709120, {11, 17, 16, 16, 17, 16, 19, 22, 21, 20, 23,
+                          28, 28, 28, 30, 29, 30, 32, 33, 38, 39, 41,
+                          44, 43, 42, 44, 50, 49, 48, 55, 54, 55, 57,
+                          57}});
+    }
 }
 
 } // namespace

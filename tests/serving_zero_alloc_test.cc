@@ -103,47 +103,56 @@ TEST(ServingZeroAlloc, SteadyStateDecodeDoesNotAllocate)
     const llm::ModelConfig model = llm::llama65b();
     const auto reqs = uniformStream(16, 256, 512);
 
-    ServingOptions opt;
-    opt.maxRlp = 16;
+    // Monolithic prefill, with worst-case KV reservation and then
+    // with on-demand growth (whose decode iterations also run the
+    // bulk KV grow and the headroom check).
+    for (bool preempt : {false, true}) {
+        SCOPED_TRACE(preempt ? "on-demand KV" : "reserved KV");
+        ServingOptions opt;
+        opt.maxRlp = 16;
+        opt.preemptOnKvPressure = preempt;
 
-    // Warm-up run: walks the exact iteration sequence the counted
-    // run will take, populating the platform kernel memos for every
-    // (batch size, context sum) the window visits.
-    {
-        ServingSim warm(papi, {}, model, opt);
+        // Warm-up run: walks the exact iteration sequence the
+        // counted run will take, populating the platform kernel
+        // memos for every (batch size, context sum) the window
+        // visits.
+        {
+            ServingSim warm(papi, {}, model, opt);
+            for (const auto &tr : reqs)
+                warm.deliver(tr);
+            while (warm.canStep())
+                warm.step();
+            (void)warm.finish();
+        }
+
+        // Counted run: form the batch, let early iterations size the
+        // scratch, then count a long mid-stream window - far from
+        // both the admission wave and the retirement wave.
+        ServingSim sim(papi, {}, model, opt);
         for (const auto &tr : reqs)
-            warm.deliver(tr);
-        while (warm.canStep())
-            warm.step();
-        (void)warm.finish();
+            sim.deliver(tr);
+        for (int i = 0; i < 10; ++i) {
+            ASSERT_TRUE(sim.canStep());
+            sim.step();
+        }
+        ASSERT_TRUE(sim.hasActive());
+
+        g_allocCount = 0;
+        g_counting = true;
+        for (int i = 0; i < 400; ++i)
+            sim.step();
+        g_counting = false;
+
+        EXPECT_TRUE(sim.hasActive()); // still mid-decode: no retirement
+        EXPECT_EQ(g_allocCount, 0u)
+            << "steady-state decode iterations touched the heap";
+
+        while (sim.canStep())
+            sim.step();
+        ServingResult r = sim.finish();
+        EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
+        EXPECT_EQ(r.preemptions, 0u);
     }
-
-    // Counted run: form the batch, let early iterations size the
-    // scratch, then count a long mid-stream window - far from both
-    // the admission wave and the retirement wave.
-    ServingSim sim(papi, {}, model, opt);
-    for (const auto &tr : reqs)
-        sim.deliver(tr);
-    for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(sim.canStep());
-        sim.step();
-    }
-    ASSERT_TRUE(sim.hasActive());
-
-    g_allocCount = 0;
-    g_counting = true;
-    for (int i = 0; i < 400; ++i)
-        sim.step();
-    g_counting = false;
-
-    EXPECT_TRUE(sim.hasActive()); // still mid-decode: no retirement
-    EXPECT_EQ(g_allocCount, 0u)
-        << "steady-state decode iterations touched the heap";
-
-    while (sim.canStep())
-        sim.step();
-    ServingResult r = sim.finish();
-    EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
 }
 
 TEST(ServingZeroAlloc, ChunkedSteadyStateDecodeDoesNotAllocate)
