@@ -19,6 +19,7 @@ namespace papi::pim {
 class AreaModel
 {
   public:
+    /** The paper's CACTI-3DD constants (see the file comment). */
     AreaModel() = default;
 
     /**
@@ -29,8 +30,11 @@ class AreaModel
     AreaModel(double bank_area_mm2, double fpu_area_mm2,
               double die_area_mm2);
 
+    /** Area of one bank in mm^2. */
     double bankArea() const { return _bankArea; }
+    /** Area of one near-bank FPU in mm^2. */
     double fpuArea() const { return _fpuArea; }
+    /** Maximum allowable die area in mm^2. */
     double dieArea() const { return _dieArea; }
 
     /** Die area consumed by @p banks banks with @p fpus_per_bank. */

@@ -25,6 +25,7 @@ namespace papi::pim {
 /** Timing/energy outcome of one attention kernel on one device. */
 struct AttentionResult
 {
+    /** Kernel time, seconds: GEMV + softmax + KV append. */
     double seconds = 0.0;
     /** GEMV (K^T and V streaming) component, seconds. */
     double gemvSeconds = 0.0;
@@ -33,13 +34,14 @@ struct AttentionResult
     /** KV-append (writing the new tokens' K/V vectors), seconds. */
     double kvWriteSeconds = 0.0;
     PimEnergyBreakdown energy; ///< Per device.
-    std::uint64_t kvBytesStreamed = 0;
+    std::uint64_t kvBytesStreamed = 0; ///< K^T and V bytes read, device.
 };
 
 /** Attention kernel timing for one PIM configuration. */
 class AttentionEngine
 {
   public:
+    /** Engine for @p config with energy constants @p params. */
     AttentionEngine(const PimConfig &config,
                     const PimEnergyParams &params);
 
@@ -59,6 +61,7 @@ class AttentionEngine
                         std::uint32_t tlp,
                         std::uint64_t score_elements) const;
 
+    /** The GEMV engine that times the K^T and V streaming. */
     const GemvEngine &gemv() const { return _gemv; }
 
   private:

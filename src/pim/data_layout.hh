@@ -41,6 +41,7 @@ struct Partition
 class DataLayout
 {
   public:
+    /** Layout helpers for devices of @p config. */
     explicit DataLayout(const PimConfig &config) : _config(config) {}
 
     /**

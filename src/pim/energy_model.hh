@@ -47,8 +47,10 @@ struct PimEnergyBreakdown
     double transfer = 0.0;   ///< Activation-data movement joules.
     double compute = 0.0;    ///< FPU joules.
 
+    /** Total joules. */
     double total() const { return dramAccess + transfer + compute; }
 
+    /** DRAM-access share of the total in [0,1]; 0 when empty. */
     double
     dramShare() const
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "dram/pseudo_channel.hh"
@@ -20,6 +21,62 @@ namespace {
  *  Streaming is row-periodic, so 16 rows capture the steady state
  *  (fill effects span ~4 activates via tFAW). */
 constexpr std::uint64_t simRowsCap = 16;
+
+/**
+ * Reorder trace[from, end) from row-at-a-time issue order into the
+ * order a global earliest-first scan issues the same commands in.
+ * ACT and PRE are already in scan order. The scan issues a PIM_MAC
+ * of an already opened row before an ACT or PRE exactly when the
+ * MAC's (tick, flat bank index) does not exceed the ACT's or PRE's,
+ * and PIM_MACs among themselves in (tick, flat bank index) order,
+ * program order within a bank.
+ */
+void
+restoreScanOrder(CommandTrace &trace, std::size_t from,
+                 std::uint32_t banks_per_group)
+{
+    struct Pending
+    {
+        Tick tick;
+        std::uint32_t bank;
+        std::size_t seq; ///< Index in trace; program order per bank.
+    };
+    // Min-heap order for the std::*_heap functions.
+    auto later = [](const Pending &a, const Pending &b) {
+        return std::tie(a.tick, a.bank, a.seq) >
+               std::tie(b.tick, b.bank, b.seq);
+    };
+    auto flat = [&](const TraceEntry &e) {
+        return e.command.coord.bankGroup * banks_per_group +
+               e.command.coord.bank;
+    };
+
+    std::vector<Pending> macs;
+    CommandTrace ordered;
+    ordered.reserve(trace.size() - from);
+    auto emit_macs_up_to = [&](Tick tick, std::uint32_t bank) {
+        while (!macs.empty() &&
+               std::tie(macs.front().tick, macs.front().bank) <=
+                   std::tie(tick, bank)) {
+            std::pop_heap(macs.begin(), macs.end(), later);
+            ordered.push_back(trace[macs.back().seq]);
+            macs.pop_back();
+        }
+    };
+    for (std::size_t i = from; i < trace.size(); ++i) {
+        const TraceEntry &e = trace[i];
+        if (e.command.type == CommandType::PimMac) {
+            macs.push_back(Pending{e.tick, flat(e), i});
+            std::push_heap(macs.begin(), macs.end(), later);
+        } else {
+            emit_macs_up_to(e.tick, flat(e));
+            ordered.push_back(e);
+        }
+    }
+    emit_macs_up_to(sim::maxTick, ~0u);
+    std::copy(ordered.begin(), ordered.end(),
+              trace.begin() + static_cast<std::ptrdiff_t>(from));
+}
 
 } // namespace
 
@@ -92,6 +149,16 @@ GemvEngine::run(std::uint64_t bytes_per_bank, std::uint32_t reuse) const
     return out;
 }
 
+std::size_t
+GemvEngine::MemoKeyHash::operator()(const MemoKey &k) const
+{
+    // FNV-1a over the two words; equality compares both exactly.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = (h ^ k.columns) * 0x100000001b3ULL;
+    h = (h ^ k.computeTicks) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(h);
+}
+
 GemvResult
 GemvEngine::runExact(std::uint64_t bytes_per_bank,
                      std::uint32_t reuse) const
@@ -99,14 +166,14 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     const auto &org = _config.dramSpec.org;
     const auto &t = _config.dramSpec.timing;
 
+    const std::uint64_t total_columns =
+        (bytes_per_bank + org.accessBytes - 1) / org.accessBytes;
+    const Tick compute_per_col = computeTicksPerColumn(reuse);
+
     // Timing depends on reuse only through the FPU service time per
     // column, so distinct reuse values sharing computeTicksPerColumn
     // hit the same cache entry; FLOPs are fixed up below.
-    const Tick compute_key = computeTicksPerColumn(reuse);
-    const std::uint64_t key =
-        ((bytes_per_bank + org.accessBytes - 1) / org.accessBytes) *
-            (1ULL << 32) +
-        std::min<Tick>(compute_key, (1ULL << 32) - 1);
+    const MemoKey key{total_columns, compute_per_col};
     if (_recorder == nullptr) {
         if (auto it = _cache.find(key); it != _cache.end()) {
             GemvResult out = it->second;
@@ -119,24 +186,23 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     dram::PseudoChannel channel(_config.dramSpec);
 
     const std::uint32_t cols_per_row = org.columnsPerRow();
-    const std::uint64_t total_columns =
-        (bytes_per_bank + org.accessBytes - 1) / org.accessBytes;
     const std::uint64_t full_rows = total_columns / cols_per_row;
     const std::uint32_t tail_cols =
         static_cast<std::uint32_t>(total_columns % cols_per_row);
 
-    const Tick compute_per_col = computeTicksPerColumn(reuse);
+    // FPU input queue of four columns: a new column may issue while
+    // earlier ones are in flight through the read latency
+    // (tCL + tBURST) or queued at the FPUs, but not so early that the
+    // queue would overflow.
+    const Tick pipe = t.tCL + t.tBURST + 4 * compute_per_col;
 
     struct BankCursor
     {
-        std::uint32_t group = 0;
-        std::uint32_t bank = 0;
-        std::uint64_t rowsLeft = 0; ///< Rows still to open (incl. cur).
-        std::uint32_t colsLeftInRow = 0;
-        std::uint32_t nextRow = 0;
+        Command next;         ///< ACT, the row's PIM_MAC burst, or PRE.
+        Tick nextAt = 0;      ///< Earliest legal tick for `next`.
+        std::uint64_t rowsLeft = 0; ///< Rows still to stream (incl. cur).
         Tick fpuReadyAt = 0;
         Tick fpuBusyTicks = 0;
-        bool rowOpen = false;
         bool done = false;
     };
 
@@ -145,108 +211,104 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     for (std::uint32_t g = 0; g < org.bankGroups; ++g) {
         for (std::uint32_t b = 0; b < org.banksPerGroup; ++b) {
             BankCursor c;
-            c.group = g;
-            c.bank = b;
+            c.next.type = CommandType::Act;
+            c.next.coord = Coord{g, b, 0, 0};
             c.rowsLeft = full_rows + (tail_cols != 0 ? 1 : 0);
-            if (c.rowsLeft == 0)
-                c.done = true;
+            c.done = c.rowsLeft == 0;
             banks.push_back(c);
         }
     }
 
-    auto cols_for_row = [&](const BankCursor &c) -> std::uint32_t {
-        // The last row may be partial.
-        bool is_last = (c.rowsLeft == 1);
-        return (is_last && tail_cols != 0) ? tail_cols : cols_per_row;
+    // No `now` floor: a bank's next command never precedes its own
+    // previous one, and every tick picked while it waits is at or
+    // below its earliest, so the floor of a global scan never binds.
+    auto plan = [&](BankCursor &c) {
+        c.nextAt = channel.earliestIssue(c.next, 0);
+        if (c.next.type == CommandType::PimMac && c.fpuReadyAt > pipe)
+            c.nextAt = std::max(c.nextAt, c.fpuReadyAt - pipe);
     };
+    for (auto &c : banks) {
+        if (!c.done)
+            plan(c);
+    }
 
-    Tick now = 0;
+    const std::size_t trace_from =
+        _recorder != nullptr ? _recorder->size() : 0;
+    // Issue the bank's planned command; returns its completion tick.
+    auto issue = [&](const BankCursor &c) -> Tick {
+        Tick done_at = channel.issue(c.next, c.nextAt);
+        if (_recorder)
+            _recorder->push_back(TraceEntry{c.nextAt, c.next});
+        return done_at;
+    };
     std::uint64_t activations = 0;
     std::uint64_t column_accesses = 0;
     Tick kernel_end = 0;
     std::uint64_t compute_stalled_cols = 0;
 
-    // Issue commands bank-by-bank in global earliest-first order.
+    // Merge the banks' candidates earliest-first, lowest flat index
+    // on ties.
     while (true) {
-        int best = -1;
-        Tick best_tick = sim::maxTick;
-        Command best_cmd;
-
-        for (std::size_t i = 0; i < banks.size(); ++i) {
-            auto &c = banks[i];
-            if (c.done)
-                continue;
-
-            Command cmd;
-            cmd.coord = Coord{c.group, c.bank, c.nextRow, 0};
-            if (!c.rowOpen) {
-                cmd.type = CommandType::Act;
-            } else if (c.colsLeftInRow > 0) {
-                cmd.type = CommandType::PimMac;
-            } else {
-                cmd.type = CommandType::Pre;
-            }
-
-            Tick earliest = channel.earliestIssue(cmd, now);
-            if (cmd.type == CommandType::PimMac) {
-                // FPU input queue of four columns: a new column may
-                // issue while earlier ones are in flight through the
-                // read latency (tCL + tBURST) or queued at the FPUs,
-                // but not so early that the queue would overflow.
-                Tick pipe = t.tCL + t.tBURST + 4 * compute_per_col;
-                Tick gate = c.fpuReadyAt > pipe ? c.fpuReadyAt - pipe
-                                                : 0;
-                earliest = std::max(earliest, gate);
-            }
-            if (earliest < best_tick) {
-                best_tick = earliest;
-                best = static_cast<int>(i);
-                best_cmd = cmd;
-            }
+        BankCursor *best = nullptr;
+        for (auto &c : banks) {
+            if (!c.done && (best == nullptr || c.nextAt < best->nextAt))
+                best = &c;
         }
-
-        if (best < 0)
+        if (best == nullptr)
             break; // all banks done
 
-        auto &c = banks[best];
-        now = std::max(now, best_tick);
-        Tick done_at = channel.issue(best_cmd, best_tick);
-        if (_recorder)
-            _recorder->push_back(TraceEntry{best_tick, best_cmd});
-
-        switch (best_cmd.type) {
+        BankCursor &c = *best;
+        switch (c.next.type) {
           case CommandType::Act:
-            c.rowOpen = true;
-            c.colsLeftInRow = cols_for_row(c);
-            ++activations;
-            break;
-          case CommandType::PimMac: {
-            ++column_accesses;
-            --c.colsLeftInRow;
-            Tick data_at = done_at;
-            Tick start = std::max(data_at, c.fpuReadyAt);
-            if (start > data_at)
-                ++compute_stalled_cols;
-            c.fpuReadyAt = start + compute_per_col;
-            c.fpuBusyTicks += compute_per_col;
-            kernel_end = std::max(kernel_end, c.fpuReadyAt);
-            if (c.colsLeftInRow == 0) {
-                --c.rowsLeft;
-                ++c.nextRow;
-                if (c.rowsLeft == 0)
-                    c.done = true;
-                // else: a Pre will be issued next for this bank.
+          case CommandType::Pre: {
+            issue(c);
+            if (c.next.type == CommandType::Act) {
+                ++activations;
+                c.next.type = CommandType::PimMac;
+            } else {
+                c.next.type = CommandType::Act;
+            }
+            // The command bus, tRRD and tFAW moved: re-plan this bank
+            // and every bank waiting on an ACT or PRE.
+            for (auto &o : banks) {
+                if (!o.done &&
+                    (&o == &c || o.next.type != CommandType::PimMac))
+                    plan(o);
             }
             break;
           }
-          case CommandType::Pre:
-            c.rowOpen = false;
+          case CommandType::PimMac: {
+            // The last row may be partial.
+            const std::uint32_t cols =
+                (c.rowsLeft == 1 && tail_cols != 0) ? tail_cols
+                                                    : cols_per_row;
+            for (std::uint32_t i = 0; i < cols; ++i) {
+                if (i > 0)
+                    plan(c); // only this bank's timing and FPU moved
+                Tick data_at = issue(c);
+                Tick start = std::max(data_at, c.fpuReadyAt);
+                if (start > data_at)
+                    ++compute_stalled_cols;
+                c.fpuReadyAt = start + compute_per_col;
+                c.fpuBusyTicks += compute_per_col;
+                kernel_end = std::max(kernel_end, c.fpuReadyAt);
+            }
+            column_accesses += cols;
+            ++c.next.coord.row;
+            if (--c.rowsLeft == 0) {
+                c.done = true;
+            } else {
+                c.next.type = CommandType::Pre;
+                plan(c);
+            }
             break;
+          }
           default:
             sim::panic("GemvEngine: unexpected command");
         }
-        (void)t;
     }
+    if (_recorder)
+        restoreScanOrder(*_recorder, trace_from, org.banksPerGroup);
 
     GemvResult out;
     out.ticks = kernel_end;

@@ -11,13 +11,36 @@
  *
  * Timing is produced by replaying the actual DRAM command stream on a
  * dram::PseudoChannel (tRCD/tRP/tRAS/tCCD/tRRD/tFAW enforced) with
- * FPU back-pressure: a column cannot issue if the bank's FPU group is
- * more than one column behind (double buffering).
+ * FPU back-pressure: each bank's FPU group has a four-column input
+ * queue, so a column may not issue earlier than
+ * tCL + tBURST + 4 x (FPU service time per column) before the group
+ * finishes the columns already queued.
+ *
+ * The replay issues every command at the earliest tick a global
+ * earliest-first scan over all banks would give it (lowest flat bank
+ * index on ties), but it does not rescan every bank per command.
+ * Only ACT and PRE read and write channel-scope state (the command
+ * bus, tRRD and tFAW), so only they go through the cross-bank merge:
+ * each bank keeps its next command and its earliest tick, re-planned
+ * when the bank issues and, for banks waiting on an ACT or PRE,
+ * whenever any ACT or PRE issues. A PIM_MAC reads only its own
+ * bank's timing and FPU gate and writes no channel state, so once a
+ * bank's row is open its whole PIM_MAC burst issues in one pass, row
+ * at a time. Every command still goes through PseudoChannel::issue
+ * and its legality checks.
+ *
+ * Trace-order contract: a recorded trace (setTraceRecorder) lists
+ * the commands in exactly the order the global scan issues them.
+ * Where ACT/PRE ticks strictly increase (tCK > 0) that is the trace
+ * stably sorted by (tick, flat bank index); with tCK = 0 a later ACT
+ * can share an earlier ACT's tick at a lower bank index, and the
+ * engine still reproduces the scan's order.
  */
 
 #ifndef PAPI_PIM_GEMV_ENGINE_HH
 #define PAPI_PIM_GEMV_ENGINE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -48,8 +71,10 @@ struct GemvResult
 class GemvEngine
 {
   public:
+    /** Engine for @p config; fatal() on a zero or non-dividing xPyB. */
     explicit GemvEngine(const PimConfig &config);
 
+    /** The PIM configuration the engine replays. */
     const PimConfig &config() const { return _config; }
 
     /**
@@ -94,18 +119,34 @@ class GemvEngine
     GemvResult runExact(std::uint64_t bytes_per_bank,
                         std::uint32_t reuse) const;
 
+    /** Memo key: the replay depends on exactly these two values. */
+    struct MemoKey
+    {
+        std::uint64_t columns = 0;   ///< Column accesses per bank.
+        sim::Tick computeTicks = 0;  ///< FPU service per column.
+
+        bool operator==(const MemoKey &) const = default;
+    };
+
+    struct MemoKeyHash
+    {
+        std::size_t operator()(const MemoKey &k) const;
+    };
+
     PimConfig _config;
 
     /**
-     * Memoized exact results keyed by (columns, reuse). Decode loops
-     * call run() with recurring shapes; replaying identical command
-     * streams would dominate simulation time otherwise.
+     * Memoized exact results keyed by (columns, FPU ticks per
+     * column). Decode loops call run() with recurring shapes;
+     * replaying identical command streams would dominate simulation
+     * time otherwise.
      */
     // detlint: allow(unordered-decl): memo cache with find/emplace
-    // only; a hit replays the exact GemvResult the command stream
-    // would regenerate, and nothing walks the table, so bucket order
-    // cannot reach simulated timing or the command trace.
-    mutable std::unordered_map<std::uint64_t, GemvResult> _cache;
+    // only; the key holds both replay inputs exactly, so a hit
+    // returns the GemvResult the command stream would regenerate,
+    // and nothing walks the table, so bucket order cannot reach
+    // simulated timing or the command trace.
+    mutable std::unordered_map<MemoKey, GemvResult, MemoKeyHash> _cache;
     CommandTrace *_recorder = nullptr;
 };
 

@@ -36,17 +36,18 @@ enum class PartitionAxis : std::uint8_t { ColumnWise, RowWise };
 /** The (channel, bank-group, bank) shard of one matrix. */
 struct BankShard
 {
-    std::uint32_t device = 0;
-    std::uint32_t pseudoChannel = 0;
-    std::uint32_t bankGroup = 0;
-    std::uint32_t bank = 0;
+    std::uint32_t device = 0;        ///< Device index.
+    std::uint32_t pseudoChannel = 0; ///< Pseudo-channel in the device.
+    std::uint32_t bankGroup = 0;     ///< Bank group in the channel.
+    std::uint32_t bank = 0;          ///< Bank within the group.
     /** Half-open row range of the matrix mapped to this bank. */
     std::uint64_t rowBegin = 0;
-    std::uint64_t rowEnd = 0;
+    std::uint64_t rowEnd = 0; ///< End of the row range (exclusive).
     /** Half-open column range of the matrix mapped to this bank. */
     std::uint64_t colBegin = 0;
-    std::uint64_t colEnd = 0;
+    std::uint64_t colEnd = 0; ///< End of the column range (exclusive).
 
+    /** Matrix elements in this shard. */
     std::uint64_t
     elements() const
     {
@@ -57,11 +58,12 @@ struct BankShard
 /** A full mapping of one matrix onto one device. */
 struct DeviceMapping
 {
+    /** Split across pseudo-channels and bank groups. */
     PartitionAxis channelAxis = PartitionAxis::ColumnWise;
-    PartitionAxis bankAxis = PartitionAxis::RowWise;
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    std::vector<BankShard> shards;
+    PartitionAxis bankAxis = PartitionAxis::RowWise; ///< Split in a group.
+    std::uint64_t rows = 0;         ///< Matrix rows.
+    std::uint64_t cols = 0;         ///< Matrix columns.
+    std::vector<BankShard> shards;  ///< One shard per bank used.
 
     /** Max shard elements (the streaming-critical bank). */
     std::uint64_t maxShardElements() const;
@@ -74,7 +76,7 @@ struct HeadPlacement
 {
     /** device[h] = device index hosting head h. */
     std::vector<std::uint32_t> deviceOfHead;
-    std::uint32_t devices = 0;
+    std::uint32_t devices = 0; ///< Devices the heads spread over.
 
     /** Heads resident on the busiest device. */
     std::uint32_t maxHeadsPerDevice() const;
@@ -84,6 +86,7 @@ struct HeadPlacement
 class MappingPlanner
 {
   public:
+    /** Planner for devices of @p config. */
     explicit MappingPlanner(const PimConfig &config)
         : _config(config)
     {}

@@ -50,7 +50,7 @@ struct FpuSpec
 /** A complete PIM device (HBM stack + near-bank compute) config. */
 struct PimConfig
 {
-    std::string name = "pim";
+    std::string name = "pim"; ///< Preset name, e.g. "fc-pim".
     /** FPUs per bank-sharing group (the "x" in xPyB). */
     std::uint32_t fpusPerGroup = 1;
     /** Banks sharing that FPU group (the "y" in xPyB). */

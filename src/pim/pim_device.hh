@@ -26,10 +26,10 @@ namespace papi::pim {
 /** Timing and energy of one kernel invocation on a device fleet. */
 struct PimKernelResult
 {
-    double seconds = 0.0;
+    double seconds = 0.0; ///< Kernel latency, launch included.
     /** Energy across all participating devices, joules. */
     PimEnergyBreakdown energy;
-    bool computeBound = false;
+    bool computeBound = false; ///< FPU service, not DRAM, set the pace.
     /** Bytes streamed from the cell arrays, all devices. */
     std::uint64_t streamedBytes = 0;
 };
@@ -38,12 +38,17 @@ struct PimKernelResult
 class PimDevice
 {
   public:
+    /** Device of type @p config with energy constants @p params. */
     explicit PimDevice(const PimConfig &config,
                        const PimEnergyParams &params = {});
 
+    /** The device configuration. */
     const PimConfig &config() const { return _config; }
+    /** The energy constants kernels are charged with. */
     const PimEnergyParams &energyParams() const { return _params; }
+    /** The device's power model. */
     const PowerModel &powerModel() const { return _power; }
+    /** The GEMV engine that times FC kernels. */
     const GemvEngine &gemvEngine() const { return _gemv; }
 
     /**

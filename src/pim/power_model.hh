@@ -31,11 +31,12 @@ constexpr double hbm3PowerBudgetWatts = 116.0;
 /** Power split for reporting. */
 struct PimPowerBreakdown
 {
-    double dramAccess = 0.0;
-    double transfer = 0.0;
+    double dramAccess = 0.0; ///< Activation + cell read watts.
+    double transfer = 0.0;   ///< Activation-data movement watts.
     double compute = 0.0; ///< FPU dynamic.
-    double fpuStatic = 0.0;
+    double fpuStatic = 0.0; ///< FPU leakage watts.
 
+    /** Total watts. */
     double
     total() const
     {
@@ -47,6 +48,7 @@ struct PimPowerBreakdown
 class PowerModel
 {
   public:
+    /** Power model of @p config with energy constants @p params. */
     PowerModel(const PimConfig &config, const PimEnergyParams &params);
 
     /**

@@ -26,8 +26,8 @@ namespace papi::pim {
 /** One recorded command issue. */
 struct TraceEntry
 {
-    sim::Tick tick = 0;
-    dram::Command command;
+    sim::Tick tick = 0;     ///< Issue tick.
+    dram::Command command;  ///< Command and its coordinates.
 };
 
 /** A recorded command stream. */
@@ -36,8 +36,8 @@ using CommandTrace = std::vector<TraceEntry>;
 /** Result of validating a trace. */
 struct ValidationResult
 {
-    bool ok = true;
-    std::size_t violations = 0;
+    bool ok = true;              ///< No rule was violated.
+    std::size_t violations = 0;  ///< Number of violations found.
     /** First violation description (empty when ok). */
     std::string firstViolation;
 };
@@ -46,6 +46,7 @@ struct ValidationResult
 class TraceValidator
 {
   public:
+    /** Validator for streams on a channel of @p spec. */
     explicit TraceValidator(const dram::DramSpec &spec)
         : _spec(spec)
     {}

@@ -209,6 +209,29 @@ TEST_F(GemvEngineTest, ResultsAreDeterministic)
     EXPECT_EQ(ra.streamedBytes, rb.streamedBytes);
 }
 
+TEST_F(GemvEngineTest, MemoKeepsHugeComputeTimesApart)
+{
+    // Per-column FPU times above 2^32 ticks (about 4.3 ms) must keep
+    // their own memo entries: a warm engine answers every shape
+    // exactly as a cold engine does, whatever ran before.
+    const PimConfig cfg = attAccConfig();
+    GemvEngine warm(cfg);
+    ASSERT_GT(warm.computeTicksPerColumn(3000000), 1ULL << 32);
+    for (std::uint32_t reuse : {3000000u, 4000000u, 3000001u, 5u}) {
+        GemvResult hit = warm.run(1024, reuse);
+        GemvResult cold = run(cfg, 1024, reuse);
+        EXPECT_EQ(hit.ticks, cold.ticks) << "reuse=" << reuse;
+        EXPECT_EQ(hit.activations, cold.activations) << "reuse=" << reuse;
+        EXPECT_EQ(hit.streamedBytes, cold.streamedBytes)
+            << "reuse=" << reuse;
+        EXPECT_EQ(hit.flops, cold.flops) << "reuse=" << reuse;
+        EXPECT_EQ(hit.fpuBusyFrac, cold.fpuBusyFrac) << "reuse=" << reuse;
+        EXPECT_EQ(hit.computeBound, cold.computeBound)
+            << "reuse=" << reuse;
+    }
+    EXPECT_EQ(warm.run(1024, 4000000).ticks, 192256057538ULL);
+}
+
 TEST_F(GemvEngineTest, ZeroReuseIsFatal)
 {
     GemvEngine engine(attAccConfig());

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "pim/gemv_engine.hh"
 #include "pim/trace_validator.hh"
 
@@ -17,43 +20,54 @@ using papi::dram::CommandType;
 
 class TraceValidation
     : public ::testing::TestWithParam<
-          std::tuple<const char *, std::uint32_t>>
+          std::tuple<const char *, std::uint32_t, std::uint64_t>>
 {
   protected:
-    static PimConfig
+    static std::optional<PimConfig>
     configFor(const std::string &name)
     {
         if (name == "attacc")
             return attAccConfig();
         if (name == "hbm-pim")
             return hbmPimConfig();
-        return fcPimConfig();
+        if (name == "fc-pim")
+            return fcPimConfig();
+        if (name == "attn-pim")
+            return attnPimConfig();
+        return std::nullopt;
     }
 };
 
 TEST_P(TraceValidation, EngineTracesObeyAllRules)
 {
-    PimConfig cfg = configFor(std::get<0>(GetParam()));
+    const std::string name = std::get<0>(GetParam());
+    std::optional<PimConfig> cfg = configFor(name);
+    ASSERT_TRUE(cfg.has_value()) << "unknown PIM preset '" << name << "'";
     std::uint32_t reuse = std::get<1>(GetParam());
+    std::uint64_t bytes = std::get<2>(GetParam());
 
-    GemvEngine engine(cfg);
+    GemvEngine engine(*cfg);
     CommandTrace trace;
     engine.setTraceRecorder(&trace);
-    engine.run(8 * 1024, reuse); // 8 rows per bank, exact path
+    engine.run(bytes, reuse);
     engine.setTraceRecorder(nullptr);
 
     ASSERT_FALSE(trace.empty());
-    TraceValidator validator(cfg.dramSpec);
+    TraceValidator validator(cfg->dramSpec);
     ValidationResult v = validator.validate(trace);
     EXPECT_TRUE(v.ok) << v.firstViolation;
     EXPECT_EQ(v.violations, 0u);
 }
 
+// 8 KiB is 8 rows per bank (exact replay); 40 KiB + 96 B is 41 rows
+// with a partial last row, replayed as 16 rows and scaled.
 INSTANTIATE_TEST_SUITE_P(
     ConfigsAndReuse, TraceValidation,
     ::testing::Combine(::testing::Values("attacc", "hbm-pim",
-                                         "fc-pim"),
-                       ::testing::Values(1u, 8u, 64u)));
+                                         "fc-pim", "attn-pim"),
+                       ::testing::Values(1u, 8u, 64u),
+                       ::testing::Values(std::uint64_t{8 * 1024},
+                                         std::uint64_t{40 * 1024 + 96})));
 
 class CorruptedTrace : public ::testing::Test
 {
