@@ -7,42 +7,33 @@
  * - and emits one machine-readable JSON document (schema below) so CI
  * can archive per-commit trajectories (BENCH_*.json).
  *
- * The event-queue section measures the production calendar queue
- * (sim::EventQueue) and the original binary-heap implementation
- * (sim::LegacyEventQueue) in the same process and reports the
- * speedup, so a regression in the allocation-free path is visible
- * without checking out an old revision.
+ * The event-queue section times sim::EventQueue on three
+ * production-shaped patterns and the dram section times
+ * dram::MemController on two request shapes. Both report absolute
+ * rates, which compare across commits on one machine only.
  *
  * Usage:
- *   microbench_simulator [--quick] [--legacy-queue] [--out FILE]
+ *   microbench_simulator [--quick] [--out FILE]
  *
  *   --quick         smaller problem sizes (CI smoke mode)
- *   --legacy-queue  event-queue section runs only the legacy heap
- *                   (for A/B against older checkouts)
  *   --out FILE      also write the JSON document to FILE
  *
- * JSON schema (papi-microbench/1):
+ * JSON schema (papi-microbench/2):
  *   {
- *     "schema": "papi-microbench/1",
+ *     "schema": "papi-microbench/2",
  *     "quick": bool,
  *     "event_queue": {
  *       "events_per_pattern": N,
  *       "patterns": {
  *         "<replay|controller|devices>": {
- *           "new_events_per_sec": x,    // absent with --legacy-queue
- *           "legacy_events_per_sec": x,
- *           "speedup": x                // new / legacy
+ *           "events_per_sec": x         // best of 3
  *         }, ...
- *       },
- *       "speedup_geomean": x
+ *       }
  *     },
  *     "dram": {
  *       "<stream|pump>": {              // two workload shapes
- *         "requests": n,
- *         "new":    { "wall_seconds": s, "events": n,
- *                     "events_per_sec": x, "requests_per_sec": x },
- *         "legacy": { ... same fields ... },
- *         "speedup": x                  // new/legacy requests_per_sec
+ *         "requests": n, "wall_seconds": s, "events": n,
+ *         "events_per_sec": x, "requests_per_sec": x
  *       }
  *     },
  *     "decode": { "simulated_tokens": n, "iterations": n,
@@ -57,13 +48,7 @@
  *     "faults": { ... },                // papi-faults/1, below
  *     "parallel": { ... },              // papi-parallel/1, below
  *     "soa": { ... },                   // papi-soa/1, below
- *     "prefix": { ... },                // papi-prefix/1, below
- *     "summary": {                      // absent with --legacy-queue
- *       "event_queue_speedup_geomean": x,
- *       "dram_stream_speedup": x,
- *       "dram_pump_speedup": x,
- *       "overall_speedup_geomean": x    // all five speedups
- *     }
+ *     "prefix": { ... }                 // papi-prefix/1, below
  *   }
  *
  * The "policy" section is its own sub-schema (papi-policy/1): the
@@ -297,11 +282,12 @@
  *   }
  */
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -311,7 +297,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "bench/legacy_dram.hh"
 #include "cluster/cluster_engine.hh"
 #include "core/decode_engine.hh"
 #include "core/platform.hh"
@@ -377,7 +362,6 @@ struct Payload
  * burst of closely spaced commands from the current time and drain
  * them before the next burst.
  */
-template <typename Queue>
 double
 runReplay(std::uint64_t n)
 {
@@ -385,7 +369,7 @@ runReplay(std::uint64_t n)
     const std::uint64_t per_phase = n / phases;
     std::uint64_t acc = 0;
     auto start = Clock::now();
-    Queue q;
+    sim::EventQueue q;
     for (std::uint64_t ph = 0; ph < phases; ++ph) {
         const sim::Tick base = q.now();
         for (std::uint64_t i = 0; i < per_phase; ++i) {
@@ -403,16 +387,15 @@ runReplay(std::uint64_t n)
 
 /**
  * Controller pattern: a fixed population of in-flight requests, each
- * completion scheduling a successor at a random bounded offset (the
- * same precomputed offset stream for both implementations). Like the
- * production MemController, every completion event carries the
- * request's user callback - a std::function - in its capture, which
- * is exactly the event shape that dominates DRAM-heavy runs.
+ * completion scheduling a successor at a random bounded offset
+ * (precomputed before the clock starts). Like the production
+ * MemController, every completion event carries the request's user
+ * callback - a std::function - in its capture, which is exactly the
+ * event shape that dominates DRAM-heavy runs.
  */
-template <typename Queue>
 struct ControllerDriver
 {
-    Queue *q;
+    sim::EventQueue *q;
     const sim::Tick *offsets;
     std::uint64_t next = 0;
     std::uint64_t total = 0;
@@ -436,7 +419,6 @@ struct ControllerDriver
     }
 };
 
-template <typename Queue>
 double
 runController(std::uint64_t n)
 {
@@ -449,15 +431,15 @@ runController(std::uint64_t n)
         t = static_cast<sim::Tick>(rng.uniformInt(64, 1 << 15));
 
     auto start = Clock::now();
-    Queue q;
-    ControllerDriver<Queue> d{&q, offsets.data()};
+    sim::EventQueue q;
+    ControllerDriver d{&q, offsets.data()};
     d.total = n > inflight ? n - inflight : 0;
     std::uint64_t *acc_p = &d.acc;
     std::function<void(sim::Tick)> cb = [acc_p](sim::Tick lat) {
         *acc_p += lat;
     };
     for (std::uint64_t i = 0; i < inflight && i < n; ++i) {
-        ControllerDriver<Queue> *dp = &d;
+        ControllerDriver *dp = &d;
         q.schedule(i, [dp, i, cb] { dp->fire(i, cb); });
     }
     q.run();
@@ -473,10 +455,9 @@ runController(std::uint64_t n)
  * themselves at a device-specific period, the way engines drive the
  * queue.
  */
-template <typename Queue>
 struct DeviceChain
 {
-    Queue *q;
+    sim::EventQueue *q;
     std::uint64_t left;
     sim::Tick period;
     std::uint64_t acc;
@@ -493,17 +474,16 @@ struct DeviceChain
     }
 };
 
-template <typename Queue>
 double
 runDevices(std::uint64_t n)
 {
     constexpr std::uint64_t chains = 1024;
     auto start = Clock::now();
-    Queue q;
-    std::vector<DeviceChain<Queue>> cs(chains);
+    sim::EventQueue q;
+    std::vector<DeviceChain> cs(chains);
     for (std::uint64_t i = 0; i < chains; ++i) {
-        cs[i] = DeviceChain<Queue>{&q, n / chains, 100 + 37 * i, 0};
-        DeviceChain<Queue> *c = &cs[i];
+        cs[i] = DeviceChain{&q, n / chains, 100 + 37 * i, 0};
+        DeviceChain *c = &cs[i];
         q.schedule(i, [c] { c->fire(0); });
     }
     q.run();
@@ -511,9 +491,10 @@ runDevices(std::uint64_t n)
     return static_cast<double>(q.executed()) / wall;
 }
 
-/** Results of one DRAM streaming run (new or legacy path). */
+/** Results of one DRAM streaming run. */
 struct DramResult
 {
+    std::uint64_t requests = 0;
     double wall = 0.0;
     std::uint64_t events = 0;
     double eventsPerSec = 0.0;
@@ -521,45 +502,46 @@ struct DramResult
 };
 
 /**
- * End-to-end DRAM comparison: the same request stream through the
- * production path (calendar EventQueue + batched MemController) and
- * through the reconstructed pre-change path (binary-heap queue +
- * polling controller, bench::LegacyMemController). Same simulated
- * work, so requests/sec compares the simulator implementations
- * directly. Two workload shapes:
+ * End-to-end DRAM throughput: a request stream through the
+ * production path (calendar EventQueue + batched MemController) in
+ * two workload shapes:
  *
  *  - "stream": the whole request list enqueued up front (FCFS,
  *    unbounded queue), the shape kernel replays produce. Exercises
  *    the per-command event path.
  *  - "pump": a completion-driven client keeping the 64-deep FR-FCFS
  *    queue full, the shape online serving produces. Exercises
- *    service-event management (the pre-change implementation's
- *    superseded-event pathology shows up here).
+ *    service-event management: its events per request is a
+ *    deterministic count that grows if the controller starts
+ *    breeding superseded events.
  */
 void
-benchDram(std::uint64_t n, DramResult &stream_new,
-          DramResult &stream_legacy, DramResult &pump_new,
-          DramResult &pump_legacy)
+benchDram(std::uint64_t n, DramResult &stream_out, DramResult &pump_out)
 {
-    // The pump shape simulates far more events per request on the
-    // pre-change path, so it runs a smaller request count.
+    // The pump shape runs n / 8 requests, the count its committed
+    // trajectory was recorded at.
     const std::uint64_t pump_n = n / 8;
 
-    auto finish = [](auto &eq, std::uint64_t done, std::uint64_t want,
-                     DramResult &out, Clock::time_point start,
-                     const char *label) {
+    auto finish = [](sim::EventQueue &eq, std::uint64_t done,
+                     std::uint64_t want, DramResult &out,
+                     Clock::time_point start, const char *label) {
         out.wall = secondsSince(start);
         if (done != want)
             std::fprintf(stderr, "%s: bad drain (%llu)\n", label,
                          static_cast<unsigned long long>(done));
+        out.requests = want;
         out.events = eq.executed();
         out.eventsPerSec =
             static_cast<double>(eq.executed()) / out.wall;
         out.reqsPerSec = static_cast<double>(want) / out.wall;
     };
 
-    auto stream = [&](auto &ctrl, auto &eq, DramResult &out,
-                      const char *label) {
+    {
+        sim::EventQueue eq;
+        dram::MemController ctrl(eq, dram::hbm3Spec(),
+                                 dram::SchedulingPolicy::Fcfs,
+                                 dram::MappingPolicy::RoCoBaBg, 0);
+        ctrl.setRefreshEnabled(false);
         auto start = Clock::now();
         std::uint64_t done = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -570,11 +552,14 @@ benchDram(std::uint64_t n, DramResult &stream_new,
             ctrl.enqueue(std::move(r));
         }
         eq.run();
-        finish(eq, done, n, out, start, label);
-    };
-
-    auto pump = [&](auto &ctrl, auto &eq, DramResult &out,
-                    const char *label) {
+        finish(eq, done, n, stream_out, start, "dram stream");
+    }
+    {
+        sim::EventQueue eq;
+        dram::MemController ctrl(eq, dram::hbm3Spec(),
+                                 dram::SchedulingPolicy::FrFcfs,
+                                 dram::MappingPolicy::RoCoBaBg, 64);
+        ctrl.setRefreshEnabled(false);
         auto start = Clock::now();
         std::uint64_t next = 0;
         std::uint64_t done = 0;
@@ -594,35 +579,7 @@ benchDram(std::uint64_t n, DramResult &stream_new,
         };
         refill();
         eq.run();
-        finish(eq, done, pump_n, out, start, label);
-    };
-
-    {
-        sim::EventQueue eq;
-        dram::MemController ctrl(eq, dram::hbm3Spec(),
-                                 dram::SchedulingPolicy::Fcfs,
-                                 dram::MappingPolicy::RoCoBaBg, 0);
-        ctrl.setRefreshEnabled(false);
-        stream(ctrl, eq, stream_new, "dram stream new");
-    }
-    {
-        sim::LegacyEventQueue eq;
-        bench::LegacyMemController ctrl(
-            eq, dram::hbm3Spec(), 0, dram::SchedulingPolicy::Fcfs);
-        stream(ctrl, eq, stream_legacy, "dram stream legacy");
-    }
-    {
-        sim::EventQueue eq;
-        dram::MemController ctrl(eq, dram::hbm3Spec(),
-                                 dram::SchedulingPolicy::FrFcfs,
-                                 dram::MappingPolicy::RoCoBaBg, 64);
-        ctrl.setRefreshEnabled(false);
-        pump(ctrl, eq, pump_new, "dram pump new");
-    }
-    {
-        sim::LegacyEventQueue eq;
-        bench::LegacyMemController ctrl(eq, dram::hbm3Spec(), 64);
-        pump(ctrl, eq, pump_legacy, "dram pump legacy");
+        finish(eq, done, pump_n, pump_out, start, "dram pump");
     }
 }
 
@@ -727,11 +684,11 @@ benchFigureCells(std::uint32_t &cells, double &wall)
     wall = secondsSince(start);
 }
 
+/** One event-queue pattern's best-of-3 rate. */
 struct PatternResult
 {
     const char *name;
-    double newRate = 0.0;
-    double legacyRate = 0.0;
+    double rate = 0.0;
 };
 
 /** One FC-policy cell of the papi-policy/1 section. */
@@ -1593,14 +1550,11 @@ benchPrefix(bool quick)
 }
 
 void
-writeJson(std::FILE *f, bool quick, bool legacy_only,
-          std::uint64_t eq_events,
+writeJson(std::FILE *f, bool quick, std::uint64_t eq_events,
           const std::vector<PatternResult> &patterns,
-          double geomean, std::uint64_t dram_n,
-          const DramResult &stream_new,
-          const DramResult &stream_legacy, const DramResult &pump_new,
-          const DramResult &pump_legacy, std::uint64_t dec_tokens,
-          std::uint64_t dec_iters, double dec_wall,
+          const DramResult &stream, const DramResult &pump,
+          std::uint64_t dec_tokens, std::uint64_t dec_iters,
+          double dec_wall,
           std::uint64_t srv_tokens, std::uint64_t srv_iters,
           double srv_wall, std::uint32_t fig_cells, double fig_wall,
           const PolicyBench &pb, const ClusterBench &cb,
@@ -1609,55 +1563,32 @@ writeJson(std::FILE *f, bool quick, bool legacy_only,
           const SoaBench &sb, const PrefixBench &qb)
 {
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"papi-microbench/1\",\n");
+    std::fprintf(f, "  \"schema\": \"papi-microbench/2\",\n");
     std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "  \"event_queue\": {\n");
     std::fprintf(f, "    \"events_per_pattern\": %llu,\n",
                  static_cast<unsigned long long>(eq_events));
     std::fprintf(f, "    \"patterns\": {\n");
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-        const auto &p = patterns[i];
-        std::fprintf(f, "      \"%s\": {", p.name);
-        if (!legacy_only) {
-            std::fprintf(f, "\"new_events_per_sec\": %.6e, ",
-                         p.newRate);
-        }
-        std::fprintf(f, "\"legacy_events_per_sec\": %.6e",
-                     p.legacyRate);
-        if (!legacy_only) {
-            std::fprintf(f, ", \"speedup\": %.3f",
-                         p.newRate / p.legacyRate);
-        }
-        std::fprintf(f, "}%s\n",
+    for (std::size_t i = 0; i < patterns.size(); ++i)
+        std::fprintf(f, "      \"%s\": {\"events_per_sec\": %.6e}%s\n",
+                     patterns[i].name, patterns[i].rate,
                      i + 1 < patterns.size() ? "," : "");
-    }
-    std::fprintf(f, "    }%s\n", legacy_only ? "" : ",");
-    if (!legacy_only)
-        std::fprintf(f, "    \"speedup_geomean\": %.3f\n", geomean);
+    std::fprintf(f, "    }\n");
     std::fprintf(f, "  },\n");
-    auto dram_shape = [f](const char *name, std::uint64_t reqs,
-                          const DramResult &nw, const DramResult &lg,
+    auto dram_shape = [f](const char *name, const DramResult &r,
                           const char *trailer) {
-        std::fprintf(
-            f,
-            "    \"%s\": {\"requests\": %llu,\n"
-            "      \"new\": {\"wall_seconds\": %.6f, \"events\": "
-            "%llu, \"events_per_sec\": %.6e, \"requests_per_sec\": "
-            "%.6e},\n"
-            "      \"legacy\": {\"wall_seconds\": %.6f, \"events\": "
-            "%llu, \"events_per_sec\": %.6e, \"requests_per_sec\": "
-            "%.6e},\n"
-            "      \"speedup\": %.3f}%s\n",
-            name, static_cast<unsigned long long>(reqs), nw.wall,
-            static_cast<unsigned long long>(nw.events),
-            nw.eventsPerSec, nw.reqsPerSec, lg.wall,
-            static_cast<unsigned long long>(lg.events),
-            lg.eventsPerSec, lg.reqsPerSec,
-            nw.reqsPerSec / lg.reqsPerSec, trailer);
+        std::fprintf(f,
+                     "    \"%s\": {\"requests\": %llu, "
+                     "\"wall_seconds\": %.6f, \"events\": %llu, "
+                     "\"events_per_sec\": %.6e, "
+                     "\"requests_per_sec\": %.6e}%s\n",
+                     name, static_cast<unsigned long long>(r.requests),
+                     r.wall, static_cast<unsigned long long>(r.events),
+                     r.eventsPerSec, r.reqsPerSec, trailer);
     };
     std::fprintf(f, "  \"dram\": {\n");
-    dram_shape("stream", dram_n, stream_new, stream_legacy, ",");
-    dram_shape("pump", dram_n / 8, pump_new, pump_legacy, "");
+    dram_shape("stream", stream, ",");
+    dram_shape("pump", pump, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f,
                  "  \"decode\": {\"simulated_tokens\": %llu, "
@@ -2103,25 +2034,7 @@ writeJson(std::FILE *f, bool quick, bool legacy_only,
                  qb.rssBeforeMb, qb.rssPeakMb,
                  qb.rssPeakMb - qb.rssBeforeMb);
     std::fprintf(f, "    }\n");
-    std::fprintf(f, "  }%s\n", legacy_only ? "" : ",");
-    if (!legacy_only) {
-        double stream_speedup =
-            stream_new.reqsPerSec / stream_legacy.reqsPerSec;
-        double pump_speedup =
-            pump_new.reqsPerSec / pump_legacy.reqsPerSec;
-        double overall = stream_speedup * pump_speedup;
-        for (const auto &p : patterns)
-            overall *= p.newRate / p.legacyRate;
-        overall = std::pow(overall,
-                           1.0 / (patterns.size() + 2.0));
-        std::fprintf(f,
-                     "  \"summary\": {"
-                     "\"event_queue_speedup_geomean\": %.3f, "
-                     "\"dram_stream_speedup\": %.3f, "
-                     "\"dram_pump_speedup\": %.3f, "
-                     "\"overall_speedup_geomean\": %.3f}\n",
-                     geomean, stream_speedup, pump_speedup, overall);
-    }
+    std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
 }
 
@@ -2131,20 +2044,15 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    bool legacy_only = false;
     const char *out_path = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--legacy-queue") == 0) {
-            legacy_only = true;
         } else if (std::strcmp(argv[i], "--out") == 0 &&
                    i + 1 < argc) {
             out_path = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--legacy-queue] "
-                         "[--out FILE]\n",
+            std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n",
                          argv[0]);
             return 2;
         }
@@ -2155,40 +2063,21 @@ main(int argc, char **argv)
     const std::uint32_t decode_reps = quick ? 2 : 8;
     const std::uint32_t serving_reps = quick ? 1 : 4;
 
-    // Event-queue patterns: run each three times, keep the best rate
-    // (minimizes scheduler noise), alternating implementations.
+    // Event-queue patterns: run each three times and keep the best
+    // rate (minimizes scheduler noise).
     std::vector<PatternResult> patterns = {
         {"replay"}, {"controller"}, {"devices"}};
     for (int rep = 0; rep < 3; ++rep) {
-        if (!legacy_only) {
-            patterns[0].newRate = std::max(
-                patterns[0].newRate,
-                runReplay<sim::EventQueue>(eq_events));
-            patterns[1].newRate = std::max(
-                patterns[1].newRate,
-                runController<sim::EventQueue>(eq_events));
-            patterns[2].newRate = std::max(
-                patterns[2].newRate,
-                runDevices<sim::EventQueue>(eq_events));
-        }
-        patterns[0].legacyRate = std::max(
-            patterns[0].legacyRate,
-            runReplay<sim::LegacyEventQueue>(eq_events));
-        patterns[1].legacyRate = std::max(
-            patterns[1].legacyRate,
-            runController<sim::LegacyEventQueue>(eq_events));
-        patterns[2].legacyRate = std::max(
-            patterns[2].legacyRate,
-            runDevices<sim::LegacyEventQueue>(eq_events));
+        patterns[0].rate =
+            std::max(patterns[0].rate, runReplay(eq_events));
+        patterns[1].rate =
+            std::max(patterns[1].rate, runController(eq_events));
+        patterns[2].rate =
+            std::max(patterns[2].rate, runDevices(eq_events));
     }
-    double geomean = 1.0;
-    for (const auto &p : patterns)
-        geomean *= p.newRate / p.legacyRate;
-    geomean = std::pow(geomean, 1.0 / patterns.size());
 
-    DramResult stream_new, stream_legacy, pump_new, pump_legacy;
-    benchDram(dram_n, stream_new, stream_legacy, pump_new,
-              pump_legacy);
+    DramResult stream, pump;
+    benchDram(dram_n, stream, pump);
 
     std::uint64_t dec_tokens = 0, dec_iters = 0;
     double dec_wall = 0;
@@ -2211,22 +2100,20 @@ main(int argc, char **argv)
     SoaBench sb = benchSoa(quick);
     PrefixBench qb = benchPrefix(quick);
 
-    writeJson(stdout, quick, legacy_only, eq_events, patterns,
-              geomean, dram_n, stream_new, stream_legacy, pump_new,
-              pump_legacy, dec_tokens, dec_iters, dec_wall,
-              srv_tokens, srv_iters, srv_wall, fig_cells, fig_wall,
-              pb, cb, nb, db, fb, xb, sb, qb);
+    writeJson(stdout, quick, eq_events, patterns, stream, pump,
+              dec_tokens, dec_iters, dec_wall, srv_tokens, srv_iters,
+              srv_wall, fig_cells, fig_wall, pb, cb, nb, db, fb, xb,
+              sb, qb);
     if (out_path) {
         std::FILE *f = std::fopen(out_path, "w");
         if (!f) {
             std::fprintf(stderr, "cannot open %s\n", out_path);
             return 1;
         }
-        writeJson(f, quick, legacy_only, eq_events, patterns, geomean,
-                  dram_n, stream_new, stream_legacy, pump_new,
-                  pump_legacy, dec_tokens, dec_iters, dec_wall,
-                  srv_tokens, srv_iters, srv_wall, fig_cells,
-                  fig_wall, pb, cb, nb, db, fb, xb, sb, qb);
+        writeJson(f, quick, eq_events, patterns, stream, pump,
+                  dec_tokens, dec_iters, dec_wall, srv_tokens,
+                  srv_iters, srv_wall, fig_cells, fig_wall, pb, cb, nb,
+                  db, fb, xb, sb, qb);
         std::fclose(f);
     }
     return 0;

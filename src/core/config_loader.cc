@@ -1,6 +1,9 @@
 #include "core/config_loader.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -37,6 +40,33 @@ linkFromString(const std::string &name)
     sim::fatal("config: unknown link '", name, "'");
 }
 
+/** Read a count key; fatal when it does not fit a uint32 (a plain
+ *  cast would wrap -1 to 4,294,967,295). Zero is left to the
+ *  consumers' own checks. */
+std::uint32_t
+getCount(const sim::Config &config, const std::string &key,
+         std::uint32_t def)
+{
+    constexpr std::int64_t limit =
+        std::numeric_limits<std::uint32_t>::max();
+    const std::int64_t v = config.getInt(key, def);
+    if (v < 0 || v > limit)
+        sim::fatal("config: ", key, " = ", v, " is out of range [0, ",
+                   limit, "]");
+    return static_cast<std::uint32_t>(v);
+}
+
+/** Read a rate key; fatal unless it is finite and > 0. */
+double
+getRate(const sim::Config &config, const std::string &key, double def)
+{
+    const double v = config.getDouble(key, def);
+    if (!(v > 0.0) || !std::isfinite(v))
+        sim::fatal("config: ", key, " = ", v,
+                   " must be finite and > 0");
+    return v;
+}
+
 } // namespace
 
 PlatformConfig
@@ -45,12 +75,11 @@ platformFromConfig(const sim::Config &config)
     PlatformConfig cfg = platformConfigByName(
         config.getString("platform", "papi"));
 
-    cfg.numGpus = static_cast<std::uint32_t>(
-        config.getInt("num_gpus", cfg.numGpus));
-    cfg.numFcDevices = static_cast<std::uint32_t>(
-        config.getInt("num_fc_devices", cfg.numFcDevices));
-    cfg.numAttnDevices = static_cast<std::uint32_t>(
-        config.getInt("num_attn_devices", cfg.numAttnDevices));
+    cfg.numGpus = getCount(config, "num_gpus", cfg.numGpus);
+    cfg.numFcDevices =
+        getCount(config, "num_fc_devices", cfg.numFcDevices);
+    cfg.numAttnDevices =
+        getCount(config, "num_attn_devices", cfg.numAttnDevices);
     // The retired key must not fall through to the default policy.
     if (config.has("fc_policy"))
         sim::fatal("config: fc_policy = '", config.getString("fc_policy"),
@@ -70,28 +99,27 @@ platformFromConfig(const sim::Config &config)
     if (config.has("attn_fabric"))
         cfg.topology.attnFabric =
             linkFromString(config.getString("attn_fabric"));
-    cfg.fcFabricLinks = static_cast<std::uint32_t>(
-        config.getInt("fc_fabric_links", cfg.fcFabricLinks));
-    cfg.attnFabricLinks = static_cast<std::uint32_t>(
-        config.getInt("attn_fabric_links", cfg.attnFabricLinks));
+    cfg.fcFabricLinks =
+        getCount(config, "fc_fabric_links", cfg.fcFabricLinks);
+    cfg.attnFabricLinks =
+        getCount(config, "attn_fabric_links", cfg.attnFabricLinks);
 
-    cfg.gpuSpec.peakTflopsFp16 = config.getDouble(
-        "gpu.peak_tflops", cfg.gpuSpec.peakTflopsFp16);
-    cfg.gpuSpec.memBandwidthGBs = config.getDouble(
-        "gpu.mem_bandwidth_gbs", cfg.gpuSpec.memBandwidthGBs);
+    cfg.gpuSpec.peakTflopsFp16 =
+        getRate(config, "gpu.peak_tflops", cfg.gpuSpec.peakTflopsFp16);
+    cfg.gpuSpec.memBandwidthGBs = getRate(
+        config, "gpu.mem_bandwidth_gbs", cfg.gpuSpec.memBandwidthGBs);
 
-    cfg.fcDeviceConfig.fpusPerGroup = static_cast<std::uint32_t>(
-        config.getInt("fc_pim.fpus_per_group",
-                      cfg.fcDeviceConfig.fpusPerGroup));
-    cfg.fcDeviceConfig.banksPerGroup = static_cast<std::uint32_t>(
-        config.getInt("fc_pim.banks_per_group",
-                      cfg.fcDeviceConfig.banksPerGroup));
-    cfg.attnDeviceConfig.fpusPerGroup = static_cast<std::uint32_t>(
-        config.getInt("attn_pim.fpus_per_group",
-                      cfg.attnDeviceConfig.fpusPerGroup));
-    cfg.attnDeviceConfig.banksPerGroup = static_cast<std::uint32_t>(
-        config.getInt("attn_pim.banks_per_group",
-                      cfg.attnDeviceConfig.banksPerGroup));
+    cfg.fcDeviceConfig.fpusPerGroup = getCount(
+        config, "fc_pim.fpus_per_group", cfg.fcDeviceConfig.fpusPerGroup);
+    cfg.fcDeviceConfig.banksPerGroup =
+        getCount(config, "fc_pim.banks_per_group",
+                 cfg.fcDeviceConfig.banksPerGroup);
+    cfg.attnDeviceConfig.fpusPerGroup =
+        getCount(config, "attn_pim.fpus_per_group",
+                 cfg.attnDeviceConfig.fpusPerGroup);
+    cfg.attnDeviceConfig.banksPerGroup =
+        getCount(config, "attn_pim.banks_per_group",
+                 cfg.attnDeviceConfig.banksPerGroup);
     return cfg;
 }
 

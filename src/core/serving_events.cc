@@ -363,47 +363,19 @@ ServingEventDriver::runStream(
 {
     if (!route)
         sim::fatal("ServingEventDriver: no routing function");
+    if (!fastPathEligible()) {
+        // The windowed arrival path. Bursts are the only priority-0
+        // global events and no two share a tick, so a burst that is
+        // scheduled when its predecessor runs takes the same place
+        // in the event order as one scheduled before the run.
+        std::size_t cursor = 0;
+        runStreamGenerated([&] { return stream[cursor++]; },
+                           stream.size(), route);
+        return;
+    }
     _streamed = true;
     _undelivered = stream.size();
-
-    if (fastPathEligible()) {
-        preRouteStream(stream, route);
-    } else {
-        // One global event per distinct arrival timestamp: the whole
-        // burst is delivered (in stream order) before any replica
-        // reacts, exactly as the retired loop's deliver_up_to() did
-        // - so two same-time arrivals to one idle replica prefill as
-        // one batch. Arrivals are window barriers: every shard is
-        // advanced to just below the burst's key first, so the
-        // routing function observes exactly the serial-order loads.
-        for (std::size_t i = 0; i < stream.size();) {
-            std::size_t j = i + 1;
-            while (j < stream.size() &&
-                   // detlint: allow(float-eq): same-instant burst
-                   // grouping over verbatim stream timestamps -
-                   // equal doubles map to equal orderedTicks, so
-                   // this matches the queue's own key equality.
-                   stream[j].arrivalSeconds ==
-                       stream[i].arrivalSeconds)
-                ++j;
-            const llm::TimedRequest *reqs = stream.data();
-            scheduleGlobal(
-                stream[i].arrivalSeconds, kArrivalPriority,
-                [this, reqs, i, j, &route] {
-                    for (std::size_t k = i; k < j; ++k) {
-                        const std::uint32_t g = route(reqs[k]);
-                        if (g >= _sims.size())
-                            sim::fatal("ServingEventDriver: route "
-                                       "returned replica ", g,
-                                       " of ", _sims.size());
-                        _sims[g]->deliver(reqs[k]);
-                        --_undelivered;
-                    }
-                    pokeIdleReplicas();
-                });
-            i = j;
-        }
-    }
+    preRouteStream(stream, route);
     runQueues();
     checkDrained();
     _preRouted.clear();

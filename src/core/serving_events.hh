@@ -9,7 +9,7 @@
  * batch-level fill timeouts), iteration boundaries, preemption
  * resume, completion - as scheduled events instead of a hand-rolled
  * peek-and-step co-simulation loop. Seconds map onto the queue's
- * tick axis through sim::Timeline's order-preserving encoding, so
+ * tick axis through sim::orderedTick's order-preserving encoding, so
  * the event order is *exactly* the (time, kind, replica-index,
  * sequence) order the retired manual loop produced:
  *
@@ -26,12 +26,17 @@
  *
  * Two drive modes share the machinery:
  *
- *  - runStream(): arrivals are delivered at their timestamps
- *    through a caller-supplied routing function (the cluster path).
- *    Batch-level admission works here because the queue gives the
- *    needed lookahead for free: a batch starts when it fills
- *    (maxRlp pending), when the fill timeout expires, or when the
- *    stream is exhausted - whichever event fires first.
+ *  - runStream() / runStreamGenerated(): arrivals are delivered at
+ *    their timestamps through a caller-supplied routing function
+ *    (the cluster path). Both use one arrival path: a global event
+ *    per same-timestamp burst, which schedules the next burst when
+ *    it runs; runStream feeds it from a cursor over the vector
+ *    unless the pre-routed fast path applies (see
+ *    setStateIndependentRouting). Batch-level admission works here
+ *    because the queue gives the needed lookahead for free: a batch
+ *    starts when it fills (maxRlp pending), when the fill timeout
+ *    expires, or when the stream is exhausted - whichever event
+ *    fires first.
  *  - runPredelivered(): the whole stream is already in the sims'
  *    pending queues (the single-platform ServingEngine::run path);
  *    only idle-admission and boundary events are scheduled, and the
@@ -168,8 +173,9 @@ class ServingEventDriver
      * Serve @p stream to completion: every arrival is scheduled at
      * its timestamp, routed through @p route at delivery time, and
      * the replicas' admission/boundary events interleave with the
-     * arrivals on the shared queue. Arrivals must be sorted;
-     * @p route must return an index < the replica count.
+     * arrivals on the shared queue. @p stream must be non-empty and
+     * sorted by arrival; @p route must return an index < the
+     * replica count.
      */
     void runStream(const std::vector<llm::TimedRequest> &stream,
                    const RouteFn &route);

@@ -8,10 +8,10 @@
  *  - tests/serving_soa_diff_test.cc can drive the scalar
  *    array-of-structures plan loop in lockstep against the SoA core
  *    and assert bit-identical iteration plans and results (the same
- *    technique as PR 1's sim::LegacyEventQueue), and
+ *    lockstep technique as the event-queue order fuzz), and
  *  - the papi-soa/1 bench section can measure the SoA speedup
- *    against the genuine old loop inside one binary (the PR 1
- *    bench/legacy_dram.hh pattern).
+ *    against the genuine old loop inside one binary (an in-process
+ *    A/B baseline).
  *
  * DO NOT "improve" this file: its value is that it does not change.
  * It shares the public option/result/record structs with

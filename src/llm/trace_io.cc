@@ -29,6 +29,25 @@ writeTraceCsv(std::ostream &os, const std::vector<Request> &trace)
     }
 }
 
+namespace {
+
+/**
+ * Extract one unsigned field. `>>` into an unsigned type reads a
+ * leading '-' and wraps the value around, so a '-' fails the row
+ * instead.
+ */
+template <typename T>
+void
+readUnsigned(std::istream &row, T &out)
+{
+    row >> std::ws;
+    if (row.peek() == '-')
+        row.setstate(std::ios::failbit);
+    row >> out;
+}
+
+} // namespace
+
 std::vector<TimedRequest>
 readTraceCsv(std::istream &is, const std::string &source)
 {
@@ -58,15 +77,17 @@ readTraceCsv(std::istream &is, const std::string &source)
         std::istringstream row(line);
         TimedRequest t;
         char c1 = 0, c2 = 0, c3 = 0;
-        if (timed) {
-            row >> t.request.id >> c1 >> t.request.inputLen >> c2 >>
-                t.request.outputLen >> c3 >> t.arrivalSeconds;
-        } else {
-            row >> t.request.id >> c1 >> t.request.inputLen >> c2 >>
-                t.request.outputLen;
-        }
+        readUnsigned(row, t.request.id);
+        row >> c1;
+        readUnsigned(row, t.request.inputLen);
+        row >> c2;
+        readUnsigned(row, t.request.outputLen);
+        if (timed)
+            row >> c3 >> t.arrivalSeconds;
+        // Anything but whitespace after the last field is malformed.
+        std::string rest;
         if (row.fail() || c1 != ',' || c2 != ',' ||
-            (timed && c3 != ','))
+            (timed && c3 != ',') || (row >> rest))
             sim::fatal("readTraceCsv: ", source, ":", line_no,
                        ": malformed row '", line, "'");
         if (t.request.outputLen == 0)

@@ -10,7 +10,6 @@
 #define PAPI_PAPI_HH
 
 // Simulation kernel.
-#include "sim/clocked.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"

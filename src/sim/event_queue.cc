@@ -7,10 +7,6 @@
 
 namespace papi::sim {
 
-// ---------------------------------------------------------------------
-// EventQueue (calendar queue)
-// ---------------------------------------------------------------------
-
 EventQueue::EventQueue() : _buckets(kBuckets) {}
 
 void
@@ -270,54 +266,6 @@ EventQueue::clear()
     _overflow.clear();
     _inWindow = 0;
     _size = 0;
-}
-
-// ---------------------------------------------------------------------
-// LegacyEventQueue (reference binary-heap implementation)
-// ---------------------------------------------------------------------
-
-void
-LegacyEventQueue::schedule(Tick when, std::function<void()> fn,
-                           Priority prio)
-{
-    if (when < _now) {
-        panic("event scheduled in the past: when=", when, " now=", _now);
-    }
-    if (!fn) {
-        panic("null event scheduled at tick ", when);
-    }
-    _events.push(Entry{when, prio, _nextSeq++, std::move(fn)});
-}
-
-bool
-LegacyEventQueue::step()
-{
-    if (_events.empty())
-        return false;
-
-    // Copy the closure out before popping so re-entrant schedule()
-    // calls from inside the event see a consistent queue.
-    Entry top = _events.top();
-    _events.pop();
-    _now = top.when;
-    ++_executed;
-    top.fn();
-    return true;
-}
-
-Tick
-LegacyEventQueue::run(Tick horizon)
-{
-    while (!_events.empty() && _events.top().when <= horizon)
-        step();
-    return _now;
-}
-
-void
-LegacyEventQueue::clear()
-{
-    while (!_events.empty())
-        _events.pop();
 }
 
 } // namespace papi::sim

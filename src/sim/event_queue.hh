@@ -7,22 +7,18 @@
  * The queue is the single source of simulated time for a simulation
  * instance; devices never keep their own notion of "now".
  *
- * EventQueue is the production implementation: an allocation-free
- * two-level calendar queue (near-future ticks live in fixed-width
- * buckets, far-future events in a binary-heap overflow) holding
- * small-buffer-optimized callbacks (sim::EventCallback). It preserves
- * the exact (tick, priority, seq) total order of the original
- * binary-heap design, which is kept verbatim as LegacyEventQueue so
- * benchmarks can compare both in one run and tests can assert
- * execution-order equivalence.
+ * EventQueue is an allocation-free two-level calendar queue
+ * (near-future ticks live in fixed-width buckets, far-future events
+ * in a binary-heap overflow) holding small-buffer-optimized callbacks
+ * (sim::EventCallback). Its execution order is exactly the
+ * (tick, priority, seq) total order; tests/sim_event_queue_test.cc
+ * checks it against a test-local ordered-map oracle.
  */
 
 #ifndef PAPI_SIM_EVENT_QUEUE_HH
 #define PAPI_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/event_callback.hh"
@@ -298,68 +294,6 @@ class EventQueue
     bool _dispatching = false;
     /** Buffers parked by a re-entrant clear() until dispatch ends. */
     std::vector<std::vector<Entry>> _retired;
-};
-
-/**
- * The original binary-heap implementation (std::function closures in
- * a std::priority_queue). Retained as the reference implementation:
- * bench/microbench_simulator.cc measures it against EventQueue in the
- * same process, and tests/sim_event_queue_test.cc runs both in
- * lockstep to prove the calendar queue preserves execution order.
- */
-class LegacyEventQueue
-{
-  public:
-    LegacyEventQueue() = default;
-
-    LegacyEventQueue(const LegacyEventQueue &) = delete;
-    LegacyEventQueue &operator=(const LegacyEventQueue &) = delete;
-
-    Tick now() const { return _now; }
-    std::size_t pending() const { return _events.size(); }
-    bool empty() const { return _events.empty(); }
-    std::uint64_t executed() const { return _executed; }
-
-    void schedule(Tick when, std::function<void()> fn,
-                  Priority prio = defaultPriority);
-
-    void
-    scheduleAfter(Tick delta, std::function<void()> fn,
-                  Priority prio = defaultPriority)
-    {
-        schedule(_now + delta, std::move(fn), prio);
-    }
-
-    bool step();
-    Tick run(Tick horizon = maxTick);
-    void clear();
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        Priority prio;
-        std::uint64_t seq; // insertion order for determinism
-        std::function<void()> fn;
-    };
-
-    struct EntryCompare
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
-        }
-    };
-
-    Tick _now = 0;
-    std::uint64_t _nextSeq = 0;
-    std::uint64_t _executed = 0;
-    std::priority_queue<Entry, std::vector<Entry>, EntryCompare> _events;
 };
 
 } // namespace papi::sim

@@ -1,10 +1,11 @@
 /**
  * @file
- * Fundamental simulation types: ticks, cycles, and unit helpers.
+ * Fundamental simulation types: ticks and unit helpers.
  *
  * The simulation kernel measures time in ticks, where one tick is one
- * picosecond. Devices operating in a clock domain convert between
- * cycles of their local clock and global ticks via sim::Clocked.
+ * picosecond. A device clock is a period in ticks (periodFromMhz).
+ * Serving queues instead carry seconds encoded by sim::orderedTick
+ * (sim/timeline.hh), whose tick axis is ordinal, not picoseconds.
  */
 
 #ifndef PAPI_SIM_TYPES_HH
@@ -16,9 +17,6 @@ namespace papi::sim {
 
 /** Simulated time in picoseconds. */
 using Tick = std::uint64_t;
-
-/** A count of clock cycles in some clock domain. */
-using Cycles = std::uint64_t;
 
 /** Sentinel for "no scheduled time". */
 constexpr Tick maxTick = ~Tick(0);

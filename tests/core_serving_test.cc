@@ -399,6 +399,60 @@ TEST(ConfigLoader, DispatchKeysApply)
     EXPECT_THROW(Platform{cfg2}, FatalError);
 }
 
+TEST(ConfigLoader, OutOfRangeCountsAreFatalAndNameTheKey)
+{
+    // A plain cast used to wrap num_gpus = -1 to 4,294,967,295 GPUs.
+    const char *counts[] = {
+        "num_gpus",          "num_fc_devices",
+        "num_attn_devices",  "fc_fabric_links",
+        "attn_fabric_links", "fc_pim.fpus_per_group",
+        "fc_pim.banks_per_group", "attn_pim.fpus_per_group",
+        "attn_pim.banks_per_group",
+    };
+    for (const char *key : counts) {
+        for (std::int64_t bad : {std::int64_t{-1}, std::int64_t{1} << 32}) {
+            papi::sim::Config c;
+            c.set(key, bad);
+            std::string msg;
+            try {
+                platformFromConfig(c);
+            } catch (const FatalError &e) {
+                msg = e.what();
+            }
+            EXPECT_NE(msg.find(key), std::string::npos)
+                << key << " = " << bad << ": " << msg;
+        }
+        // The loader accepts the whole uint32 range; zero and huge
+        // counts are left to Platform's own checks.
+        papi::sim::Config top;
+        top.set(key, std::int64_t{0xffffffff});
+        EXPECT_NO_THROW(platformFromConfig(top)) << key;
+    }
+}
+
+TEST(ConfigLoader, GpuRatesMustBeFiniteAndPositive)
+{
+    // gpu.peak_tflops = 0 used to die later as an unencodable
+    // infinite time, and a negative bandwidth ran to completion.
+    for (const char *key : {"gpu.peak_tflops", "gpu.mem_bandwidth_gbs"}) {
+        for (const char *bad : {"0", "-1", "inf", "nan"}) {
+            papi::sim::Config c;
+            c.set(key, std::string(bad));
+            std::string msg;
+            try {
+                platformFromConfig(c);
+            } catch (const FatalError &e) {
+                msg = e.what();
+            }
+            EXPECT_NE(msg.find(key), std::string::npos)
+                << key << " = " << bad << ": " << msg;
+        }
+        papi::sim::Config ok;
+        ok.set(key, 1.5);
+        EXPECT_NO_THROW(platformFromConfig(ok)) << key;
+    }
+}
+
 TEST(ConfigLoader, BadLinkIsFatal)
 {
     papi::sim::Config d;

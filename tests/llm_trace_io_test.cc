@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/decode_engine.hh"
 #include "core/platform.hh"
@@ -85,6 +86,37 @@ TEST(TraceIo, MalformedInputIsFatal)
         std::stringstream buf("");
         EXPECT_THROW(llm::readTraceCsv(buf), FatalError);
     }
+    // A '-' in an unsigned field used to wrap around (input_len
+    // 4,294,967,291; id 2^64 - 1), and trailing text after the last
+    // field used to be ignored.
+    for (const char *row : {"1,-5,3,0.0", "1,5,-3,0.0", "-1,5,3,0.0",
+                            "1,5,3,0.0xyz"}) {
+        std::stringstream buf(std::string("id,input_len,output_len,"
+                                          "arrival_s\n") +
+                              row + "\n");
+        try {
+            llm::readTraceCsv(buf, "bad.csv");
+            ADD_FAILURE() << "accepted '" << row << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "bad.csv:2: malformed row"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(TraceIo, AcceptsWhitespaceAndExponentArrivals)
+{
+    std::stringstream buf("id,input_len,output_len,arrival_s\n"
+                          " 1, 5, 3, 1e-3 \n"
+                          "2,+6,4,2.5e-1\r\n");
+    auto t = llm::readTraceCsv(buf);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].request.inputLen, 5u);
+    EXPECT_DOUBLE_EQ(t[0].arrivalSeconds, 1e-3);
+    EXPECT_EQ(t[1].request.inputLen, 6u);
+    EXPECT_DOUBLE_EQ(t[1].arrivalSeconds, 0.25);
 }
 
 TEST(TraceIo, MalformedInputErrorsCiteSourceAndLine)

@@ -2,25 +2,27 @@
  * @file
  * Unit tests for the discrete-event simulation kernel.
  *
- * Besides the interface contract, this file proves the calendar-queue
- * EventQueue equivalent to the original binary-heap implementation
- * (kept as LegacyEventQueue): a lockstep fuzz over randomized
- * schedules asserts identical execution order, calendar bucket/window
- * boundaries are probed explicitly, and fixed-seed serving/DRAM runs
- * are pinned to the metrics recorded before the queue swap.
+ * Besides the interface contract, this file checks the calendar-queue
+ * EventQueue against the (tick, priority, insertion sequence) order
+ * itself: a lockstep fuzz over randomized, tie-heavy schedules
+ * asserts the execution order of a test-local ordered-map oracle,
+ * calendar bucket/window boundaries are probed explicitly, and
+ * fixed-seed serving/DRAM runs are pinned to the metrics recorded
+ * before the queue swap.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "core/platform.hh"
 #include "core/serving_engine.hh"
 #include "dram/controller.hh"
 #include "llm/trace.hh"
-#include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -234,8 +236,46 @@ TEST(EventQueue, ReentrantClearFromInsideEvent)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: calendar queue vs the original binary-heap queue
+// Determinism: calendar queue vs an ordered-map oracle
 // ---------------------------------------------------------------------
+
+/**
+ * The order oracle: the (tick, priority, insertion sequence) total
+ * order written down as an ordered map. run() executes begin() until
+ * the map is empty, so an event scheduled from inside another takes
+ * its place in that order.
+ */
+class OracleQueue
+{
+  public:
+    Tick now() const { return _now; }
+
+    void
+    schedule(Tick when, std::function<void()> fn, Priority prio)
+    {
+        EXPECT_GE(when, _now);
+        _events.emplace(Key{when, prio, _nextSeq++}, std::move(fn));
+    }
+
+    void
+    run()
+    {
+        while (!_events.empty()) {
+            auto head = _events.begin();
+            _now = std::get<0>(head->first);
+            std::function<void()> fn = std::move(head->second);
+            _events.erase(head);
+            fn();
+        }
+    }
+
+  private:
+    using Key = std::tuple<Tick, Priority, std::uint64_t>;
+
+    Tick _now = 0;
+    std::uint64_t _nextSeq = 0;
+    std::map<Key, std::function<void()>> _events;
+};
 
 /** Drive a randomized, partly re-entrant schedule; log execution. */
 template <typename Queue>
@@ -269,9 +309,16 @@ runLockstepScenario(std::uint64_t seed)
         }
     };
 
-    // Seed the queue with a randomized batch.
+    // Seed the queue with a randomized batch. Half of it lands on a
+    // few shared ticks straddling bucket and window edges, so events
+    // tie on the tick and on (tick, priority): a uniform spread over
+    // 4 * span ticks almost never ties, and then a reversed priority
+    // or insertion order would pass unnoticed.
+    const Tick shared[] = {0, w - 1, w, span - 1, span, 2 * span + 5};
     for (int i = 0; i < 200; ++i) {
-        Tick when = static_cast<Tick>(rng.uniformInt(0, 4 * span));
+        Tick when = i % 2 == 0
+                        ? shared[rng.uniformInt(0, 5)]
+                        : static_cast<Tick>(rng.uniformInt(0, 4 * span));
         Priority prio =
             static_cast<Priority>(rng.uniformInt(-3, 3));
         std::uint64_t id = next_id++;
@@ -291,12 +338,12 @@ class QueueEquivalence : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
-TEST_P(QueueEquivalence, LockstepExecutionOrderMatchesLegacy)
+TEST_P(QueueEquivalence, LockstepExecutionOrderMatchesOracle)
 {
     auto calendar = runLockstepScenario<EventQueue>(GetParam());
-    auto heap = runLockstepScenario<LegacyEventQueue>(GetParam());
-    ASSERT_EQ(calendar.size(), heap.size());
-    EXPECT_EQ(calendar, heap);
+    auto oracle = runLockstepScenario<OracleQueue>(GetParam());
+    ASSERT_EQ(calendar.size(), oracle.size());
+    EXPECT_EQ(calendar, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueEquivalence,
@@ -380,33 +427,10 @@ TEST(DeterminismRegression, FixedSeedDramRunCompletionsPinned)
     EXPECT_EQ(eq.now(), 14647008u);
 }
 
-TEST(Clocked, PeriodConversionRoundTrip)
+TEST(Types, PeriodFromMhzRoundsToNearestTick)
 {
-    Clocked c(periodFromMhz(666.0));
-    EXPECT_EQ(c.clockPeriod(), 1502u); // 1/666 MHz in ps, rounded
-    EXPECT_EQ(c.cyclesToTicks(10), 15020u);
-    EXPECT_EQ(c.ticksToCycles(15020), 10u);
-    EXPECT_EQ(c.ticksToCycles(15021), 11u); // rounds up
-}
-
-TEST(Clocked, NextCycleEdge)
-{
-    Clocked c(1000);
-    EXPECT_EQ(c.nextCycleEdge(0), 0u);
-    EXPECT_EQ(c.nextCycleEdge(1), 1000u);
-    EXPECT_EQ(c.nextCycleEdge(1000), 1000u);
-    EXPECT_EQ(c.nextCycleEdge(1001), 2000u);
-}
-
-TEST(Clocked, ZeroPeriodIsFatal)
-{
-    EXPECT_THROW(Clocked c(0), FatalError);
-}
-
-TEST(Clocked, FrequencyHz)
-{
-    Clocked c(oneNs); // 1 ns period = 1 GHz
-    EXPECT_NEAR(c.frequencyHz(), 1e9, 1e3);
+    EXPECT_EQ(periodFromMhz(666.0), 1502u); // 1501.5 ps rounds up
+    EXPECT_EQ(periodFromMhz(1000.0), oneNs);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 
 Dependency-free smoke check for CI: after `microbench_simulator
 --quick --out FILE`, this script asserts that every section the
-papi-microbench/1 schema promises is present with its required keys,
+papi-microbench/2 schema promises is present with its required keys,
 including the papi-policy/1, papi-cluster/1, papi-continuous/1,
 papi-disagg/1, papi-faults/1, papi-parallel/1, papi-soa/1, and
 papi-prefix/1 sub-schemas. It
@@ -46,26 +46,20 @@ def main():
     need(doc, "$", ["schema", "quick", "event_queue", "dram",
                     "decode", "serving", "figure_cell", "policy",
                     "cluster", "continuous", "disagg", "faults",
-                    "parallel", "soa", "prefix", "summary"])
-    if doc.get("schema") != "papi-microbench/1":
+                    "parallel", "soa", "prefix"])
+    if doc.get("schema") != "papi-microbench/2":
         FAILURES.append(f"$.schema: unexpected '{doc.get('schema')}'")
 
     eq = doc.get("event_queue", {})
-    need(eq, "$.event_queue",
-         ["events_per_pattern", "patterns", "speedup_geomean"])
-    for name, pat in eq.get("patterns", {}).items():
-        need(pat, f"$.event_queue.patterns.{name}",
-             ["new_events_per_sec", "legacy_events_per_sec",
-              "speedup"])
+    need(eq, "$.event_queue", ["events_per_pattern", "patterns"])
+    for name in ("replay", "controller", "devices"):
+        need(eq.get("patterns", {}).get(name, {}),
+             f"$.event_queue.patterns.{name}", ["events_per_sec"])
 
     for shape in ("stream", "pump"):
-        d = doc.get("dram", {}).get(shape, {})
-        need(d, f"$.dram.{shape}",
-             ["requests", "new", "legacy", "speedup"])
-        for impl in ("new", "legacy"):
-            need(d.get(impl, {}), f"$.dram.{shape}.{impl}",
-                 ["wall_seconds", "events", "events_per_sec",
-                  "requests_per_sec"])
+        need(doc.get("dram", {}).get(shape, {}), f"$.dram.{shape}",
+             ["requests", "wall_seconds", "events", "events_per_sec",
+              "requests_per_sec"])
 
     for sec in ("decode", "serving"):
         need(doc.get(sec, {}), f"$.{sec}",
@@ -415,16 +409,12 @@ def main():
             "streaming cell must stay under a flat 512 MiB RSS "
             f"growth ceiling (got {growth})")
 
-    need(doc.get("summary", {}), "$.summary",
-         ["event_queue_speedup_geomean", "dram_stream_speedup",
-          "dram_pump_speedup", "overall_speedup_geomean"])
-
     if FAILURES:
         for f_ in FAILURES:
             print(f"FAIL {f_}")
         print(f"{len(FAILURES)} schema failure(s)")
         return 1
-    print(f"OK {sys.argv[1]}: papi-microbench/1 schema valid "
+    print(f"OK {sys.argv[1]}: papi-microbench/2 schema valid "
           "(incl. policy, cluster, continuous, disagg, faults, "
           "parallel, soa, prefix sub-schemas)")
     return 0
