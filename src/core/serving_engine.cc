@@ -107,12 +107,7 @@ ServingSim::ServingSim(const Platform &platform,
     _growTok.reserve(options.maxRlp);
     _growBlocks.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
-    if (options.planMemoSlots == 0 ||
-        (options.planMemoSlots & (options.planMemoSlots - 1)) != 0)
-        sim::fatal("ServingSim: planMemoSlots must be a power of "
-                   "two");
-    _planMemo.resize(options.planMemoSlots);
-    _planMemoMask = options.planMemoSlots - 1;
+    _planMemo.resize(kPlanMemoSlots);
 }
 
 std::size_t
@@ -120,7 +115,7 @@ ServingSim::planMemoSlot(std::uint64_t key1, std::uint64_t key2) const
 {
     return static_cast<std::size_t>(
                mix64(key1 ^ mix64(key2))) &
-           _planMemoMask;
+           (kPlanMemoSlots - 1);
 }
 
 void

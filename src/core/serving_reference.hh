@@ -4,14 +4,10 @@
  *
  * This is a verbatim snapshot of ServingSim as it stood BEFORE the
  * structure-of-arrays refactor (PR 8), kept compilable so that
- *
- *  - tests/serving_soa_diff_test.cc can drive the scalar
- *    array-of-structures plan loop in lockstep against the SoA core
- *    and assert bit-identical iteration plans and results (the same
- *    lockstep technique as the event-queue order fuzz), and
- *  - the papi-soa/1 bench section can measure the SoA speedup
- *    against the genuine old loop inside one binary (an in-process
- *    A/B baseline).
+ * tests/serving_soa_diff_test.cc can drive the scalar
+ * array-of-structures plan loop in lockstep against the SoA core and
+ * assert bit-identical iteration plans and results (the same
+ * lockstep technique as the event-queue order fuzz).
  *
  * DO NOT "improve" this file: its value is that it does not change.
  * It shares the public option/result/record structs with

@@ -20,6 +20,7 @@ namespace papi::gpu {
 /** Roofline + energy description of one GPU. */
 struct GpuSpec
 {
+    /** Label for reports (e.g. "a100"). */
     std::string name = "gpu";
 
     /** Peak FP16 tensor-core throughput, TFLOP/s. */

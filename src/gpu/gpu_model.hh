@@ -16,11 +16,12 @@ namespace papi::gpu {
 /** Outcome of one kernel on the GPU fleet. */
 struct GpuKernelResult
 {
+    /** Kernel latency: roofline term + all-reduce + launch. */
     double seconds = 0.0;
     double energyJoules = 0.0;   ///< Dynamic + static over duration.
     double computeSeconds = 0.0; ///< Roofline compute term.
     double memorySeconds = 0.0;  ///< Roofline memory term.
-    bool computeBound = false;
+    bool computeBound = false;   ///< Compute term > memory term.
     double allReduceSeconds = 0.0; ///< Tensor-parallel reduction.
 };
 
@@ -38,7 +39,9 @@ class GpuModel
     GpuModel(const GpuSpec &spec, std::uint32_t num_gpus,
              double nvlink_bandwidth_GBs = 300.0);
 
+    /** Per-GPU description this fleet was built from. */
     const GpuSpec &spec() const { return _spec; }
+    /** GPUs in the tensor-parallel group. */
     std::uint32_t numGpus() const { return _numGpus; }
 
     /**

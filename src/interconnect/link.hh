@@ -19,6 +19,7 @@ namespace papi::interconnect {
 /** A point-to-point (or switched, abstracted) link. */
 struct Link
 {
+    /** Label for reports and Link::describe(). */
     std::string name = "link";
     /** Per-direction bandwidth, bytes/second. */
     double bandwidthBytesPerSec = 64.0e9;

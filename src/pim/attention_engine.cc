@@ -4,9 +4,8 @@
 
 namespace papi::pim {
 
-AttentionEngine::AttentionEngine(const PimConfig &config,
-                                 const PimEnergyParams &params)
-    : _config(config), _params(params), _gemv(config)
+AttentionEngine::AttentionEngine(const PimConfig &config)
+    : _config(config), _gemv(config)
 {
     // Buffer-die vector unit: 16 lanes at the FPU clock handling
     // exp/normalise at one element per lane-cycle, per pseudo-channel.
@@ -44,17 +43,6 @@ AttentionEngine::run(std::uint64_t kv_bytes_per_bank, std::uint32_t tlp,
         sim::ticksToSeconds(_config.dramSpec.timing.tCCD_S);
     out.kvWriteSeconds = write_bytes_per_bank / bank_write_bw;
     out.seconds += out.kvWriteSeconds;
-
-    out.energy = pimGemvEnergy(_params, g.activations,
-                               g.streamedBytes, tlp);
-    // Scale the per-channel GEMV counts to the whole device.
-    double channels = static_cast<double>(_config.pseudoChannels);
-    out.energy.dramAccess *= channels;
-    out.energy.transfer *= channels;
-    out.energy.compute *= channels;
-    out.kvBytesStreamed = g.streamedBytes *
-                          static_cast<std::uint64_t>(
-                              _config.pseudoChannels);
     return out;
 }
 

@@ -16,13 +16,16 @@
 
 #include <cstdint>
 
-#include "pim/energy_model.hh"
 #include "pim/gemv_engine.hh"
 #include "pim/pim_config.hh"
 
 namespace papi::pim {
 
-/** Timing/energy outcome of one attention kernel on one device. */
+/**
+ * Timing of one attention kernel on one device. Energy is not here:
+ * PimDevice::attention computes it from the fleet's total KV bytes,
+ * however they are spread over devices.
+ */
 struct AttentionResult
 {
     /** Kernel time, seconds: GEMV + softmax + KV append. */
@@ -33,17 +36,14 @@ struct AttentionResult
     double softmaxSeconds = 0.0;
     /** KV-append (writing the new tokens' K/V vectors), seconds. */
     double kvWriteSeconds = 0.0;
-    PimEnergyBreakdown energy; ///< Per device.
-    std::uint64_t kvBytesStreamed = 0; ///< K^T and V bytes read, device.
 };
 
 /** Attention kernel timing for one PIM configuration. */
 class AttentionEngine
 {
   public:
-    /** Engine for @p config with energy constants @p params. */
-    AttentionEngine(const PimConfig &config,
-                    const PimEnergyParams &params);
+    /** Engine for @p config. */
+    explicit AttentionEngine(const PimConfig &config);
 
     /**
      * One decode iteration of multi-head attention on the busiest
@@ -66,7 +66,6 @@ class AttentionEngine
 
   private:
     PimConfig _config;
-    PimEnergyParams _params;
     GemvEngine _gemv;
     /** Softmax throughput of the buffer-die unit, elements/second. */
     double _softmaxElemsPerSec;

@@ -7,7 +7,7 @@ namespace papi::pim {
 PimDevice::PimDevice(const PimConfig &config,
                      const PimEnergyParams &params)
     : _config(config), _params(params), _gemv(config),
-      _attn(config, params), _power(config, params), _layout(config)
+      _attn(config), _power(config, params), _layout(config)
 {
 }
 

@@ -12,7 +12,8 @@
  *    percentiles take over (statsTruncated) while request/token
  *    conservation still holds exactly.
  *  - Cache-hit-aware routing concentrates session turns where their
- *    prefix lives: more hit tokens than round-robin spraying.
+ *    prefix lives: more hit tokens than round-robin spraying, and a
+ *    shorter TTFT tail when turns arrive slowly enough to hit.
  *  - assignSessions' turns_per_session mode deals sessions
  *    round-robin with no randomness; the default mode stays pinned.
  */
@@ -230,6 +231,45 @@ TEST(ClusterStream, CacheHitAwareRoutingBeatsRoundRobinOnHits)
         run_policy(RouterPolicy::CacheHitAware);
     expectClusterEqual(cha, again);
     EXPECT_EQ(cha.prefixHits, again.prefixHits);
+}
+
+TEST(ClusterStream, CacheHitAwareRoutingBeatsRoundRobinOnTtftTail)
+{
+    // 168 agentic turns at 2 req/s on four replicas with the prefix
+    // cache on and 64-token prefill chunks. The rate is slow on
+    // purpose: a turn can hit only after its session's previous turn
+    // retired and published its context. Round-robin scatters a
+    // session's turns away from that context, while cache-hit-aware
+    // routing follows the cached bytes, so the TTFT tail isolates
+    // routing quality rather than load imbalance.
+    core::PlatformConfig cfg = core::makePapiConfig();
+    llm::ModelConfig model = llm::llama65b();
+    llm::SpeculativeConfig spec;
+    llm::ArrivalProcess arrivals(llm::TraceCategory::AgenticLoop, 2.0,
+                                 97);
+    const auto reqs = arrivals.generate(168);
+
+    auto run_policy = [&](RouterPolicy policy) {
+        ClusterOptions opt;
+        opt.numPlatforms = 4;
+        opt.policy = policy;
+        opt.serving.maxRlp = 16;
+        opt.serving.prefillChunkTokens = 64;
+        opt.serving.prefixCacheEnabled = true;
+        return ClusterEngine(cfg, opt).run(reqs, spec, model);
+    };
+    const ClusterResult rr = run_policy(RouterPolicy::RoundRobin);
+    const ClusterResult sa = run_policy(RouterPolicy::SessionAffinity);
+    const ClusterResult cha =
+        run_policy(RouterPolicy::CacheHitAware);
+
+    for (const ClusterResult *r : {&rr, &sa, &cha}) {
+        EXPECT_EQ(r->requestsServed, reqs.size());
+        EXPECT_LE(r->prefixHits, r->prefixLookups);
+    }
+    EXPECT_GT(sa.prefixHits, 0u);
+    EXPECT_GT(cha.prefixHits, 0u);
+    EXPECT_LT(cha.ttft.p99, rr.ttft.p99);
 }
 
 TEST(AssignSessions, TurnsModeDealsRoundRobinDeterministically)

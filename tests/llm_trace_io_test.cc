@@ -216,8 +216,7 @@ TEST(DraftCost, ChargedOnlyWhenSpeculating)
 
 TEST(KvAppend, WriteTimeChargedInAttention)
 {
-    pim::AttentionEngine engine(pim::attnPimConfig(),
-                                pim::PimEnergyParams{});
+    pim::AttentionEngine engine(pim::attnPimConfig());
     auto r = engine.run(64 * 1024, 4, 1000);
     EXPECT_GT(r.kvWriteSeconds, 0.0);
     // The append is small next to the stream.

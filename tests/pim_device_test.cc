@@ -60,7 +60,7 @@ TEST(DataLayout, ZeroDevicesIsFatal)
 
 TEST(AttentionEngine, ScalesLinearlyWithKvBytes)
 {
-    AttentionEngine engine(attnPimConfig(), PimEnergyParams{});
+    AttentionEngine engine(attnPimConfig());
     AttentionResult small = engine.run(64 * 1024, 1, 1000);
     AttentionResult large = engine.run(256 * 1024, 1, 1000);
     EXPECT_NEAR(large.gemvSeconds / small.gemvSeconds, 4.0, 0.3);
@@ -68,7 +68,7 @@ TEST(AttentionEngine, ScalesLinearlyWithKvBytes)
 
 TEST(AttentionEngine, SoftmaxChargedSeparately)
 {
-    AttentionEngine engine(attnPimConfig(), PimEnergyParams{});
+    AttentionEngine engine(attnPimConfig());
     AttentionResult none = engine.run(64 * 1024, 1, 0);
     AttentionResult some = engine.run(64 * 1024, 1, 10'000'000);
     EXPECT_GT(some.softmaxSeconds, 0.0);
@@ -80,8 +80,8 @@ TEST(AttentionEngine, AttnPimSlowerThanAttAccOnAttention)
 {
     // Paper Fig. 12: attention runs ~1.7x slower on 1P2B Attn-PIM
     // than on 1P1B AttAcc because the shared FPU halves throughput.
-    AttentionEngine attacc(attAccConfig(), PimEnergyParams{});
-    AttentionEngine attn(attnPimConfig(), PimEnergyParams{});
+    AttentionEngine attacc(attAccConfig());
+    AttentionEngine attn(attnPimConfig());
     double t_attacc = attacc.run(48 * 1024, 1, 0).gemvSeconds;
     double t_attn = attn.run(48 * 1024, 1, 0).gemvSeconds;
     double ratio = t_attn / t_attacc;
@@ -91,14 +91,14 @@ TEST(AttentionEngine, AttnPimSlowerThanAttAccOnAttention)
 
 TEST(AttentionEngine, ZeroKvIsFree)
 {
-    AttentionEngine engine(attnPimConfig(), PimEnergyParams{});
+    AttentionEngine engine(attnPimConfig());
     AttentionResult r = engine.run(0, 4, 0);
     EXPECT_DOUBLE_EQ(r.seconds, 0.0);
 }
 
 TEST(AttentionEngine, ZeroTlpIsFatal)
 {
-    AttentionEngine engine(attnPimConfig(), PimEnergyParams{});
+    AttentionEngine engine(attnPimConfig());
     EXPECT_THROW(engine.run(1024, 0, 0), FatalError);
 }
 

@@ -22,6 +22,7 @@
 #include "core/serving_reference.hh"
 #include "llm/arrival.hh"
 #include "llm/model_config.hh"
+#include "llm/trace.hh"
 
 namespace {
 
@@ -94,6 +95,15 @@ struct DiffCase
     /** When nonzero, shrink the KV pool to about this many tokens
      *  per device (so decode growth actually hits capacity). */
     std::uint64_t poolTokens = 0;
+    /** When non-empty, the request stream to deliver instead of an
+     *  ArrivalProcess draw from cat, rateRps, count and streamSeed. */
+    std::vector<llm::TimedRequest> requests;
+    /** Deliveries of the stream. Episode e arrives shifted to the
+     *  clock at the end of episode e - 1, with ids offset by e times
+     *  the stream size, so every episode repeats the first one's
+     *  batch trajectory and the SoA core can answer its plans from
+     *  the plan memo. */
+    std::uint32_t episodes = 1;
 };
 
 /**
@@ -110,8 +120,10 @@ runLockstepImpl(const DiffCase &c, ServingResult *out)
     const PlatformConfig cfg = makePapiConfig();
     Platform papi(cfg);
     const llm::ModelConfig model = llm::llama65b();
-    const auto reqs = stream(c.cat, c.rateRps, c.count,
-                             c.streamSeed);
+    const auto reqs =
+        c.requests.empty()
+            ? stream(c.cat, c.rateRps, c.count, c.streamSeed)
+            : c.requests;
 
     ServingOptions opt = c.opt;
     if (c.poolTokens > 0)
@@ -121,39 +133,48 @@ runLockstepImpl(const DiffCase &c, ServingResult *out)
     ServingSim soa(papi, c.spec, model, opt, {}, {}, c.mode);
     refimpl::ReferenceServingSim ref(papi, c.spec, model, opt, {},
                                      {}, c.mode);
-    for (const auto &tr : reqs) {
-        soa.deliver(tr);
-        ref.deliver(tr);
-    }
-
     std::vector<HandoffRecord> soaHandoffs;
     std::vector<HandoffRecord> refHandoffs;
     std::uint64_t steps = 0;
-    while (soa.canStep() || ref.canStep()) {
-        ASSERT_EQ(soa.canStep(), ref.canStep());
-        ASSERT_EQ(soa.hasActive(), ref.hasActive());
-        if (soa.hasActive()) {
-            // The iteration plan the two cores computed must match
-            // bit for bit BEFORE the step executes it.
-            ASSERT_EQ(soa.peekIterationSeconds(),
-                      ref.peekIterationSeconds())
-                << "step " << steps;
+    for (std::uint32_t e = 0; e < c.episodes; ++e) {
+        // The step loop asserts that both clocks agree.
+        const double offset = soa.now();
+        const std::uint64_t id_base =
+            std::uint64_t{e} * reqs.size();
+        for (const auto &tr : reqs) {
+            llm::TimedRequest t = tr;
+            t.request.id += id_base;
+            t.arrivalSeconds += offset;
+            soa.deliver(t);
+            ref.deliver(t);
         }
-        soa.step();
-        ref.step();
-        ASSERT_EQ(soa.now(), ref.now()) << "step " << steps;
-        ASSERT_EQ(soa.outstanding(), ref.outstanding());
-        ASSERT_EQ(soa.preemptedCount(), ref.preemptedCount());
-        if (soa.hasHandoffs() || ref.hasHandoffs()) {
-            auto hs = soa.takeHandoffs();
-            auto hr = ref.takeHandoffs();
-            soaHandoffs.insert(soaHandoffs.end(), hs.begin(),
-                               hs.end());
-            refHandoffs.insert(refHandoffs.end(), hr.begin(),
-                               hr.end());
+
+        while (soa.canStep() || ref.canStep()) {
+            ASSERT_EQ(soa.canStep(), ref.canStep());
+            ASSERT_EQ(soa.hasActive(), ref.hasActive());
+            if (soa.hasActive()) {
+                // The iteration plan the two cores computed must
+                // match bit for bit BEFORE the step executes it.
+                ASSERT_EQ(soa.peekIterationSeconds(),
+                          ref.peekIterationSeconds())
+                    << "step " << steps;
+            }
+            soa.step();
+            ref.step();
+            ASSERT_EQ(soa.now(), ref.now()) << "step " << steps;
+            ASSERT_EQ(soa.outstanding(), ref.outstanding());
+            ASSERT_EQ(soa.preemptedCount(), ref.preemptedCount());
+            if (soa.hasHandoffs() || ref.hasHandoffs()) {
+                auto hs = soa.takeHandoffs();
+                auto hr = ref.takeHandoffs();
+                soaHandoffs.insert(soaHandoffs.end(), hs.begin(),
+                                   hs.end());
+                refHandoffs.insert(refHandoffs.end(), hr.begin(),
+                                   hr.end());
+            }
+            ASSERT_LT(++steps, 2'000'000u)
+                << "lockstep diverged into a non-terminating run";
         }
-        ASSERT_LT(++steps, 2'000'000u) << "lockstep diverged into "
-                                          "a non-terminating run";
     }
 
     ASSERT_EQ(soaHandoffs.size(), refHandoffs.size());
@@ -321,6 +342,36 @@ TEST(SoaDiff, StaticBatch)
     c.rateRps = 1e9; // everything effectively arrives together
     c.count = 16;
     runLockstep(c);
+}
+
+TEST(SoaDiff, MaxBatchUniformDecodeEpisodes)
+{
+    // 512 uniform requests (64 prompt + 688 output tokens, the
+    // largest single admission wave whose worst-case KV fits the
+    // 60-device Attn-PIM fleet) all arriving at once, maxRlp 512,
+    // one token per iteration, delivered twice. The second episode
+    // repeats the first one's batch shapes, so the SoA core answers
+    // its plans from the plan memo and runs the O(1) steady-state
+    // advance through a full-width batch; every other case caps the
+    // batch at 16 requests or fewer.
+    DiffCase c;
+    c.name = "max-batch uniform decode, two episodes";
+    c.opt.maxRlp = 512;
+    c.opt.alpha = 24.0;
+    c.spec.length = 1;
+    c.episodes = 2;
+    llm::TraceGenerator gen(llm::TraceCategory::Uniform, 1);
+    std::uint64_t id = 1;
+    for (const llm::Request &r : gen.generateUniform(512, 64, 688)) {
+        llm::TimedRequest tr;
+        tr.request = r;
+        tr.request.id = id++;
+        tr.arrivalSeconds = 0.0;
+        c.requests.push_back(tr);
+    }
+    const ServingResult r = runLockstep(c);
+    EXPECT_EQ(r.tokensGenerated, 2u * 512u * 688u);
+    EXPECT_EQ(r.admissions, 2u * 512u);
 }
 
 TEST(SoaDiff, SeededGridFuzz)
