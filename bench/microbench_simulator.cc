@@ -63,9 +63,9 @@
  *       "hardware_threads": n,          // host concurrency
  *       "parallel_matches_serial": bool, // AND over all cells
  *       "workers": [
- *         { "workers": n, "wall_seconds": s,
+ *         { "workers": n, "wall_seconds": s, // fastest of 3
  *           "speedup_vs_serial": x,     // serial wall / this wall
- *           "matches_serial": bool }, ...
+ *           "matches_serial": bool }, ... // every repeat
  *       ],
  *       "speedup_at_8_workers": x
  *     }
@@ -543,10 +543,13 @@ clusterBitwiseEqual(const cluster::ClusterResult &a,
  * 64-replica round-robin cluster and GeneralQa stream at 1, 2, 4,
  * and 8 worker threads. Round-robin routing with no faults takes
  * the driver's pre-routed fast path (zero window barriers), so
- * this measures the parallel ceiling; every parallel cell is also
- * bit-compared against the serial run - the determinism contract
- * tests/parallel_identity_test.cc proves feature by feature,
- * re-checked here at bench scale on every run.
+ * this measures the parallel ceiling. Each worker count runs three
+ * times, interleaved with the others, and keeps its fastest wall
+ * time, as the event-queue patterns do: one run of tens of
+ * milliseconds is at the mercy of the host scheduler. Every run
+ * after the first serial one is bit-compared against it - the
+ * determinism contract tests/parallel_identity_test.cc proves
+ * feature by feature, re-checked here at bench scale on every run.
  */
 ParallelBench
 benchParallel(bool quick)
@@ -576,26 +579,31 @@ benchParallel(bool quick)
     opt.serving.alpha = alpha;
     opt.serving.maxRlp = out.maxRlp;
 
+    for (unsigned workers : {1u, 2u, 4u, 8u})
+        out.cells.push_back({workers, 0.0, true});
     cluster::ClusterResult serial;
-    out.parallelMatchesSerial = true;
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-        opt.workerThreads = workers;
-        cluster::ClusterEngine engine(cfg, opt);
-        auto start = Clock::now();
-        cluster::ClusterResult r = engine.run(stream, spec, model);
-        ParallelCell cell;
-        cell.workers = workers;
-        cell.wall = secondsSince(start);
-        if (workers == 1) {
-            cell.matchesSerial = true;
-            serial = std::move(r);
-        } else {
-            cell.matchesSerial = clusterBitwiseEqual(serial, r);
-            out.parallelMatchesSerial =
-                out.parallelMatchesSerial && cell.matchesSerial;
+    bool have_serial = false;
+    for (int rep = 0; rep < 3; ++rep) {
+        for (ParallelCell &cell : out.cells) {
+            opt.workerThreads = cell.workers;
+            cluster::ClusterEngine engine(cfg, opt);
+            auto start = Clock::now();
+            cluster::ClusterResult r = engine.run(stream, spec, model);
+            const double wall = secondsSince(start);
+            cell.wall = rep == 0 ? wall : std::min(cell.wall, wall);
+            if (have_serial) {
+                cell.matchesSerial =
+                    cell.matchesSerial && clusterBitwiseEqual(serial, r);
+            } else {
+                serial = std::move(r);
+                have_serial = true;
+            }
         }
-        out.cells.push_back(cell);
     }
+    out.parallelMatchesSerial = true;
+    for (const ParallelCell &cell : out.cells)
+        out.parallelMatchesSerial =
+            out.parallelMatchesSerial && cell.matchesSerial;
     return out;
 }
 

@@ -506,7 +506,7 @@ ServingSim::admit()
             if (_kv.availableBlocks() <
                 reserve + worstGrowthBlocks())
                 break;
-            kv = _kv.importRequest(req.id, pp.kvTokens);
+            kv = _kv.admit(req.id, pp.kvTokens);
         }
         ActiveSnapshot a;
         a.request = req;

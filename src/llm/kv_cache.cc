@@ -222,12 +222,6 @@ KvCacheManager::admit(std::uint64_t id, std::uint64_t initial_tokens)
 }
 
 std::uint64_t
-KvCacheManager::grow(std::uint64_t id, std::uint64_t new_tokens)
-{
-    return growState(id, _slots[slotOf(id)].state, new_tokens);
-}
-
-std::uint64_t
 KvCacheManager::grow(KvHandle h, std::uint64_t new_tokens)
 {
     return growState(h.id, _slots[slotOf(h)].state, new_tokens);
@@ -259,12 +253,6 @@ KvCacheManager::requestTokens(std::uint64_t id) const
 }
 
 KvExport
-KvCacheManager::exportRequest(std::uint64_t id)
-{
-    return exportRequest(KvHandle{id, slotOf(id)});
-}
-
-KvExport
 KvCacheManager::exportRequest(KvHandle h)
 {
     const std::uint32_t slot = slotOf(h);
@@ -275,27 +263,6 @@ KvCacheManager::exportRequest(KvHandle h)
     out.bytes = state.blocks * _blockBytes;
     releaseSlot(slot);
     return out;
-}
-
-KvAdmission
-KvCacheManager::importRequest(std::uint64_t id, std::uint64_t tokens)
-{
-    return admit(id, tokens);
-}
-
-std::uint64_t
-KvCacheManager::growthBlocks(std::uint64_t id,
-                             std::uint64_t new_tokens) const
-{
-    std::uint64_t held = requestBlocks(id);
-    std::uint64_t need = blocksForTokens(new_tokens);
-    return need > held ? need - held : 0;
-}
-
-void
-KvCacheManager::release(std::uint64_t id)
-{
-    releaseSlot(slotOf(id));
 }
 
 void

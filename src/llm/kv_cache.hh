@@ -7,12 +7,11 @@
  * capacity the way a serving system would: per-request block lists
  * allocated from per-device free pools, grown as decoding extends
  * the context, and released at <eos>. It provides the admission
- * signal for continuous batching (canAdmit) and occupancy stats,
- * plus the growth-headroom query (growthBlocks vs freeBlocks) a
- * KV-pressure preemption policy needs to decide *before* an
- * iteration whether the batch's worst-case growth still fits or a
- * victim must be evicted (release doubles as the eviction
- * primitive - preempted requests simply return their blocks).
+ * signal for continuous batching (canAdmit), occupancy stats, and
+ * the free and reclaimable block counts a KV-pressure preemption
+ * policy compares the batch's worst-case growth against *before* an
+ * iteration (release doubles as the eviction primitive - preempted
+ * requests simply return their blocks).
  *
  * Placement is deterministic: every allocated block goes to the
  * least-loaded device, lowest index on ties. A multi-block grow is
@@ -26,13 +25,14 @@
  * stay water-filled), and only release, prefix eviction, or a bulk
  * fill force one rescan (pinned against an independent scan model
  * by a churn test). Each live request owns a slot in a pool whose
- * per-device vectors are reused across occupants. admit() and
- * importRequest() hand the slot back as a KvHandle, and the hot
- * calls (grow, growMany, release, exportRequest) index it directly:
- * a per-iteration grow costs no hash lookup. A slot records its
- * request id, so a stale handle (its slot released, perhaps reused)
- * is fatal, as an unknown id is. The id -> slot map remains for the
- * duplicate-id check at admission and the id-keyed overloads.
+ * per-device vectors are reused across occupants. admit() hands the
+ * slot back as a KvHandle, and every mutator (grow, growMany,
+ * release, exportRequest) takes the handle and indexes the slot
+ * directly: a per-iteration grow costs no hash lookup. A slot
+ * records its request id, so a stale handle (its slot released,
+ * perhaps reused) is fatal. The id -> slot map remains for the
+ * duplicate-id check at admission (request ids come from traces)
+ * and the read-only requestBlocks()/requestTokens() queries.
  * Used-block totals are maintained incrementally so freeBlocks() /
  * canAdmit() / utilization() are O(1) - these run inside the serving
  * simulator's per-iteration admission gate.
@@ -118,9 +118,9 @@ struct KvExport
 inline constexpr std::uint32_t kNoKvSlot = 0xffffffffu;
 
 /**
- * A live request's handle: the slot admit() or importRequest() put
- * it in, plus the id that slot must still hold. Handle calls index
- * the slot directly instead of looking the id up.
+ * A live request's handle: the slot admit() put it in, plus the id
+ * that slot must still hold. Handle calls index the slot directly
+ * instead of looking the id up.
  */
 struct KvHandle
 {
@@ -128,8 +128,8 @@ struct KvHandle
     std::uint32_t slot = kNoKvSlot; ///< Slot from KvAdmission.
 };
 
-/** Outcome of an admission or import: the request's slot and the
- *  blocks it holds. */
+/** Outcome of an admission: the request's slot and the blocks it
+ *  holds. */
 struct KvAdmission
 {
     std::uint32_t slot = kNoKvSlot; ///< Handle slot (see KvHandle).
@@ -168,23 +168,21 @@ class KvCacheManager
 
     /**
      * Register request @p id with an initial context of
-     * @p initial_tokens (the prompt). Fatal if it does not fit or
-     * the id is already live.
+     * @p initial_tokens (the prompt, or a migrated request's
+     * materialized context). Fatal if it does not fit or the id is
+     * already live.
      * @return The request's slot and the blocks held after
      *         admission.
      */
     KvAdmission admit(std::uint64_t id, std::uint64_t initial_tokens);
 
     /**
-     * Grow request @p id's context to @p new_tokens, allocating
-     * blocks as needed (least-loaded device first). Fatal if the
-     * pool is exhausted - callers must gate admissions with
-     * canAdmit on the worst case.
+     * Grow @p h's context to @p new_tokens, allocating blocks as
+     * needed (least-loaded device first). Fatal if the handle is
+     * stale or the pool is exhausted - callers must gate admissions
+     * with canAdmit on the worst case.
      * @return Blocks held after the grow.
      */
-    std::uint64_t grow(std::uint64_t id, std::uint64_t new_tokens);
-
-    /** grow() through a handle (fatal if the handle is stale). */
     std::uint64_t grow(KvHandle h, std::uint64_t new_tokens);
 
     /**
@@ -200,11 +198,9 @@ class KvCacheManager
                   const std::uint64_t *new_tokens,
                   std::uint64_t *blocks_out, std::size_t n);
 
-    /** Release all blocks of request @p id (at <eos>, or when the
-     *  request is preempted under KV pressure). */
-    void release(std::uint64_t id);
-
-    /** release() through a handle (fatal if the handle is stale). */
+    /** Release all of @p h's blocks (at <eos>, or when the request
+     *  is preempted under KV pressure). Fatal if the handle is
+     *  stale. */
     void release(KvHandle h);
 
     /** Blocks currently held by request @p id (fatal if the id is
@@ -219,32 +215,10 @@ class KvCacheManager
      * Export a live request's blocks for migration to another pool:
      * snapshot its token/block/byte footprint, then release the
      * blocks here (the transfer fabric buffers the data in flight).
-     * Fatal if the id is not live.
+     * The destination pool admits the tokens. Fatal if the handle
+     * is stale.
      */
-    KvExport exportRequest(std::uint64_t id);
-
-    /** exportRequest() through a handle (fatal if it is stale). */
     KvExport exportRequest(KvHandle h);
-
-    /**
-     * Import a migrated request into this pool: admit @p id with
-     * @p tokens of context already materialized. Fatal if the id is
-     * already live or the pool cannot hold the footprint - callers
-     * gate with canAdmit()/freeBlocks() first.
-     * @return The request's slot and the blocks held after the
-     *         import.
-     */
-    KvAdmission importRequest(std::uint64_t id, std::uint64_t tokens);
-
-    /**
-     * Additional blocks a grow of request @p id to @p new_tokens
-     * would allocate (0 if the new context still fits the held
-     * blocks) - summed against freeBlocks(), this is the
-     * per-iteration headroom check of a preemption policy. Fatal if
-     * the id is not live.
-     */
-    std::uint64_t growthBlocks(std::uint64_t id,
-                               std::uint64_t new_tokens) const;
 
     /** Live request count. */
     std::uint64_t liveRequests() const { return _requests.size(); }
@@ -421,9 +395,9 @@ class KvCacheManager
     std::uint32_t _pick = kNoPick;
     /** id -> slot index into _slots. */
     // detlint: allow(unordered-decl): keyed find/emplace/erase by
-    // request id only - the duplicate-id check in admit(), the
-    // erase at release, and the id-keyed overloads the tests and
-    // the frozen reference engine call (the serving hot path goes
+    // request id only - the duplicate-id check in admit() (ids come
+    // from traces), the erase at release, and the read-only
+    // requestBlocks()/requestTokens() queries (every mutator goes
     // through KvHandle slots); size() feeds liveRequests()/
     // occupancy() as a scalar count. Never iterated - per-request
     // block placement order lives in the _slots vectors.

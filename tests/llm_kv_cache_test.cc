@@ -47,14 +47,14 @@ TEST_F(KvCacheTest, BlockGeometry)
 TEST_F(KvCacheTest, AdmitGrowRelease)
 {
     std::uint64_t before = mgr.freeBlocks();
-    mgr.admit(1, 32); // 2 blocks
+    const KvHandle h{1, mgr.admit(1, 32).slot}; // 2 blocks
     EXPECT_EQ(mgr.freeBlocks(), before - 2);
     EXPECT_EQ(mgr.liveRequests(), 1u);
-    mgr.grow(1, 40); // still 3 blocks? 40 tokens -> 3 blocks
+    mgr.grow(h, 40); // still 3 blocks? 40 tokens -> 3 blocks
     EXPECT_EQ(mgr.freeBlocks(), before - 3);
-    mgr.grow(1, 48); // exactly 3 blocks - no change
+    mgr.grow(h, 48); // exactly 3 blocks - no change
     EXPECT_EQ(mgr.freeBlocks(), before - 3);
-    mgr.release(1);
+    mgr.release(h);
     EXPECT_EQ(mgr.freeBlocks(), before);
     EXPECT_EQ(mgr.liveRequests(), 0u);
 }
@@ -74,28 +74,30 @@ TEST_F(KvCacheTest, AdmissionGating)
     std::uint64_t capacity_tokens = mgr.freeBlocks() * 16;
     EXPECT_TRUE(mgr.canAdmit(capacity_tokens));
     EXPECT_FALSE(mgr.canAdmit(capacity_tokens + 16));
-    mgr.admit(9, capacity_tokens);
+    const KvHandle h{9, mgr.admit(9, capacity_tokens).slot};
     EXPECT_FALSE(mgr.canAdmit(1));
     EXPECT_EQ(mgr.occupancy().utilization(), 1.0);
-    mgr.release(9);
+    mgr.release(h);
     EXPECT_TRUE(mgr.canAdmit(1));
 }
 
 TEST_F(KvCacheTest, ExhaustionIsFatal)
 {
     std::uint64_t capacity_tokens = mgr.freeBlocks() * 16;
-    mgr.admit(1, capacity_tokens);
+    const KvHandle h{1, mgr.admit(1, capacity_tokens).slot};
     EXPECT_THROW(mgr.admit(2, 16), FatalError);
-    EXPECT_THROW(mgr.grow(1, capacity_tokens + 16), FatalError);
+    EXPECT_THROW(mgr.grow(h, capacity_tokens + 16), FatalError);
 }
 
 TEST_F(KvCacheTest, MisuseIsFatal)
 {
-    mgr.admit(1, 16);
-    EXPECT_THROW(mgr.admit(1, 16), FatalError);  // duplicate id
-    EXPECT_THROW(mgr.grow(2, 16), FatalError);   // unknown id
-    EXPECT_THROW(mgr.grow(1, 8), FatalError);    // shrink
-    EXPECT_THROW(mgr.release(2), FatalError);    // unknown id
+    const KvHandle h{1, mgr.admit(1, 16).slot};
+    const KvHandle other{2, h.slot}; // the slot holds request 1
+    EXPECT_THROW(mgr.admit(1, 16), FatalError);   // duplicate id
+    EXPECT_THROW(mgr.grow(other, 16), FatalError); // wrong id
+    EXPECT_THROW(mgr.grow(h, 8), FatalError);      // shrink
+    EXPECT_THROW(mgr.release(other), FatalError);  // wrong id
+    EXPECT_THROW(mgr.requestBlocks(2), FatalError); // unknown id
 }
 
 TEST_F(KvCacheTest, InvalidConstructionIsFatal)
@@ -115,12 +117,15 @@ TEST_F(KvCacheTest, ManyRequestsChurn)
     KvCacheManager roomy(model, 8, 16ULL << 30, 16);
     std::uint64_t before = roomy.freeBlocks();
     for (std::uint64_t round = 0; round < 20; ++round) {
+        std::vector<KvHandle> live;
+        for (std::uint64_t id = 0; id < 10; ++id) {
+            const std::uint64_t rid = round * 100 + id;
+            live.push_back({rid, roomy.admit(rid, 64 + id * 16).slot});
+        }
         for (std::uint64_t id = 0; id < 10; ++id)
-            roomy.admit(round * 100 + id, 64 + id * 16);
-        for (std::uint64_t id = 0; id < 10; ++id)
-            roomy.grow(round * 100 + id, 256 + id * 16);
-        for (std::uint64_t id = 0; id < 10; ++id)
-            roomy.release(round * 100 + id);
+            roomy.grow(live[id], 256 + id * 16);
+        for (const KvHandle &h : live)
+            roomy.release(h);
     }
     EXPECT_EQ(roomy.freeBlocks(), before);
     EXPECT_EQ(roomy.liveRequests(), 0u);
@@ -130,15 +135,15 @@ TEST_F(KvCacheTest, ManyRequestsChurn)
 TEST_F(KvCacheTest, ExportImportMigratesBlocksAcrossPools)
 {
     // The disaggregated handoff: export snapshots the footprint and
-    // frees the source pool; import re-admits the same context into
-    // a destination pool with identical block arithmetic.
+    // frees the source pool; the destination pool admits the same
+    // context with identical block arithmetic.
     KvCacheManager dest(model, 4, 1ULL << 30, 16);
     const std::uint64_t before = mgr.freeBlocks();
-    mgr.admit(7, 100);
+    const KvHandle h{7, mgr.admit(7, 100).slot};
     EXPECT_EQ(mgr.requestTokens(7), 100u);
     EXPECT_EQ(mgr.requestBlocks(7), mgr.blocksForTokens(100));
 
-    KvExport x = mgr.exportRequest(7);
+    KvExport x = mgr.exportRequest(h);
     EXPECT_EQ(x.tokens, 100u);
     EXPECT_EQ(x.blocks, mgr.blocksForTokens(100));
     EXPECT_EQ(x.bytes, x.blocks * mgr.blockBytes());
@@ -147,15 +152,16 @@ TEST_F(KvCacheTest, ExportImportMigratesBlocksAcrossPools)
     EXPECT_EQ(mgr.liveRequests(), 0u);
     EXPECT_THROW(mgr.requestTokens(7), FatalError);
 
-    dest.importRequest(7, x.tokens);
+    const KvHandle d{7, dest.admit(7, x.tokens).slot};
     EXPECT_EQ(dest.requestTokens(7), x.tokens);
     EXPECT_EQ(dest.requestBlocks(7), x.blocks);
     // Imported requests grow like any other.
-    dest.grow(7, x.tokens + 64);
+    dest.grow(d, x.tokens + 64);
     EXPECT_EQ(dest.requestTokens(7), x.tokens + 64);
-    // Double-import of a live id is a ledger error.
-    EXPECT_THROW(dest.importRequest(7, 10), FatalError);
-    EXPECT_THROW(mgr.exportRequest(99), FatalError);
+    // Double-import of a live id is a ledger error, and so is a
+    // second export through the spent handle.
+    EXPECT_THROW(dest.admit(7, 10), FatalError);
+    EXPECT_THROW(mgr.exportRequest(h), FatalError);
 }
 
 /** Property sweep over block sizes: geometry invariants hold. */
@@ -212,22 +218,22 @@ TEST(KvWaterFill, BulkGrowMatchesSequentialScanExactly)
         const std::uint64_t preload = 1 + rnd(6);
         for (std::uint64_t id = 100; id < 100 + preload; ++id) {
             const std::uint64_t tokens = 1 + rnd(20) * bt;
-            a.admit(id, tokens);
-            b.admit(id, tokens);
+            const KvHandle ha{id, a.admit(id, tokens).slot};
+            const KvHandle hb{id, b.admit(id, tokens).slot};
             if (rnd(3) == 0) {
-                a.release(id);
-                b.release(id);
+                a.release(ha);
+                b.release(hb);
             }
         }
         ASSERT_EQ(a.usedPerDevice(), b.usedPerDevice());
 
         // The victim grows by a random large amount (far past the
         // <= 8-block scan threshold) in one call on A...
-        a.admit(1, 1);
-        b.admit(1, 1);
+        const KvHandle ha{1, a.admit(1, 1).slot};
+        const KvHandle hb{1, b.admit(1, 1).slot};
         const std::uint64_t target =
             bt + (9 + rnd(60)) * bt + rnd(bt);
-        const std::uint64_t blocks_a = a.grow(1, target);
+        const std::uint64_t blocks_a = a.grow(ha, target);
 
         // ...and one block at a time on B (every call is a 1-block
         // grow, which takes the sequential scan path by
@@ -235,7 +241,7 @@ TEST(KvWaterFill, BulkGrowMatchesSequentialScanExactly)
         std::uint64_t blocks_b = 0;
         for (std::uint64_t t = bt + 1; ; t += bt) {
             const std::uint64_t step = std::min(t, target);
-            blocks_b = b.grow(1, step);
+            blocks_b = b.grow(hb, step);
             if (step == target)
                 break;
         }
@@ -435,10 +441,13 @@ class ScanPlacementModel
 };
 
 /**
- * Seeded churn of admits, 1-8-block grows, releases, prefix inserts
- * (new and re-inserted keys) and lookups on a tight pool, so prefix
- * entries are LRU-evicted by growth and by other inserts. After
- * every operation the manager's per-device levels must equal the
+ * Seeded churn of admits, 1-8-block grows, bulk growMany calls,
+ * releases, prefix inserts (new and re-inserted keys) and lookups on
+ * a tight pool, so prefix entries are LRU-evicted by growth and by
+ * other inserts. The manager is driven through KvHandle slots (which
+ * released requests hand to later admissions), the scan model by
+ * request id. After every operation the manager's per-device levels,
+ * cache and every live request's blocks and tokens must equal the
  * scan model's, at small fleets and at the platforms' 60 devices.
  */
 TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
@@ -459,6 +468,8 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
 
     std::uint64_t evicted_bytes = 0;
     std::uint64_t bulk_placements = 0; // admits/inserts over 8 blocks
+    std::uint64_t slot_reuses = 0;
+    std::uint64_t grow_many_calls = 0;
     for (std::size_t round = 0; round < fleets.size(); ++round) {
         const std::uint32_t devices = fleets[round];
         const std::uint64_t per_device = 6 + rnd(10);
@@ -469,7 +480,20 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
         // admits and inserts above 8 blocks take the bulk fill.
         const std::uint64_t max_blocks =
             std::max<std::uint64_t>(12, per_device * devices / 6);
+        std::map<std::uint64_t, std::uint32_t> slot_of; // live ids
+        std::vector<bool> slot_used;
         std::uint64_t next_id = 1;
+        // A random live request's handle.
+        const auto pick = [&]() {
+            auto it = slot_of.begin();
+            std::advance(it, static_cast<long>(rnd(slot_of.size())));
+            return KvHandle{it->first, it->second};
+        };
+        // Tokens that grow request @p id by exactly @p k blocks.
+        const auto grown = [&](std::uint64_t id, std::uint64_t k) {
+            return ref.live.at(id).blocks * bt + (k - 1) * bt + 1 +
+                   rnd(bt);
+        };
         const int ops = devices >= 60 ? 3000 : 600;
 
         for (int op = 0; op < ops; ++op) {
@@ -479,32 +503,55 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
                 if (!ref.fits(ref.blocksFor(tokens)))
                     continue;
                 bulk_placements += ref.blocksFor(tokens) > 8;
-                mgr.admit(next_id, tokens);
+                const KvAdmission a = mgr.admit(next_id, tokens);
                 ref.admit(next_id, tokens);
+                ASSERT_EQ(a.blocks, ref.live.at(next_id).blocks);
+                if (a.slot >= slot_used.size())
+                    slot_used.resize(a.slot + 1, false);
+                slot_reuses += slot_used[a.slot];
+                slot_used[a.slot] = true;
+                slot_of[next_id] = a.slot;
                 ++next_id;
-            } else if (kind < 60) {
-                if (ref.live.empty())
+            } else if (kind < 50) {
+                if (slot_of.empty())
                     continue;
-                auto it = ref.live.begin();
-                std::advance(it, static_cast<long>(
-                                     rnd(ref.live.size())));
+                const KvHandle h = pick();
                 const std::uint64_t k = 1 + rnd(8);
                 if (!ref.fits(k))
                     continue;
-                const std::uint64_t tokens =
-                    it->second.blocks * bt + (k - 1) * bt + 1 +
-                    rnd(bt);
-                mgr.grow(it->first, tokens);
-                ref.grow(it->first, tokens);
+                const std::uint64_t tokens = grown(h.id, k);
+                mgr.grow(h, tokens);
+                ref.grow(h.id, tokens);
+            } else if (kind < 60) {
+                // One growMany over an admission-ordered subset,
+                // against per-id grows in the same order.
+                std::vector<std::uint32_t> slots;
+                std::vector<std::uint64_t> ids, toks;
+                std::uint64_t add = 0;
+                for (const auto &[id, slot] : slot_of) {
+                    const std::uint64_t k = 1 + rnd(2);
+                    if (rnd(2) == 0 || !ref.fits(add + k))
+                        continue;
+                    add += k;
+                    slots.push_back(slot);
+                    ids.push_back(id);
+                    toks.push_back(grown(id, k));
+                }
+                std::vector<std::uint64_t> blocks(ids.size());
+                mgr.growMany(slots.data(), ids.data(), toks.data(),
+                             blocks.data(), ids.size());
+                grow_many_calls += ids.size() > 1;
+                for (std::size_t j = 0; j < ids.size(); ++j) {
+                    ref.grow(ids[j], toks[j]);
+                    ASSERT_EQ(blocks[j], ref.live.at(ids[j]).blocks);
+                }
             } else if (kind < 78) {
-                if (ref.live.empty())
+                if (slot_of.empty())
                     continue;
-                auto it = ref.live.begin();
-                std::advance(it, static_cast<long>(
-                                     rnd(ref.live.size())));
-                const std::uint64_t id = it->first;
-                mgr.release(id);
-                ref.release(id);
+                const KvHandle h = pick();
+                mgr.release(h);
+                ref.release(h.id);
+                slot_of.erase(h.id);
             } else if (kind < 93) {
                 const std::uint64_t key = 1 + rnd(12);
                 const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
@@ -524,142 +571,22 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
             ASSERT_EQ(mgr.prefixEntries(), ref.lru.size())
                 << "round " << round << ", op " << op;
             ASSERT_EQ(mgr.liveRequests(), ref.live.size());
+            for (const auto &[id, held] : ref.live) {
+                ASSERT_EQ(mgr.requestBlocks(id), held.blocks);
+                ASSERT_EQ(mgr.requestTokens(id), held.tokens);
+            }
         }
         evicted_bytes += mgr.prefixEvictedBytes();
     }
-    // The churn must exercise LRU eviction and the bulk fill.
+    // The churn must exercise LRU eviction, the bulk fill, slot reuse
+    // and multi-request growMany calls.
     EXPECT_GT(evicted_bytes, 0u);
     EXPECT_GT(bulk_placements, 0u);
+    EXPECT_GT(slot_reuses, 0u);
+    EXPECT_GT(grow_many_calls, 0u);
 }
 
 // ------------------------------------------------------ KV handles
-
-/**
- * The handle API is the id API without the hash lookup. A seeded
- * churn drives one manager through KvHandle slots (admit's slot,
- * grow, growMany, release) and a twin through request ids, with
- * prefix inserts LRU-evicted by growth on both. Released slots are
- * reused by later admissions. After every operation the twins must
- * agree on per-device levels and on every live request's blocks
- * and tokens.
- */
-TEST(KvHandle, ChurnMatchesIdApi)
-{
-    const ModelConfig m = opt30b();
-    const std::uint32_t bt = 16;
-    const std::uint64_t block_bytes = bt * m.kvBytesPerToken();
-    std::uint64_t lcg = 0xD1B54A32D192ED03ull;
-    auto rnd = [&lcg](std::uint64_t bound) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return (lcg >> 33) % bound;
-    };
-
-    std::uint64_t slot_reuses = 0;
-    std::uint64_t evicted_bytes = 0;
-    for (const std::uint32_t devices : {2u, 3u, 8u, 60u}) {
-        const std::uint64_t per_device = 6 + rnd(10);
-        KvCacheManager by_handle(m, devices, per_device * block_bytes,
-                                 bt);
-        KvCacheManager by_id(m, devices, per_device * block_bytes, bt);
-        by_handle.setPrefixCacheEnabled(true);
-        by_id.setPrefixCacheEnabled(true);
-        const std::uint64_t max_blocks =
-            std::max<std::uint64_t>(12, per_device * devices / 6);
-        std::vector<KvHandle> live; // admission order
-        std::vector<bool> slot_used;
-        std::uint64_t next_id = 1;
-        // Tokens that grow request @p id by exactly @p k blocks.
-        const auto grown = [&](std::uint64_t id, std::uint64_t k) {
-            return by_id.requestBlocks(id) * bt + (k - 1) * bt + 1 +
-                   rnd(bt);
-        };
-        const int ops = devices >= 60 ? 3000 : 800;
-
-        for (int op = 0; op < ops; ++op) {
-            const std::uint64_t kind = rnd(100);
-            if (kind < 25) {
-                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
-                if (by_id.blocksForTokens(tokens) >
-                    by_id.availableBlocks())
-                    continue;
-                const KvAdmission a = by_handle.admit(next_id, tokens);
-                const KvAdmission b = by_id.admit(next_id, tokens);
-                ASSERT_EQ(a.blocks, b.blocks);
-                if (a.slot >= slot_used.size())
-                    slot_used.resize(a.slot + 1, false);
-                slot_reuses += slot_used[a.slot];
-                slot_used[a.slot] = true;
-                live.push_back({next_id, a.slot});
-                ++next_id;
-            } else if (kind < 45) {
-                if (live.empty())
-                    continue;
-                const KvHandle h = live[rnd(live.size())];
-                const std::uint64_t k = 1 + rnd(8);
-                if (k > by_id.availableBlocks())
-                    continue;
-                const std::uint64_t tokens = grown(h.id, k);
-                ASSERT_EQ(by_handle.grow(h, tokens),
-                          by_id.grow(h.id, tokens));
-            } else if (kind < 60) {
-                // One growMany over a batch-ordered subset, against
-                // per-id grows in the same order.
-                std::vector<std::uint32_t> slots;
-                std::vector<std::uint64_t> ids, toks;
-                std::uint64_t add = 0;
-                for (const KvHandle &h : live) {
-                    const std::uint64_t k = 1 + rnd(2);
-                    if (rnd(2) == 0 ||
-                        add + k > by_id.availableBlocks())
-                        continue;
-                    add += k;
-                    slots.push_back(h.slot);
-                    ids.push_back(h.id);
-                    toks.push_back(grown(h.id, k));
-                }
-                std::vector<std::uint64_t> blocks(ids.size());
-                by_handle.growMany(slots.data(), ids.data(),
-                                   toks.data(), blocks.data(),
-                                   ids.size());
-                for (std::size_t j = 0; j < ids.size(); ++j)
-                    ASSERT_EQ(blocks[j], by_id.grow(ids[j], toks[j]));
-            } else if (kind < 80) {
-                if (live.empty())
-                    continue;
-                const std::size_t i = rnd(live.size());
-                by_handle.release(live[i]);
-                by_id.release(live[i].id);
-                live.erase(live.begin() + static_cast<long>(i));
-            } else if (kind < 93) {
-                const std::uint64_t key = 1 + rnd(12);
-                const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
-                by_handle.prefixInsert(key, tokens);
-                by_id.prefixInsert(key, tokens);
-            } else {
-                const std::uint64_t key = 1 + rnd(12);
-                const std::uint64_t max_tokens = 1 + rnd(4 * bt);
-                ASSERT_EQ(by_handle.prefixLookup(key, max_tokens),
-                          by_id.prefixLookup(key, max_tokens));
-            }
-            ASSERT_EQ(by_handle.usedPerDevice(), by_id.usedPerDevice())
-                << devices << " devices, op " << op;
-            ASSERT_EQ(by_handle.cachedBlocks(), by_id.cachedBlocks());
-            ASSERT_EQ(by_handle.liveRequests(), live.size());
-            for (const KvHandle &h : live) {
-                ASSERT_EQ(by_handle.requestBlocks(h.id),
-                          by_id.requestBlocks(h.id));
-                ASSERT_EQ(by_handle.requestTokens(h.id),
-                          by_id.requestTokens(h.id));
-            }
-        }
-        evicted_bytes += by_handle.prefixEvictedBytes();
-        EXPECT_EQ(by_handle.prefixEvictedBytes(),
-                  by_id.prefixEvictedBytes());
-    }
-    // The churn must reuse released slots and evict prefix entries.
-    EXPECT_GT(slot_reuses, 0u);
-    EXPECT_GT(evicted_bytes, 0u);
-}
 
 /**
  * A handle outlives its request: once the slot is released, and

@@ -99,23 +99,25 @@ TEST_F(PrefixCacheTest, AdmissionReclaimsCacheBeforeFailing)
     EXPECT_TRUE(mgr.canAdmit(8 * 16));
     // ...and a grow past the free pool evicts cache entries instead
     // of dying (the evict-before-preempt primitive).
-    EXPECT_EQ(mgr.admit(9, 8 * 16).blocks, 8u);
+    const KvAdmission a = mgr.admit(9, 8 * 16);
+    EXPECT_EQ(a.blocks, 8u);
     EXPECT_EQ(mgr.cachedBlocks(), 0u);
     EXPECT_EQ(mgr.prefixEntries(), 0u);
     EXPECT_EQ(mgr.prefixEvictedBytes(), 6 * mgr.blockBytes());
-    mgr.release(9);
+    mgr.release({9, a.slot});
 }
 
 TEST_F(PrefixCacheTest, InsertDroppedWhenPoolTooHot)
 {
     mgr.setPrefixCacheEnabled(true);
-    mgr.admit(1, 7 * 16); // live request holds 7 of 8 blocks
+    // A live request holds 7 of 8 blocks.
+    const KvHandle h{1, mgr.admit(1, 7 * 16).slot};
     mgr.prefixInsert(5, 33); // needs 3 blocks, only 1 free
     // Live requests are never disturbed: the insert is dropped.
     EXPECT_EQ(mgr.prefixEntries(), 0u);
     EXPECT_EQ(mgr.cachedBlocks(), 0u);
     EXPECT_EQ(mgr.requestBlocks(1), 7u);
-    mgr.release(1);
+    mgr.release(h);
 }
 
 TEST_F(PrefixCacheTest, ReinsertExtendsSpanAndRefreshes)

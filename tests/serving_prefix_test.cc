@@ -4,8 +4,12 @@
  * serving engine:
  *
  *  - With the cache DISABLED, a keyed multi-turn trace runs the
- *    engine in lockstep with the frozen pre-cache scalar reference,
- *    bit for bit - the shared-prefix request fields are inert.
+ *    engine in lockstep with the executable specification
+ *    (tests/serving_model.hh), bit for bit, and the prefix counters
+ *    stay zero - the shared-prefix request fields are inert.
+ *  - With the cache ENABLED, keyed traces run in the same lockstep
+ *    under reserved and on-demand KV, with monolithic and chunked
+ *    prefill, with hits and cache evictions in every cell.
  *  - With the cache ENABLED but no keyed requests in the stream, the
  *    run is byte-identical to the disabled run.
  *  - The token ledger: per request and per run,
@@ -24,10 +28,10 @@
 #include <map>
 
 #include "core/serving_engine.hh"
-#include "core/serving_reference.hh"
 #include "llm/arrival.hh"
 #include "llm/kv_cache.hh"
 #include "llm/model_config.hh"
+#include "serving_lockstep.hh"
 
 namespace {
 
@@ -97,53 +101,123 @@ runSim(const ServingOptions &opt,
 }
 
 /**
- * Cache disabled: a keyed agentic trace through the SoA engine must
- * stay in bitwise lockstep with the frozen pre-cache reference - the
- * prefix fields on Request are dead weight until the flag flips.
+ * Drive ServingSim and the model in lockstep over @p reqs, compare
+ * everything both expose, and return ServingSim's side (void so gtest
+ * fatal asserts can return out of it).
  */
-TEST(ServingPrefix, CacheOffLockstepWithReferenceOnKeyedTrace)
+void
+lockstepImpl(const ServingOptions &opt,
+             const std::vector<llm::TimedRequest> &reqs, RunOutput *out)
 {
     const PlatformConfig cfg = makePapiConfig();
     Platform papi(cfg);
     const llm::ModelConfig model = llm::llama65b();
     llm::SpeculativeConfig spec;
+
+    ServingSim soa(papi, spec, model, opt);
+    test::ServingModel ref(papi, spec, model, opt);
+    for (const auto &tr : reqs) {
+        soa.deliver(tr);
+        ref.deliver(tr);
+    }
+    std::uint64_t steps = 0;
+    while (soa.canStep() || ref.canStep()) {
+        SCOPED_TRACE("step " + std::to_string(steps));
+        ASSERT_NO_FATAL_FAILURE(test::stepBoth(
+            soa, ref, reqs[steps % reqs.size()], out->handoffs));
+        ASSERT_LT(++steps, 2'000'000u);
+    }
+    test::expectSameFinish(soa, ref, &out->result);
+    out->records = soa.records();
+    out->breakdown = soa.breakdown();
+}
+
+RunOutput
+lockstep(const ServingOptions &opt,
+         const std::vector<llm::TimedRequest> &reqs)
+{
+    RunOutput out;
+    lockstepImpl(opt, reqs, &out);
+    return out;
+}
+
+/**
+ * Cache disabled: a keyed agentic trace runs in bitwise lockstep with
+ * the specification, and no prefix counter moves - the prefix fields
+ * on Request are dead weight until the flag flips.
+ */
+TEST(ServingPrefix, CacheOffLockstepWithReferenceOnKeyedTrace)
+{
     const auto reqs =
         stream(llm::TraceCategory::AgenticLoop, 100.0, 48, 13);
-
     for (std::uint32_t chunk : {0u, 64u}) {
         SCOPED_TRACE("chunk=" + std::to_string(chunk));
         ServingOptions opt;
         opt.maxRlp = 16;
         opt.prefillChunkTokens = chunk;
-
-        ServingSim soa(papi, spec, model, opt);
-        refimpl::ReferenceServingSim ref(papi, spec, model, opt, {},
-                                         {}, {});
-        for (const auto &tr : reqs) {
-            soa.deliver(tr);
-            ref.deliver(tr);
-        }
-        std::uint64_t steps = 0;
-        while (soa.canStep() || ref.canStep()) {
-            ASSERT_EQ(soa.canStep(), ref.canStep());
-            if (soa.hasActive()) {
-                ASSERT_EQ(soa.peekIterationSeconds(),
-                          ref.peekIterationSeconds())
-                    << "step " << steps;
-            }
-            soa.step();
-            ref.step();
-            ASSERT_EQ(soa.now(), ref.now()) << "step " << steps;
-            ASSERT_LT(++steps, 2'000'000u);
-        }
-        const ServingResult r = soa.finish();
-        expectResultsEqual(r, ref.finish());
-        // No cache, no ledger: the counters stay zero.
+        const ServingResult r = lockstep(opt, reqs).result;
         EXPECT_EQ(r.prefixLookups, 0u);
         EXPECT_EQ(r.prefixHitTokens, 0u);
         EXPECT_EQ(r.prefixMissTokens, 0u);
         EXPECT_EQ(r.prefixEvictedBytes, 0u);
     }
+}
+
+/**
+ * Cache enabled on a small pool: keyed traces in the same lockstep
+ * under reserved and on-demand KV, monolithic and chunked prefill.
+ * Every cell must hit the cache and evict from it, so the LRU order,
+ * the hit-span arithmetic and evict-before-preempt are all compared
+ * bit for bit.
+ */
+TEST(ServingPrefix, CacheOnLockstepWithModel)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    const llm::ModelConfig model = llm::llama65b();
+    struct Trace
+    {
+        llm::TraceCategory cat;
+        double rateRps;
+        std::uint32_t count;
+        std::uint64_t seed;
+        std::uint64_t poolTokens;
+        std::uint32_t maxRlp;
+        KvPreemptPolicy policy;
+    };
+    // The last row is ChunkedKvAccountingPins (b)'s input.
+    const Trace traces[] = {
+        {llm::TraceCategory::SharedQa, 100.0, 48, 13, 2048, 16,
+         KvPreemptPolicy::Recompute},
+        {llm::TraceCategory::AgenticLoop, 20.0, 48, 13, 4096, 16,
+         KvPreemptPolicy::Recompute},
+        {llm::TraceCategory::SharedQa, 300.0, 60, 2, 2048, 12,
+         KvPreemptPolicy::SwapRestore},
+    };
+    std::uint64_t preemptions = 0;
+    for (const Trace &t : traces) {
+        const auto reqs = stream(t.cat, t.rateRps, t.count, t.seed);
+        for (const bool on_demand : {false, true}) {
+            for (const std::uint32_t chunk : {0u, 64u}) {
+                SCOPED_TRACE("trace " +
+                             std::to_string(static_cast<int>(t.cat)) +
+                             (on_demand ? " on-demand" : " reserved") +
+                             " chunk=" + std::to_string(chunk));
+                ServingOptions opt;
+                opt.maxRlp = t.maxRlp;
+                opt.prefillChunkTokens = chunk;
+                opt.prefixCacheEnabled = true;
+                opt.preemptOnKvPressure = on_demand;
+                opt.preemptPolicy = t.policy;
+                opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+                    model, t.poolTokens, cfg.numAttnDevices);
+                const ServingResult r = lockstep(opt, reqs).result;
+                EXPECT_GT(r.prefixHits, 0u);
+                EXPECT_GT(r.prefixEvictedBytes, 0u);
+                preemptions += r.preemptions;
+            }
+        }
+    }
+    EXPECT_GT(preemptions, 0u) << "no on-demand cell preempted";
 }
 
 /**
@@ -357,7 +431,7 @@ TEST(ServingPrefix, ChunkedKvAccountingPins)
     // (a) Chunked runs sample KV utilization only after the advance.
     // Admission here fills the pool to 1.0, which no post-advance
     // sample sees, so 0.99166... is a known under-report, not a
-    // correct peak: see item (d) of "Correctness gates" in
+    // correct peak: see item (c) of "Correctness gates" in
     // ROADMAP.md. Sampling before the advance as well, as
     // monolithic-prefill runs do, reads 1.0.
     {

@@ -1,32 +1,35 @@
 /**
  * @file
- * Differential lockstep test: the SoA serving core vs the frozen
- * pre-refactor scalar reference (core/serving_reference.hh).
+ * Differential lockstep test: the SoA serving core vs the executable
+ * specification in tests/serving_model.hh.
  *
  * Every config in a seeded grid (chunked prefill x preemption policy
  * x disaggregated roles x static batch x admission policy x
- * deadlines) runs the same request stream through both
- * implementations step by step, asserting bit-identical peeked
- * iteration durations, clocks, and final results at every boundary.
- * Doubles are compared with EXPECT_EQ on purpose: the determinism
- * contract is bitwise, not approximate.
+ * deadlines x crashes x tensor-parallel cost) runs the same request
+ * stream through both implementations step by step, asserting
+ * bit-identical peeked iteration durations, clocks, queues, handoffs
+ * and prefix probes at every boundary, and every result, record,
+ * breakdown, per-target count and trace row at the end.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/tensor_parallel.hh"
 #include "core/serving_engine.hh"
-#include "core/serving_reference.hh"
 #include "llm/arrival.hh"
 #include "llm/model_config.hh"
 #include "llm/trace.hh"
+#include "serving_lockstep.hh"
 
 namespace {
 
 using namespace papi::core;
+using papi::core::test::ServingModel;
 namespace llm = papi::llm;
 
 std::vector<llm::TimedRequest>
@@ -35,51 +38,6 @@ stream(llm::TraceCategory cat, double rate_rps, std::uint32_t count,
 {
     llm::ArrivalProcess arrivals(cat, rate_rps, seed);
     return arrivals.generate(count);
-}
-
-/** Exact (bitwise for doubles) equality of two serving results. */
-void
-expectResultsEqual(const ServingResult &a, const ServingResult &b)
-{
-    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.energyJoules, b.energyJoules);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.tokensGenerated, b.tokensGenerated);
-    EXPECT_EQ(a.admissions, b.admissions);
-    EXPECT_EQ(a.reschedules, b.reschedules);
-    EXPECT_EQ(a.reschedulesToGpu, b.reschedulesToGpu);
-    EXPECT_EQ(a.fcOnGpuIterations, b.fcOnGpuIterations);
-    EXPECT_EQ(a.fcOnPimIterations, b.fcOnPimIterations);
-    EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
-    EXPECT_EQ(a.p95LatencySeconds, b.p95LatencySeconds);
-    EXPECT_EQ(a.meanRlp, b.meanRlp);
-    EXPECT_EQ(a.peakKvUtilization, b.peakKvUtilization);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.resumes, b.resumes);
-    EXPECT_EQ(a.recomputedPrefillTokens, b.recomputedPrefillTokens);
-    EXPECT_EQ(a.evictionStallSeconds, b.evictionStallSeconds);
-    EXPECT_EQ(a.swapInducedStallSeconds, b.swapInducedStallSeconds);
-    EXPECT_EQ(a.handoffs, b.handoffs);
-    EXPECT_EQ(a.prefillHandoffTokens, b.prefillHandoffTokens);
-    EXPECT_EQ(a.shedRequests, b.shedRequests);
-    EXPECT_EQ(a.evictionOrder, b.evictionOrder);
-}
-
-void
-expectRecordsEqual(const std::vector<RequestRecord> &a,
-                   const std::vector<RequestRecord> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id) << "record " << i;
-        EXPECT_EQ(a[i].arrivalSeconds, b[i].arrivalSeconds);
-        EXPECT_EQ(a[i].admissionSeconds, b[i].admissionSeconds);
-        EXPECT_EQ(a[i].firstTokenSeconds, b[i].firstTokenSeconds);
-        EXPECT_EQ(a[i].finishSeconds, b[i].finishSeconds);
-        EXPECT_EQ(a[i].outputTokens, b[i].outputTokens);
-        EXPECT_EQ(a[i].preemptions, b[i].preemptions);
-        EXPECT_EQ(a[i].stallSeconds, b[i].stallSeconds);
-    }
 }
 
 struct DiffCase
@@ -98,119 +56,129 @@ struct DiffCase
     /** When non-empty, the request stream to deliver instead of an
      *  ArrivalProcess draw from cat, rateRps, count and streamSeed. */
     std::vector<llm::TimedRequest> requests;
+    /** When non-empty, deliver these prefilled requests through
+     *  deliverPrefilled (at their ready time, with their KV tokens)
+     *  instead of any fresh stream. */
+    std::vector<HandoffRecord> prefilled;
     /** Deliveries of the stream. Episode e arrives shifted to the
      *  clock at the end of episode e - 1, with ids offset by e times
      *  the stream size, so every episode repeats the first one's
      *  batch trajectory and the SoA core can answer its plans from
      *  the plan memo. */
     std::uint32_t episodes = 1;
+    /** Tensor-parallel degree of the backend (NVLink); 1 keeps the
+     *  trivial cost model. */
+    std::uint32_t tpDegree = 1;
+    /** When nonzero, crash both sides at the first step boundary
+     *  with at least this many parked requests, restart them 50 ms
+     *  later, and redeliver the harvest 10 ms after the restart. */
+    std::size_t crashAtParked = 0;
+};
+
+/** What a lockstep run leaves behind for a case's scenario checks. */
+struct DiffOutput
+{
+    ServingResult result;
+    RunBreakdown breakdown;
+    std::vector<HandoffRecord> handoffs;
+    std::size_t served = 0; ///< Requests retired.
+    /** Crash cases: requests harvested, and the parked ones among
+     *  them in harvest order. */
+    std::size_t lost = 0;
+    std::vector<LostRequest> parked;
 };
 
 /**
- * Drive both implementations in lockstep over the same stream and
- * assert equality at every step boundary and at the end (void so
- * gtest fatal asserts can return out of it; @p out receives the SoA
- * result so cases can assert the scenario they meant to exercise
- * actually occurred).
+ * Drive ServingSim and the model in lockstep over the case's
+ * deliveries and compare everything both expose (void so gtest fatal
+ * asserts can return out of it; @p out receives what the cases
+ * assert their scenario with).
  */
 void
-runLockstepImpl(const DiffCase &c, ServingResult *out)
+runLockstepImpl(const DiffCase &c, DiffOutput *out)
 {
     SCOPED_TRACE(c.name);
     const PlatformConfig cfg = makePapiConfig();
     Platform papi(cfg);
     const llm::ModelConfig model = llm::llama65b();
-    const auto reqs =
-        c.requests.empty()
-            ? stream(c.cat, c.rateRps, c.count, c.streamSeed)
-            : c.requests;
+    std::vector<llm::TimedRequest> fresh = c.requests;
+    if (fresh.empty() && c.prefilled.empty())
+        fresh = stream(c.cat, c.rateRps, c.count, c.streamSeed);
+    // The prefix probes cycle through every request delivered.
+    std::vector<llm::TimedRequest> probes = fresh;
+    for (const HandoffRecord &h : c.prefilled)
+        probes.push_back(h.request);
 
     ServingOptions opt = c.opt;
     if (c.poolTokens > 0)
         opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
             model, c.poolTokens, cfg.numAttnDevices);
+    papi::cluster::TensorParallelModel tp;
+    tp.degree = c.tpDegree;
+    const IterationCostModel cost = tp.iterationCostModel(model);
 
-    ServingSim soa(papi, c.spec, model, opt, {}, {}, c.mode);
-    refimpl::ReferenceServingSim ref(papi, c.spec, model, opt, {},
-                                     {}, c.mode);
-    std::vector<HandoffRecord> soaHandoffs;
-    std::vector<HandoffRecord> refHandoffs;
+    ServingSim soa(papi, c.spec, model, opt, cost, {}, c.mode);
+    ServingModel ref(papi, c.spec, model, opt, cost, {}, c.mode);
+    for (const HandoffRecord &h : c.prefilled) {
+        soa.deliverPrefilled(h.request, h.readySeconds, h.kvTokens);
+        ref.deliverPrefilled(h.request, h.readySeconds, h.kvTokens);
+    }
     std::uint64_t steps = 0;
+    bool crashed = false;
     for (std::uint32_t e = 0; e < c.episodes; ++e) {
         // The step loop asserts that both clocks agree.
         const double offset = soa.now();
-        const std::uint64_t id_base =
-            std::uint64_t{e} * reqs.size();
-        for (const auto &tr : reqs) {
+        const std::uint64_t id_base = std::uint64_t{e} * fresh.size();
+        for (const auto &tr : fresh) {
             llm::TimedRequest t = tr;
             t.request.id += id_base;
             t.arrivalSeconds += offset;
             soa.deliver(t);
             ref.deliver(t);
         }
-
         while (soa.canStep() || ref.canStep()) {
-            ASSERT_EQ(soa.canStep(), ref.canStep());
-            ASSERT_EQ(soa.hasActive(), ref.hasActive());
-            if (soa.hasActive()) {
-                // The iteration plan the two cores computed must
-                // match bit for bit BEFORE the step executes it.
-                ASSERT_EQ(soa.peekIterationSeconds(),
-                          ref.peekIterationSeconds())
-                    << "step " << steps;
-            }
-            soa.step();
-            ref.step();
-            ASSERT_EQ(soa.now(), ref.now()) << "step " << steps;
-            ASSERT_EQ(soa.outstanding(), ref.outstanding());
-            ASSERT_EQ(soa.preemptedCount(), ref.preemptedCount());
-            if (soa.hasHandoffs() || ref.hasHandoffs()) {
-                auto hs = soa.takeHandoffs();
-                auto hr = ref.takeHandoffs();
-                soaHandoffs.insert(soaHandoffs.end(), hs.begin(),
-                                   hs.end());
-                refHandoffs.insert(refHandoffs.end(), hr.begin(),
-                                   hr.end());
-            }
+            SCOPED_TRACE("step " + std::to_string(steps));
+            ASSERT_NO_FATAL_FAILURE(test::stepBoth(
+                soa, ref, probes[steps % probes.size()], out->handoffs));
             ASSERT_LT(++steps, 2'000'000u)
                 << "lockstep diverged into a non-terminating run";
+            if (c.crashAtParked > 0 && !crashed &&
+                soa.preemptedCount() >= c.crashAtParked) {
+                crashed = true;
+                // The harvest lists the batch, then the parked requests.
+                const std::size_t batch = soa.outstanding() -
+                                          soa.pendingCount() -
+                                          soa.preemptedCount();
+                const std::size_t parked = soa.preemptedCount();
+                const double when = soa.now();
+                const std::vector<LostRequest> lost = soa.crash(when);
+                ASSERT_NO_FATAL_FAILURE(
+                    test::expectSameLost(lost, ref.crash(when)));
+                out->lost = lost.size();
+                out->parked.assign(lost.begin() + batch,
+                                   lost.begin() + batch + parked);
+                const double restart = when + 0.05;
+                soa.restartAt(restart);
+                ref.restartAt(restart);
+                const double retry = restart + 0.01;
+                for (const LostRequest &l : lost) {
+                    soa.redeliver(l.request, retry);
+                    ref.redeliver(l.request, retry);
+                }
+            }
         }
     }
-
-    ASSERT_EQ(soaHandoffs.size(), refHandoffs.size());
-    for (std::size_t i = 0; i < soaHandoffs.size(); ++i) {
-        EXPECT_EQ(soaHandoffs[i].request.request.id,
-                  refHandoffs[i].request.request.id);
-        EXPECT_EQ(soaHandoffs[i].readySeconds,
-                  refHandoffs[i].readySeconds);
-        EXPECT_EQ(soaHandoffs[i].kvTokens, refHandoffs[i].kvTokens);
-        EXPECT_EQ(soaHandoffs[i].kvBlocks,
-                  refHandoffs[i].kvBlocks);
-        EXPECT_EQ(soaHandoffs[i].kvBytes, refHandoffs[i].kvBytes);
-    }
-
-    const ServingResult result = soa.finish();
-    expectResultsEqual(result, ref.finish());
-    expectRecordsEqual(soa.records(), ref.records());
-
-    // The per-component split must agree too (it is derived from
-    // the same plan fields the hot loop reorganized).
-    const RunBreakdown &ba = soa.breakdown();
-    const RunBreakdown &bb = ref.breakdown();
-    EXPECT_EQ(ba.prefillSeconds, bb.prefillSeconds);
-    EXPECT_EQ(ba.fcSeconds, bb.fcSeconds);
-    EXPECT_EQ(ba.attnSeconds, bb.attnSeconds);
-    EXPECT_EQ(ba.commSeconds, bb.commSeconds);
-    EXPECT_EQ(ba.otherSeconds, bb.otherSeconds);
-    *out = result;
+    test::expectSameFinish(soa, ref, &out->result);
+    out->breakdown = soa.breakdown();
+    out->served = soa.records().size();
 }
 
-ServingResult
+DiffOutput
 runLockstep(const DiffCase &c)
 {
-    ServingResult result;
-    runLockstepImpl(c, &result);
-    return result;
+    DiffOutput out;
+    runLockstepImpl(c, &out);
+    return out;
 }
 
 // ------------------------------------------------------ the grid
@@ -252,70 +220,89 @@ TEST(SoaDiff, SpeculativeDecode)
     runLockstep(c);
 }
 
-TEST(SoaDiff, PreemptRecompute)
+/** The recompute-preemption cell: long generations against a
+ *  ~2k-token pool, so decode growth must hit capacity. */
+DiffCase
+pressureCase(KvPreemptPolicy policy)
 {
     DiffCase c;
-    c.name = "KV preemption, recompute policy";
     c.opt.maxRlp = 24;
     c.opt.preemptOnKvPressure = true;
-    c.opt.preemptPolicy = KvPreemptPolicy::Recompute;
-    // Long generations against a ~2k-token pool: decode growth
-    // must hit capacity.
+    c.opt.preemptPolicy = policy;
     c.cat = llm::TraceCategory::CreativeWriting;
     c.poolTokens = 2048;
     c.opt.maxRlp = 12;
     c.rateRps = 300.0;
     c.count = 24;
     c.streamSeed = 11;
-    const ServingResult r = runLockstep(c);
-    EXPECT_GT(r.preemptions, 0u) << "case exercised no evictions";
+    return c;
+}
+
+TEST(SoaDiff, PreemptRecompute)
+{
+    DiffCase c = pressureCase(KvPreemptPolicy::Recompute);
+    c.name = "KV preemption, recompute policy";
+    const DiffOutput r = runLockstep(c);
+    EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
 }
 
 TEST(SoaDiff, PreemptSwapRestore)
 {
-    DiffCase c;
+    DiffCase c = pressureCase(KvPreemptPolicy::SwapRestore);
     c.name = "KV preemption, swap-restore policy";
-    c.opt.maxRlp = 24;
-    c.opt.preemptOnKvPressure = true;
-    c.opt.preemptPolicy = KvPreemptPolicy::SwapRestore;
     c.opt.kvSwapGBps = 32.0;
-    c.cat = llm::TraceCategory::CreativeWriting;
-    c.poolTokens = 2048;
-    c.opt.maxRlp = 12;
-    c.rateRps = 300.0;
-    c.count = 24;
-    c.streamSeed = 11;
-    const ServingResult r = runLockstep(c);
-    EXPECT_GT(r.preemptions, 0u) << "case exercised no evictions";
+    const DiffOutput r = runLockstep(c);
+    EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
 }
 
 TEST(SoaDiff, PreemptChunkedRecompute)
 {
-    DiffCase c;
+    DiffCase c = pressureCase(KvPreemptPolicy::Recompute);
     c.name = "chunked prefill + recompute preemption";
-    c.opt.maxRlp = 24;
     c.opt.prefillChunkTokens = 128;
-    c.opt.preemptOnKvPressure = true;
-    c.opt.preemptPolicy = KvPreemptPolicy::Recompute;
-    c.cat = llm::TraceCategory::CreativeWriting;
-    c.poolTokens = 2048;
-    c.opt.maxRlp = 12;
-    c.rateRps = 300.0;
-    c.count = 24;
-    c.streamSeed = 11;
-    const ServingResult r = runLockstep(c);
-    EXPECT_GT(r.preemptions, 0u) << "case exercised no evictions";
+    const DiffOutput r = runLockstep(c);
+    EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
 }
 
-TEST(SoaDiff, PrefillRole)
+/** The disaggregated prefill-pool cell; its handoffs feed the
+ *  decode-pool cell. */
+DiffCase
+prefillRoleCase()
 {
     DiffCase c;
     c.name = "disaggregated prefill pool, chunked";
     c.opt.maxRlp = 16;
     c.opt.role = ServingRole::Prefill;
     c.opt.prefillChunkTokens = 256;
-    const ServingResult r = runLockstep(c);
-    EXPECT_GT(r.handoffs, 0u) << "case exercised no handoffs";
+    return c;
+}
+
+TEST(SoaDiff, PrefillRole)
+{
+    const DiffOutput r = runLockstep(prefillRoleCase());
+    EXPECT_GT(r.result.handoffs, 0u) << "case exercised no handoffs";
+}
+
+TEST(SoaDiff, DecodeRole)
+{
+    const DiffOutput prefill = runLockstep(prefillRoleCase());
+    ASSERT_GT(prefill.handoffs.size(), 0u);
+    for (const bool on_demand : {false, true}) {
+        DiffCase c;
+        c.name = on_demand ? "decode pool, on-demand KV"
+                           : "decode pool, reserved KV";
+        c.opt.maxRlp = 16;
+        c.opt.role = ServingRole::Decode;
+        c.opt.preemptOnKvPressure = on_demand;
+        c.poolTokens = on_demand ? 8192 : 0;
+        c.prefilled = prefill.handoffs;
+        const DiffOutput r = runLockstep(c);
+        // Every migrated request was admitted and decoded here, with
+        // no prefill charged.
+        EXPECT_EQ(r.result.admissions, prefill.handoffs.size());
+        EXPECT_GT(r.result.tokensGenerated, 0u);
+        EXPECT_EQ(r.breakdown.prefillSeconds, 0.0);
+    }
 }
 
 TEST(SoaDiff, DeadlineShedding)
@@ -326,8 +313,8 @@ TEST(SoaDiff, DeadlineShedding)
     c.opt.deadlineSeconds = 0.8;
     c.rateRps = 300.0;
     c.count = 64;
-    const ServingResult r = runLockstep(c);
-    EXPECT_GT(r.shedRequests, 0u) << "case exercised no shedding";
+    const DiffOutput r = runLockstep(c);
+    EXPECT_GT(r.result.shedRequests, 0u) << "case exercised no shedding";
 }
 
 TEST(SoaDiff, StaticBatch)
@@ -342,6 +329,52 @@ TEST(SoaDiff, StaticBatch)
     c.rateRps = 1e9; // everything effectively arrives together
     c.count = 16;
     runLockstep(c);
+}
+
+TEST(SoaDiff, CrashWithParkedRequests)
+{
+    // Crash once three preempted requests are parked, then restart
+    // and retry the harvest. The harvest lists parked requests in
+    // eviction order, which here differs from their resume order
+    // (oldest arrival first).
+    for (const KvPreemptPolicy policy :
+         {KvPreemptPolicy::Recompute, KvPreemptPolicy::SwapRestore}) {
+        DiffCase c = pressureCase(policy);
+        c.name = policy == KvPreemptPolicy::Recompute
+                     ? "crash with parked requests, recompute"
+                     : "crash with parked requests, swap-restore";
+        c.crashAtParked = 3;
+        const DiffOutput r = runLockstep(c);
+        ASSERT_GE(r.parked.size(), 3u) << "case never crashed";
+        EXPECT_FALSE(std::is_sorted(
+            r.parked.begin(), r.parked.end(),
+            [](const LostRequest &x, const LostRequest &y) {
+                return std::pair(x.request.arrivalSeconds,
+                                 x.request.request.id) <
+                       std::pair(y.request.arrivalSeconds,
+                                 y.request.request.id);
+            }))
+            << "the parked requests were evicted in resume order";
+        EXPECT_GT(r.lost, r.parked.size());
+        // Every request retires once, the retried ones included.
+        EXPECT_EQ(r.served, c.count);
+    }
+}
+
+TEST(SoaDiff, TensorParallelMonolithic)
+{
+    DiffCase c;
+    c.name = "tensor-parallel degree 4 over NVLink, monolithic";
+    c.opt.maxRlp = 16;
+    c.tpDegree = 4;
+    const DiffOutput r = runLockstep(c);
+    DiffCase single = c;
+    single.tpDegree = 1;
+    const DiffOutput s = runLockstep(single);
+    // The group divides kernel time and pays all-reduces, which the
+    // breakdown books as communication.
+    EXPECT_NE(r.result.makespanSeconds, s.result.makespanSeconds);
+    EXPECT_GT(r.breakdown.commSeconds, s.breakdown.commSeconds);
 }
 
 TEST(SoaDiff, MaxBatchUniformDecodeEpisodes)
@@ -369,9 +402,9 @@ TEST(SoaDiff, MaxBatchUniformDecodeEpisodes)
         tr.arrivalSeconds = 0.0;
         c.requests.push_back(tr);
     }
-    const ServingResult r = runLockstep(c);
-    EXPECT_EQ(r.tokensGenerated, 2u * 512u * 688u);
-    EXPECT_EQ(r.admissions, 2u * 512u);
+    const DiffOutput r = runLockstep(c);
+    EXPECT_EQ(r.result.tokensGenerated, 2u * 512u * 688u);
+    EXPECT_EQ(r.result.admissions, 2u * 512u);
 }
 
 TEST(SoaDiff, SeededGridFuzz)
