@@ -198,16 +198,8 @@ ServingSim::crash(double when)
     // migrated-in, queued) so retry schedules are deterministic.
     for (std::size_t i = 0; i < _batch.size(); ++i) {
         LostRequest l;
-        l.request.request.id = _batch.id[i];
-        l.request.request.inputLen = _batch.inputLen[i];
-        l.request.request.outputLen = _batch.outputLen[i];
+        l.request = timedRequest(i);
         l.request.request.generated = 0;
-        l.request.request.prefixKey = _batch.prefixKey[i];
-        l.request.request.prefixTokens = _batch.prefixTokens[i];
-        l.request.request.insertKey = _batch.insertKey[i];
-        l.request.request.insertTokens = _batch.insertTokens[i];
-        l.request.arrivalSeconds = _batch.arrivalSeconds[i];
-        l.request.sessionId = _batch.sessionId[i];
         l.admitted = true;
         l.generatedLost = _batch.generated[i];
         l.prefillLostTokens =
@@ -284,15 +276,31 @@ ServingSim::restartAt(double when)
     _now = std::max(_now, when);
 }
 
+llm::TimedRequest
+ServingSim::timedRequest(std::size_t i) const
+{
+    llm::TimedRequest tr;
+    tr.request.id = _batch.id[i];
+    tr.request.inputLen = _batch.inputLen[i];
+    tr.request.outputLen = _batch.outputLen[i];
+    tr.request.generated = _batch.generated[i];
+    tr.request.prefixKey = _batch.prefixKey[i];
+    tr.request.prefixTokens = _batch.prefixTokens[i];
+    tr.request.insertKey = _batch.insertKey[i];
+    tr.request.insertTokens = _batch.insertTokens[i];
+    tr.arrivalSeconds = _batch.arrivalSeconds[i];
+    tr.sessionId = _batch.sessionId[i];
+    return tr;
+}
+
 void
 ServingSim::handoffPrefilled(std::size_t i)
 {
     HandoffRecord h;
-    h.request.request.id = _batch.id[i];
-    h.request.request.inputLen = _batch.inputLen[i];
-    h.request.request.outputLen = _batch.outputLen[i];
-    h.request.request.generated = _batch.generated[i];
-    h.request.arrivalSeconds = _batch.arrivalSeconds[i];
+    // The session and prefix identity travel with the request, so a
+    // decode-side crash harvest or a transfer fallback retries it
+    // with its routing affinity and prefix reuse intact.
+    h.request = timedRequest(i);
     h.readySeconds = _now;
     h.kvTokens = _batch.contextLen(i);
     const llm::KvExport kv = _kv.exportRequest(kvHandle(i));
@@ -1489,8 +1497,11 @@ ServingSim::finish()
             sum += l;
         _out.meanLatencySeconds =
             sum / static_cast<double>(_latencies.size());
-        std::sort(_latencies.begin(), _latencies.end());
-        _out.p95LatencySeconds = percentileSorted(_latencies, 0.95);
+        // Sort a copy: the mean above sums in retirement order, and
+        // a second finish() must sum the same order again.
+        std::vector<double> sorted = _latencies;
+        std::sort(sorted.begin(), sorted.end());
+        _out.p95LatencySeconds = percentileSorted(sorted, 0.95);
     }
     return _out;
 }

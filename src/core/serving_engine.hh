@@ -697,7 +697,8 @@ class ServingSim
      */
     std::uint32_t admit();
 
-    /** Finalize and return the aggregate result. */
+    /** Finalize and return the aggregate result. Idempotent: a
+     *  second call returns the same bits. */
     ServingResult finish();
 
     /** Timelines of retired requests, in completion order. With
@@ -893,6 +894,11 @@ class ServingSim
         double readySeconds = 0.0;  ///< KV landed here (transfer end).
         std::uint64_t kvTokens = 0; ///< Migrated context tokens.
     };
+
+    /** Batch element @p i as a delivered request: identity,
+     *  lengths, generation progress, prefix keys, arrival and
+     *  session. */
+    llm::TimedRequest timedRequest(std::size_t i) const;
 
     /** Retire batch element @p i into the handoff queue (Prefill
      *  role): snapshot and release its KV blocks, record the

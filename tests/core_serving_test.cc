@@ -190,6 +190,44 @@ TEST_F(ServingTest, BatchTimeoutBoundsFirstStart)
     EXPECT_GT(slow.meanLatencySeconds, fast.meanLatencySeconds);
 }
 
+/**
+ * finish() is idempotent: a second call returns the same bits, on an
+ * unbounded run, on a run capped above its request count and on one
+ * whose record buffer overflowed. The latency mean sums in retirement
+ * order; sorting the samples in place would make a second call sum
+ * them in sorted order and move the mean's last bits.
+ */
+TEST_F(ServingTest, FinishTwiceReturnsTheSameBits)
+{
+    Platform papi(makePapiConfig());
+    for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+        const auto reqs = stream(100.0, 48, seed);
+        for (const std::uint64_t cap : {0, 4096, 16}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", cap " +
+                         std::to_string(cap));
+            ServingOptions opt;
+            opt.maxRlp = 16;
+            opt.recordCapacity = cap;
+            ServingSim sim(papi, serial, model, opt);
+            for (const auto &tr : reqs)
+                sim.deliver(tr);
+            while (sim.canStep())
+                sim.step();
+            const ServingResult a = sim.finish();
+            const ServingResult b = sim.finish();
+            EXPECT_EQ(sim.streamStats().overflowed, cap == 16);
+            EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
+            EXPECT_EQ(a.p95LatencySeconds, b.p95LatencySeconds);
+            EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
+            EXPECT_EQ(a.energyJoules, b.energyJoules);
+            EXPECT_EQ(a.meanRlp, b.meanRlp);
+            EXPECT_EQ(a.peakKvUtilization, b.peakKvUtilization);
+            EXPECT_EQ(a.tokensGenerated, b.tokensGenerated);
+            EXPECT_EQ(a.iterations, b.iterations);
+        }
+    }
+}
+
 TEST(Arrival, PoissonStreamIsSortedAndDeterministic)
 {
     llm::ArrivalProcess a(llm::TraceCategory::GeneralQa, 100.0, 3);

@@ -616,8 +616,8 @@ class ServingModel
     }
 
     /** Prefill role: finished prompts leave for the decode pool, minus
-     *  the whole cached blocks it holds. The record keeps ids, lengths
-     *  and arrival, not prefix keys or session. */
+     *  the whole cached blocks it holds. The record keeps the whole
+     *  request, its arrival and its session. */
     void handoffCompletedPrefills()
     {
         std::vector<ActiveSnapshot> kept;
@@ -626,10 +626,8 @@ class ServingModel
                 kept.push_back(a);
                 continue;
             }
-            const llm::Request r{a.request.id, a.request.inputLen,
-                                 a.request.outputLen, a.request.generated};
-            HandoffRecord h{{r, a.arrivalSeconds}, _now,
-                            a.request.contextLen()};
+            HandoffRecord h{{a.request, a.arrivalSeconds, a.sessionId},
+                            _now, a.request.contextLen()};
             const llm::KvExport kv = _kv.exportRequest(handle(a));
             h.kvBlocks = kv.blocks;
             h.kvBytes = kv.bytes;

@@ -337,6 +337,72 @@ TEST(ServingPrefix, HandoffShrinksByHitBlocks)
 }
 
 /**
+ * A handoff carries the request's session and prefix identity. A
+ * Decode-role replica that crashes, and one that recomputes a request
+ * after its transfer fell back, hand the retry layer the five fields
+ * the request arrived with, so session affinity and prefix reuse
+ * survive the retry.
+ */
+TEST(ServingPrefix, HandoffKeepsSessionAndPrefixIdentity)
+{
+    const auto reqs =
+        stream(llm::TraceCategory::AgenticLoop, 150.0, 24, 29);
+    ServingOptions opt;
+    opt.maxRlp = 16;
+    opt.role = ServingRole::Prefill;
+    opt.prefillChunkTokens = 128;
+    opt.prefixCacheEnabled = true;
+    const RunOutput prefill = runSim(opt, reqs);
+    ASSERT_EQ(prefill.handoffs.size(), reqs.size());
+
+    std::map<std::uint64_t, const llm::TimedRequest *> arrived;
+    for (const auto &tr : reqs)
+        arrived[tr.request.id] = &tr;
+    const auto expect_identity = [&](const llm::TimedRequest &got) {
+        SCOPED_TRACE("request " + std::to_string(got.request.id));
+        const llm::TimedRequest &want = *arrived.at(got.request.id);
+        EXPECT_EQ(got.sessionId, want.sessionId);
+        EXPECT_EQ(got.request.prefixKey, want.request.prefixKey);
+        EXPECT_EQ(got.request.prefixTokens, want.request.prefixTokens);
+        EXPECT_EQ(got.request.insertKey, want.request.insertKey);
+        EXPECT_EQ(got.request.insertTokens, want.request.insertTokens);
+    };
+    std::uint64_t keyed = 0;
+    for (const HandoffRecord &h : prefill.handoffs) {
+        expect_identity(h.request);
+        keyed += h.request.request.prefixKey != 0 ? 1 : 0;
+    }
+    EXPECT_GT(keyed, 0u) << "the trace carried no prefix keys";
+
+    const PlatformConfig cfg = makePapiConfig();
+    Platform papi(cfg);
+    const llm::ModelConfig model = llm::llama65b();
+    for (const bool fallback : {false, true}) {
+        SCOPED_TRACE(fallback ? "transfer fallback, recomputed"
+                              : "migrated KV");
+        ServingOptions dopt;
+        dopt.maxRlp = 8;
+        dopt.role = ServingRole::Decode;
+        dopt.prefixCacheEnabled = true;
+        ServingSim decode(papi, {}, model, dopt);
+        for (const HandoffRecord &h : prefill.handoffs) {
+            if (fallback)
+                decode.redeliver(h.request, h.readySeconds);
+            else
+                decode.deliverPrefilled(h.request, h.readySeconds,
+                                        h.kvTokens);
+        }
+        for (int i = 0; i < 4 && decode.canStep(); ++i)
+            decode.step();
+        ASSERT_TRUE(decode.hasActive());
+        const std::vector<LostRequest> lost = decode.crash(decode.now());
+        ASSERT_EQ(lost.size(), reqs.size() - decode.records().size());
+        for (const LostRequest &l : lost)
+            expect_identity(l.request);
+    }
+}
+
+/**
  * Evict-before-preempt: under KV pressure the engine reclaims
  * cached prefix blocks (visible as prefixEvictedBytes) and the run
  * completes deterministically.
