@@ -343,6 +343,7 @@ ClusterEngine::runImpl(
         out.prefixHitTokens += r.prefixHitTokens;
         out.prefixMissTokens += r.prefixMissTokens;
         out.prefixEvictedBytes += r.prefixEvictedBytes;
+        out.work += r.work;
         out.perGroup.push_back(std::move(r));
         t_end = std::max(t_end, sims[g]->now());
         // servedCount() stays exact past the record cap; records

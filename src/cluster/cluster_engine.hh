@@ -252,6 +252,10 @@ struct ClusterResult
     /** Cached bytes evicted under KV pressure (LRU reclaim). */
     std::uint64_t prefixEvictedBytes = 0;
 
+    /** Work counters summed over replicas (not simulated results;
+     *  see core::WorkCounters). */
+    core::WorkCounters work;
+
     /**
      * True when at least one replica overflowed
      * ClusterOptions::recordCapacity: the latency aggregates above

@@ -1363,8 +1363,9 @@ ServingSim::growGathered()
 }
 
 std::uint64_t
-ServingSim::worstGrowthBlocks() const
+ServingSim::worstGrowthBlocks()
 {
+    ++_out.work.kvExactHeadroomSums;
     // Pure array arithmetic against the kvBlocks mirror column - no
     // per-id hash lookups (kvBlocks[i] == _kv.requestBlocks(id[i])
     // by construction). A request still prefilling grows by its next
@@ -1481,6 +1482,8 @@ ServingSim::finish()
                        ? _rlpTimeIntegral / _busySeconds
                        : 0.0;
     _out.prefixEvictedBytes = _kv.prefixEvictedBytes();
+    _out.work.kvGrowCalls = _kv.growCalls();
+    _out.work.kvBlocksGrown = _kv.blocksGrown();
 
     if (_bounded && _stream.overflowed) {
         // The record buffer capped out: the retained latencies are a

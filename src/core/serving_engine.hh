@@ -238,6 +238,35 @@ struct IterationTrace
     double iterationSeconds = 0.0; ///< Wall time of the iteration.
 };
 
+/**
+ * Deterministic work counters of a run: plain integers counted where
+ * the work happens, so a layer claim rests on counts rather than on
+ * wall-clock time. Perf changes are meant to move them, so they stay
+ * out of every identity check (result comparisons, the FNV goldens,
+ * the output digests).
+ */
+struct WorkCounters
+{
+    /** llm::KvCacheManager::grow calls, growMany elements included
+     *  (admissions excluded). */
+    std::uint64_t kvGrowCalls = 0;
+    /** KV blocks those grow calls allocated. */
+    std::uint64_t kvBlocksGrown = 0;
+    /** Exact worst-case KV growth sums over the batch (on-demand
+     *  headroom checks the O(1) bound could not settle). */
+    std::uint64_t kvExactHeadroomSums = 0;
+
+    /** Add @p o's counts (cluster sums over replicas). */
+    WorkCounters &
+    operator+=(const WorkCounters &o)
+    {
+        kvGrowCalls += o.kvGrowCalls;
+        kvBlocksGrown += o.kvBlocksGrown;
+        kvExactHeadroomSums += o.kvExactHeadroomSums;
+        return *this;
+    }
+};
+
 /** Outcome of a serving run. */
 struct ServingResult
 {
@@ -309,6 +338,8 @@ struct ServingResult
      * sequences).
      */
     std::vector<std::uint64_t> evictionOrder;
+    /** Work counters (not simulated results; see WorkCounters). */
+    WorkCounters work;
 
     /** Simulated decode throughput over the run's makespan. */
     double
@@ -861,7 +892,7 @@ class ServingSim
      * beyond current holdings, and the evict-youngest loop that
      * restores headroom (records eviction order and stats).
      */
-    std::uint64_t worstGrowthBlocks() const;
+    std::uint64_t worstGrowthBlocks();
     void ensureKvHeadroom();
     /** Evict the youngest-admitted active request. */
     void preemptYoungest();

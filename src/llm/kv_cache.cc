@@ -224,7 +224,12 @@ KvCacheManager::admit(std::uint64_t id, std::uint64_t initial_tokens)
 std::uint64_t
 KvCacheManager::grow(KvHandle h, std::uint64_t new_tokens)
 {
-    return growState(h.id, _slots[slotOf(h)].state, new_tokens);
+    RequestState &state = _slots[slotOf(h)].state;
+    const std::uint64_t held = state.blocks;
+    ++_growCalls;
+    growState(h.id, state, new_tokens);
+    _blocksGrown += state.blocks - held;
+    return state.blocks;
 }
 
 void
@@ -234,10 +239,13 @@ KvCacheManager::growMany(const std::uint32_t *slots,
                          std::uint64_t *blocks_out, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t slot = slotOf(KvHandle{ids[i], slots[i]});
-        blocks_out[i] =
-            growState(ids[i], _slots[slot].state, new_tokens[i]);
+        RequestState &state =
+            _slots[slotOf(KvHandle{ids[i], slots[i]})].state;
+        const std::uint64_t held = state.blocks;
+        blocks_out[i] = growState(ids[i], state, new_tokens[i]);
+        _blocksGrown += blocks_out[i] - held;
     }
+    _growCalls += n;
 }
 
 std::uint64_t

@@ -223,6 +223,13 @@ class KvCacheManager
     /** Live request count. */
     std::uint64_t liveRequests() const { return _requests.size(); }
 
+    /** Work counter: grow() calls plus growMany() elements so far
+     *  (admit() excluded). */
+    std::uint64_t growCalls() const { return _growCalls; }
+
+    /** Work counter: blocks those grow calls allocated. */
+    std::uint64_t blocksGrown() const { return _blocksGrown; }
+
     /** Current occupancy snapshot. */
     KvOccupancy occupancy() const;
 
@@ -388,6 +395,8 @@ class KvCacheManager
     std::uint64_t _blocksPerDevice;
     std::uint64_t _usedTotal = 0;
     std::vector<std::uint64_t> _usedPerDevice;
+    std::uint64_t _growCalls = 0;   ///< See growCalls().
+    std::uint64_t _blocksGrown = 0; ///< See blocksGrown().
     /** "No pick" sentinel: the levels moved, rescan on next use. */
     static constexpr std::uint32_t kNoPick = 0xffffffffu;
     /** Device the next small-grow block goes to (scanLeastUsed()'s

@@ -264,6 +264,79 @@ TEST(SoaDiff, PreemptChunkedRecompute)
     EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
 }
 
+/** The benchmark's spec-decode mode: long creative-writing decodes
+ *  with speculation 4, 64-token chunked prefill and on-demand KV at
+ *  maxRlp 32. @p pool_tokens 0 keeps the platform's own pool. */
+DiffCase
+specDecodeCase(std::uint64_t pool_tokens, KvPreemptPolicy policy)
+{
+    DiffCase c;
+    c.cat = llm::TraceCategory::CreativeWriting;
+    c.opt.maxRlp = 32;
+    c.opt.prefillChunkTokens = 64;
+    c.opt.preemptOnKvPressure = true;
+    c.opt.preemptPolicy = policy;
+    c.spec.length = 4;
+    c.spec.acceptanceRate = 0.7;
+    c.poolTokens = pool_tokens;
+    c.rateRps = 200.0;
+    c.count = 64;
+    c.streamSeed = 17;
+    return c;
+}
+
+/** specDecodeCase's stream behind four shared 32-token system
+ *  prompts, for the prefix-cache cell. */
+std::vector<llm::TimedRequest>
+keyedSpecDecodeStream(const DiffCase &c)
+{
+    std::vector<llm::TimedRequest> reqs =
+        stream(c.cat, c.rateRps, c.count, c.streamSeed);
+    for (llm::TimedRequest &tr : reqs) {
+        llm::Request &r = tr.request;
+        r.prefixKey = 1 + r.id % 4;
+        r.prefixTokens = std::min<std::uint32_t>(32, r.inputLen);
+        r.insertKey = r.prefixKey;
+        r.insertTokens = r.prefixTokens;
+    }
+    return reqs;
+}
+
+TEST(SoaDiff, SpecDecodeChunkedOnDemand)
+{
+    {
+        DiffCase c = specDecodeCase(0, KvPreemptPolicy::Recompute);
+        c.name = "spec-decode, platform pool";
+        const DiffOutput r = runLockstep(c);
+        EXPECT_EQ(r.result.preemptions, 0u);
+        EXPECT_EQ(r.served, c.count);
+    }
+    // A tight pool evicts, under both preemption policies.
+    for (const KvPreemptPolicy policy :
+         {KvPreemptPolicy::Recompute, KvPreemptPolicy::SwapRestore}) {
+        DiffCase c = specDecodeCase(4096, policy);
+        c.name = policy == KvPreemptPolicy::Recompute
+                     ? "spec-decode, tight pool, recompute"
+                     : "spec-decode, tight pool, swap-restore";
+        const DiffOutput r = runLockstep(c);
+        EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
+        EXPECT_EQ(r.served, c.count);
+    }
+    // The prefix cache on, in the tight pool: hits, cache evictions
+    // and preemptions all happen.
+    {
+        DiffCase c = specDecodeCase(4096, KvPreemptPolicy::Recompute);
+        c.name = "spec-decode, tight pool, prefix cache";
+        c.opt.prefixCacheEnabled = true;
+        c.requests = keyedSpecDecodeStream(c);
+        const DiffOutput r = runLockstep(c);
+        EXPECT_GT(r.result.prefixHits, 0u);
+        EXPECT_GT(r.result.prefixEvictedBytes, 0u);
+        EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
+        EXPECT_EQ(r.served, c.count);
+    }
+}
+
 /** The disaggregated prefill-pool cell; its handoffs feed the
  *  decode-pool cell. */
 DiffCase
