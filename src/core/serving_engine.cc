@@ -93,6 +93,8 @@ ServingSim::ServingSim(const Platform &platform,
                    "serving-path features; static-batch (decode) "
                    "runs admit the whole batch once");
     _kvBlockTokens = _kv.blockTokens();
+    _kvGrowthBound = _kv.blocksForTokens(std::max<std::uint32_t>(
+        _spec.length, _options.prefillChunkTokens));
     _prefillLens.reserve(options.maxRlp);
     _hitPrior.reserve(options.maxRlp);
     _hitNow.reserve(options.maxRlp);
@@ -164,6 +166,11 @@ ServingSim::deliverPrefilled(const llm::TimedRequest &request,
         sim::fatal("ServingSim: a prefill-pool replica cannot "
                    "accept migrated KV (request ",
                    request.request.id, ")");
+    if (kv_tokens < request.request.contextLen())
+        sim::fatal("ServingSim: migrated KV of request ",
+                   request.request.id, " (", kv_tokens,
+                   " tokens) does not cover its context (",
+                   request.request.contextLen(), " tokens)");
     if (_anchored && ready_seconds < _lastDelivered)
         sim::fatal("ServingSim: deliveries must be time-ordered");
     if (!_anchored) {
@@ -438,7 +445,8 @@ ServingSim::admit()
         // Cached prefix blocks are reclaimable headroom (evicted
         // before any preemption); with the cache empty this is the
         // pre-cache freeBlocks() check bit-for-bit.
-        if (_kv.availableBlocks() < reserve + worstGrowthBlocks())
+        if (!growthBoundFits(reserve) &&
+            _kv.availableBlocks() < reserve + worstGrowthBlocks())
             break;
         ActiveSnapshot a = pr.state;
         a.admitSeq = _admitSeqNext++;
@@ -511,8 +519,8 @@ ServingSim::admit()
             // force an eviction by itself).
             const std::uint64_t reserve = _kv.blocksForTokens(
                 pp.kvTokens + _spec.length);
-            if (_kv.availableBlocks() <
-                reserve + worstGrowthBlocks())
+            if (!growthBoundFits(reserve) &&
+                _kv.availableBlocks() < reserve + worstGrowthBlocks())
                 break;
             kv = _kv.admit(req.id, pp.kvTokens);
         }
@@ -572,8 +580,9 @@ ServingSim::admit()
                     std::max<std::uint32_t>(
                         _spec.length,
                         _options.prefillChunkTokens));
-                if (_kv.availableBlocks() <
-                    reserve + worstGrowthBlocks())
+                if (!growthBoundFits(reserve) &&
+                    _kv.availableBlocks() <
+                        reserve + worstGrowthBlocks())
                     break;
                 // Chunked mode materializes the cached span right
                 // away (its prefill is skipped, so no later chunk
@@ -1224,15 +1233,17 @@ ServingSim::stepDecode()
         eos = advanceAndRetire(_spec.sampleAccepted(_rng));
         if (_preempt) {
             // On-demand accounting: materialize the tokens this
-            // iteration appended (one bulk grow, ascending batch
-            // order - the same allocation sequence as per-request
-            // calls).
+            // iteration appended. Only requests crossing into a new
+            // block grow (one bulk grow, ascending batch order - the
+            // allocation sequence of per-request calls, which
+            // allocate nothing for the others).
             clearGrowScratch();
             for (std::size_t i = 0; i < _batch.size(); ++i) {
                 const std::uint32_t ctx = _batch.contextLen(i);
                 if (ctx > _batch.kvTokens[i]) {
                     _batch.kvTokens[i] = ctx;
-                    gatherGrow(i, ctx);
+                    if (crossesBlock(i))
+                        gatherGrow(i, ctx);
                 }
             }
             growGathered();
@@ -1247,9 +1258,10 @@ ServingSim::stepDecode()
         for (std::size_t i = 0; i < n; ++i)
             _decoding[i] = _batch.prefillRemaining[i] == 0;
 
-        // Prefill progress; materialize the chunk's KV (one bulk
-        // grow in ascending batch order - the same allocation
-        // sequence as per-request calls).
+        // Prefill progress; materialize the chunk's KV for requests
+        // crossing into a new block (one bulk grow in ascending
+        // batch order - the same allocation sequence as per-request
+        // calls).
         if (plan.chunkTokens > 0) {
             clearGrowScratch();
             for (std::size_t i = 0; i < n; ++i) {
@@ -1258,8 +1270,8 @@ ServingSim::stepDecode()
                 _batch.prefillRemaining[i] -= _chunkPlan[i];
                 if (_preempt) {
                     _batch.kvTokens[i] += _chunkPlan[i];
-                    gatherGrow(i, std::max<std::uint32_t>(
-                                      _batch.kvTokens[i], 1));
+                    if (crossesBlock(i))
+                        gatherGrow(i, _batch.kvTokens[i]);
                 }
             }
             growGathered();
@@ -1267,39 +1279,40 @@ ServingSim::stepDecode()
 
         // Advance the decoders; requests still prefilling produce
         // no tokens this iteration (their TTFT reflects the chunk
-        // delay).
+        // delay). A decoder crossing into a new block grows before
+        // any later request retires; survivors compact from the
+        // first retirement on.
         const std::uint32_t accepted =
             plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
         std::size_t w = 0;
         for (std::size_t r = 0; r < n; ++r) {
-            if (!_decoding[r]) {
+            if (_decoding[r]) {
+                const std::uint32_t rem =
+                    _batch.outputLen[r] - _batch.generated[r];
+                const std::uint32_t used = std::min(accepted, rem);
+                _batch.generated[r] += used;
+                _out.tokensGenerated += used;
+                if (used > 0 && _batch.firstTokenSeen[r] == 0) {
+                    _batch.firstTokenSeconds[r] = _now;
+                    _batch.firstTokenSeen[r] = 1;
+                }
+                if (_preempt && used > 0) {
+                    _batch.kvTokens[r] += used;
+                    if (crossesBlock(r))
+                        _batch.kvBlocks[r] =
+                            _kv.grow(kvHandle(r), _batch.kvTokens[r]);
+                }
+                if (_batch.generated[r] >= _batch.outputLen[r]) {
+                    recordRetirementAt(r);
+                    _kv.release(kvHandle(r));
+                    publishPrefix(r);
+                    ++eos;
+                    continue;
+                }
+            }
+            if (w != r)
                 _batch.moveTo(w, r);
-                ++w;
-                continue;
-            }
-            const std::uint32_t rem =
-                _batch.outputLen[r] - _batch.generated[r];
-            const std::uint32_t used = std::min(accepted, rem);
-            _batch.generated[r] += used;
-            _out.tokensGenerated += used;
-            if (used > 0 && _batch.firstTokenSeen[r] == 0) {
-                _batch.firstTokenSeconds[r] = _now;
-                _batch.firstTokenSeen[r] = 1;
-            }
-            if (_preempt && used > 0) {
-                _batch.kvTokens[r] += used;
-                _batch.kvBlocks[r] =
-                    _kv.grow(kvHandle(r), _batch.kvTokens[r]);
-            }
-            if (_batch.generated[r] >= _batch.outputLen[r]) {
-                recordRetirementAt(r);
-                _kv.release(kvHandle(r));
-                publishPrefix(r);
-                ++eos;
-            } else {
-                _batch.moveTo(w, r);
-                ++w;
-            }
+            ++w;
         }
         _batch.truncate(w);
         _steadyValid = false;
@@ -1444,10 +1457,10 @@ ServingSim::ensureKvHeadroom()
     // availableBlocks() counts cached-prefix blocks as reclaimable
     // headroom: eviction happens lazily inside KvCacheManager's
     // growth path, so the cache is always sacrificed before any
-    // live request is preempted (evict-before-preempt). The batch's
-    // growth is summed once, and again only after a preemption
-    // changed the batch.
-    if (_batch.empty())
+    // live request is preempted (evict-before-preempt). When the
+    // O(1) bound cannot settle it, the batch's growth is summed
+    // once, and again only after a preemption changed the batch.
+    if (_batch.empty() || growthBoundFits(0))
         return;
     std::uint64_t need = worstGrowthBlocks();
     while (_batch.size() > 1 && need > _kv.availableBlocks()) {

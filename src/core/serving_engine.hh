@@ -614,7 +614,8 @@ class ServingSim
      * The request's own arrivalSeconds keeps its original value so
      * latency records span the whole disaggregated pipeline;
      * admission eligibility and delivery ordering use
-     * @p ready_seconds. Fatal on Prefill-role replicas.
+     * @p ready_seconds. Fatal on Prefill-role replicas, and when
+     * @p kv_tokens does not cover the request's context.
      */
     void deliverPrefilled(const llm::TimedRequest &request,
                           double ready_seconds,
@@ -889,11 +890,64 @@ class ServingSim
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
-     * beyond current holdings, and the evict-youngest loop that
-     * restores headroom (records eviction order and stats).
+     * beyond current holdings (an exact O(n) sum, counted in
+     * WorkCounters::kvExactHeadroomSums), and the evict-youngest
+     * loop that restores headroom (records eviction order and
+     * stats).
      */
     std::uint64_t worstGrowthBlocks();
     void ensureKvHeadroom();
+
+    /**
+     * O(1) headroom test: true if the next iteration's growth plus
+     * @p reserve blocks surely fits availableBlocks(), because no
+     * live request grows by more than _kvGrowthBound =
+     * ceil(max(TLP, prefillChunkTokens) / B) blocks (B = block
+     * tokens). False means undecided: the caller sums
+     * worstGrowthBlocks() exactly.
+     *
+     * Proof of the bound in on-demand mode, with held = kvBlocks[i]:
+     *  (1) held * B >= kvTokens, and held >= 1. Every admission and
+     *      resume admits at least the kvTokens it records (fresh,
+     *      recomputed, swapped-in and migrated-in requests alike;
+     *      admit() holds at least one block), and every site that
+     *      raises kvTokens grows the request when kvTokens passes
+     *      held * B (crossesBlock).
+     *  (2) A decoder's kvTokens is at least its context. It starts
+     *      decoding with kvTokens == contextLen: a monolithic
+     *      admission or recompute resume records the whole context,
+     *      a chunked one reaches it with its last chunk (kvTokens ==
+     *      contextLen - prefillRemaining while it prefills), and a
+     *      swap-restored decoder was evicted after its iteration's
+     *      growth, when (2) held. A migrated-in request carries at
+     *      least its context (deliverPrefilled checks). Each
+     *      iteration adds the accepted tokens to both.
+     *  (3) worstGrowthBlocks() targets contextLen + min(TLP, rem)
+     *      <= kvTokens + TLP tokens for a decoder, and
+     *      max(kvTokens + chunk, 1) with chunk <= prefillChunkTokens
+     *      for a prefilling request. As ceil((a + d) / B) <=
+     *      ceil(a / B) + ceil(d / B), (1) leaves each request at most
+     *      ceil(d / B) <= _kvGrowthBound blocks short (the max(., 1)
+     *      costs nothing, as held >= 1).
+     * So the exact sum never exceeds size() * _kvGrowthBound.
+     */
+    bool
+    growthBoundFits(std::uint64_t reserve) const
+    {
+        const std::uint64_t avail = _kv.availableBlocks();
+        return reserve <= avail &&
+               _batch.size() * _kvGrowthBound <= avail - reserve;
+    }
+
+    /** True if batch element @p i's KV tokens outgrew the blocks it
+     *  holds: only such a request's grow allocates, so the others
+     *  skip the call. A multiply, not a division: it runs for every
+     *  decoder every iteration. */
+    bool
+    crossesBlock(std::size_t i) const
+    {
+        return _batch.kvTokens[i] > _batch.kvBlocks[i] * _kvBlockTokens;
+    }
     /** Evict the youngest-admitted active request. */
     void preemptYoungest();
 
@@ -1036,6 +1090,9 @@ class ServingSim
     /** _kv.blockTokens(), cached so the headroom gate's
      *  blocks-for-tokens arithmetic inlines into its array pass. */
     std::uint64_t _kvBlockTokens = 16;
+    /** Most blocks one live request can add in an iteration (see
+     *  growthBoundFits). */
+    std::uint64_t _kvGrowthBound = 1;
 
     /** Cached next-iteration plan (see refreshPlan). */
     mutable IterationPlan _plan;

@@ -254,19 +254,12 @@ KvCacheManager::requestBlocks(std::uint64_t id) const
     return _slots[slotOf(id)].state.blocks;
 }
 
-std::uint64_t
-KvCacheManager::requestTokens(std::uint64_t id) const
-{
-    return _slots[slotOf(id)].state.tokens;
-}
-
 KvExport
 KvCacheManager::exportRequest(KvHandle h)
 {
     const std::uint32_t slot = slotOf(h);
     const RequestState &state = _slots[slot].state;
     KvExport out;
-    out.tokens = state.tokens;
     out.blocks = state.blocks;
     out.bytes = state.blocks * _blockBytes;
     releaseSlot(slot);

@@ -32,7 +32,9 @@
  * records its request id, so a stale handle (its slot released,
  * perhaps reused) is fatal. The id -> slot map remains for the
  * duplicate-id check at admission (request ids come from traces)
- * and the read-only requestBlocks()/requestTokens() queries.
+ * and the read-only requestBlocks() query. Callers may skip a grow
+ * that crosses no block, so a request's token count is not kept
+ * exact and the manager exposes block counts only.
  * Used-block totals are maintained incrementally so freeBlocks() /
  * canAdmit() / utilization() are O(1) - these run inside the serving
  * simulator's per-iteration admission gate.
@@ -108,7 +110,6 @@ kvPoolBytesPerDevice(const ModelConfig &model, std::uint64_t tokens,
  */
 struct KvExport
 {
-    std::uint64_t tokens = 0; ///< Context tokens materialized.
     std::uint64_t blocks = 0; ///< Blocks held at export.
     std::uint64_t bytes = 0;  ///< blocks x blockBytes().
 };
@@ -180,7 +181,9 @@ class KvCacheManager
      * Grow @p h's context to @p new_tokens, allocating blocks as
      * needed (least-loaded device first). Fatal if the handle is
      * stale or the pool is exhausted - callers must gate admissions
-     * with canAdmit on the worst case.
+     * with canAdmit on the worst case. A grow that crosses no block
+     * (@p new_tokens <= blocks held x blockTokens()) allocates
+     * nothing, so callers may skip it.
      * @return Blocks held after the grow.
      */
     std::uint64_t grow(KvHandle h, std::uint64_t new_tokens);
@@ -207,16 +210,12 @@ class KvCacheManager
      *  not live). */
     std::uint64_t requestBlocks(std::uint64_t id) const;
 
-    /** Tokens currently materialized for request @p id (fatal if
-     *  the id is not live). */
-    std::uint64_t requestTokens(std::uint64_t id) const;
-
     /**
      * Export a live request's blocks for migration to another pool:
-     * snapshot its token/block/byte footprint, then release the
-     * blocks here (the transfer fabric buffers the data in flight).
-     * The destination pool admits the tokens. Fatal if the handle
-     * is stale.
+     * snapshot its block/byte footprint, then release the blocks
+     * here (the transfer fabric buffers the data in flight). The
+     * destination pool admits the request's context. Fatal if the
+     * handle is stale.
      */
     KvExport exportRequest(KvHandle h);
 
@@ -332,6 +331,9 @@ class KvCacheManager
   private:
     struct RequestState
     {
+        /** A prefix entry's cached span; for a request, the tokens
+         *  of its last grow (callers skip grows that cross no
+         *  block), kept only for the no-shrink check. */
         std::uint64_t tokens = 0;
         std::uint64_t blocks = 0;
         /** Blocks held per device index. */
@@ -406,8 +408,8 @@ class KvCacheManager
     // detlint: allow(unordered-decl): keyed find/emplace/erase by
     // request id only - the duplicate-id check in admit() (ids come
     // from traces), the erase at release, and the read-only
-    // requestBlocks()/requestTokens() queries (every mutator goes
-    // through KvHandle slots); size() feeds liveRequests()/
+    // requestBlocks() query (every mutator goes through KvHandle
+    // slots); size() feeds liveRequests()/
     // occupancy() as a scalar count. Never iterated - per-request
     // block placement order lives in the _slots vectors.
     std::unordered_map<std::uint64_t, std::uint32_t> _requests;

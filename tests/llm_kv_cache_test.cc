@@ -140,24 +140,21 @@ TEST_F(KvCacheTest, ExportImportMigratesBlocksAcrossPools)
     KvCacheManager dest(model, 4, 1ULL << 30, 16);
     const std::uint64_t before = mgr.freeBlocks();
     const KvHandle h{7, mgr.admit(7, 100).slot};
-    EXPECT_EQ(mgr.requestTokens(7), 100u);
     EXPECT_EQ(mgr.requestBlocks(7), mgr.blocksForTokens(100));
 
     KvExport x = mgr.exportRequest(h);
-    EXPECT_EQ(x.tokens, 100u);
     EXPECT_EQ(x.blocks, mgr.blocksForTokens(100));
     EXPECT_EQ(x.bytes, x.blocks * mgr.blockBytes());
     // Source pool fully freed; the id is gone.
     EXPECT_EQ(mgr.freeBlocks(), before);
     EXPECT_EQ(mgr.liveRequests(), 0u);
-    EXPECT_THROW(mgr.requestTokens(7), FatalError);
+    EXPECT_THROW(mgr.requestBlocks(7), FatalError);
 
-    const KvHandle d{7, dest.admit(7, x.tokens).slot};
-    EXPECT_EQ(dest.requestTokens(7), x.tokens);
+    const KvHandle d{7, dest.admit(7, 100).slot};
     EXPECT_EQ(dest.requestBlocks(7), x.blocks);
     // Imported requests grow like any other.
-    dest.grow(d, x.tokens + 64);
-    EXPECT_EQ(dest.requestTokens(7), x.tokens + 64);
+    dest.grow(d, 100 + 64);
+    EXPECT_EQ(dest.requestBlocks(7), dest.blocksForTokens(164));
     // Double-import of a live id is a ledger error, and so is a
     // second export through the spent handle.
     EXPECT_THROW(dest.admit(7, 10), FatalError);
@@ -571,10 +568,8 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
             ASSERT_EQ(mgr.prefixEntries(), ref.lru.size())
                 << "round " << round << ", op " << op;
             ASSERT_EQ(mgr.liveRequests(), ref.live.size());
-            for (const auto &[id, held] : ref.live) {
+            for (const auto &[id, held] : ref.live)
                 ASSERT_EQ(mgr.requestBlocks(id), held.blocks);
-                ASSERT_EQ(mgr.requestTokens(id), held.tokens);
-            }
         }
         evicted_bytes += mgr.prefixEvictedBytes();
     }

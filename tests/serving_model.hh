@@ -7,10 +7,13 @@
  * is a vector of ActiveSnapshot structs in admission order, one plan
  * function runs on every peek and every step, one decode step serves
  * every mode, and there is no memo, no steady-state algebra and no
- * bulk KV growth. It validates nothing: the tests drive ServingSim
- * with the same inputs first, and ServingSim keeps every check.
- * Platform, PhaseDispatcher and llm::KvCacheManager (through handles)
- * are shared with ServingSim.
+ * bulk KV growth. It grows every decoder's KV every iteration, where
+ * ServingSim grows only requests that cross into a new block, and it
+ * sums the worst-case growth for every headroom check, where
+ * ServingSim first tries an O(1) bound. It validates nothing: the
+ * tests drive ServingSim with the same inputs first, and ServingSim
+ * keeps every check. Platform, PhaseDispatcher and
+ * llm::KvCacheManager (through handles) are shared with ServingSim.
  *
  * Four rules are choices, not consequences of the features; the model
  * keeps them as ServingSim's comments state them:

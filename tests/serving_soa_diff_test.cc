@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_engine.hh"
 #include "cluster/tensor_parallel.hh"
 #include "core/serving_engine.hh"
 #include "llm/arrival.hh"
@@ -302,6 +303,16 @@ keyedSpecDecodeStream(const DiffCase &c)
     return reqs;
 }
 
+/** ServingSim grows KV only at block crossings, so each of its grow
+ *  calls allocates (the specification grows every decoder). */
+void
+expectGrowthAtCrossings(const DiffCase &c, const ServingResult &r)
+{
+    SCOPED_TRACE(c.name);
+    EXPECT_GT(r.work.kvGrowCalls, 0u);
+    EXPECT_LE(r.work.kvGrowCalls, r.work.kvBlocksGrown);
+}
+
 TEST(SoaDiff, SpecDecodeChunkedOnDemand)
 {
     {
@@ -310,6 +321,7 @@ TEST(SoaDiff, SpecDecodeChunkedOnDemand)
         const DiffOutput r = runLockstep(c);
         EXPECT_EQ(r.result.preemptions, 0u);
         EXPECT_EQ(r.served, c.count);
+        expectGrowthAtCrossings(c, r.result);
     }
     // A tight pool evicts, under both preemption policies.
     for (const KvPreemptPolicy policy :
@@ -321,6 +333,7 @@ TEST(SoaDiff, SpecDecodeChunkedOnDemand)
         const DiffOutput r = runLockstep(c);
         EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
         EXPECT_EQ(r.served, c.count);
+        expectGrowthAtCrossings(c, r.result);
     }
     // The prefix cache on, in the tight pool: hits, cache evictions
     // and preemptions all happen.
@@ -334,7 +347,70 @@ TEST(SoaDiff, SpecDecodeChunkedOnDemand)
         EXPECT_GT(r.result.prefixEvictedBytes, 0u);
         EXPECT_GT(r.result.preemptions, 0u) << "case exercised no evictions";
         EXPECT_EQ(r.served, c.count);
+        expectGrowthAtCrossings(c, r.result);
     }
+}
+
+/**
+ * The KV work counters on the spec-decode config. Every grow call
+ * allocates, because growth is called only at block crossings; the
+ * exact headroom sum runs only when the O(1) bound cannot settle a
+ * check, which never happens in the platform's pool and does in a
+ * tight one; and a cluster's counters are its replicas' sum.
+ */
+TEST(SoaDiff, SpecDecodeWorkCounters)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    Platform papi(cfg);
+    const llm::ModelConfig model = llm::llama65b();
+    const auto options = [&](const DiffCase &c) {
+        ServingOptions opt = c.opt;
+        if (c.poolTokens > 0)
+            opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+                model, c.poolTokens, cfg.numAttnDevices);
+        return opt;
+    };
+    const auto run = [&](const DiffCase &c) {
+        ServingSim sim(papi, c.spec, model, options(c));
+        for (const llm::TimedRequest &tr :
+             stream(c.cat, c.rateRps, c.count, c.streamSeed))
+            sim.deliver(tr);
+        while (sim.canStep())
+            sim.step();
+        return sim.finish();
+    };
+
+    const ServingResult roomy =
+        run(specDecodeCase(0, KvPreemptPolicy::Recompute));
+    EXPECT_GT(roomy.work.kvGrowCalls, 0u);
+    EXPECT_LE(roomy.work.kvGrowCalls, roomy.work.kvBlocksGrown);
+    EXPECT_EQ(roomy.work.kvExactHeadroomSums, 0u);
+    for (const KvPreemptPolicy policy :
+         {KvPreemptPolicy::Recompute, KvPreemptPolicy::SwapRestore}) {
+        SCOPED_TRACE(policy == KvPreemptPolicy::Recompute ? "recompute"
+                                                          : "swap-restore");
+        const ServingResult tight = run(specDecodeCase(4096, policy));
+        EXPECT_GT(tight.preemptions, 0u);
+        EXPECT_GT(tight.work.kvGrowCalls, 0u);
+        EXPECT_LE(tight.work.kvGrowCalls, tight.work.kvBlocksGrown);
+        EXPECT_GT(tight.work.kvExactHeadroomSums, 0u);
+    }
+
+    const DiffCase c = specDecodeCase(4096, KvPreemptPolicy::Recompute);
+    papi::cluster::ClusterOptions copt;
+    copt.numPlatforms = 2;
+    copt.serving = options(c);
+    const papi::cluster::ClusterResult cr =
+        papi::cluster::ClusterEngine(cfg, copt)
+            .run(stream(c.cat, c.rateRps, c.count, c.streamSeed), c.spec,
+                 model);
+    WorkCounters sum;
+    for (const ServingResult &r : cr.perGroup)
+        sum += r.work;
+    EXPECT_GT(cr.work.kvExactHeadroomSums, 0u);
+    EXPECT_EQ(cr.work.kvGrowCalls, sum.kvGrowCalls);
+    EXPECT_EQ(cr.work.kvBlocksGrown, sum.kvBlocksGrown);
+    EXPECT_EQ(cr.work.kvExactHeadroomSums, sum.kvExactHeadroomSums);
 }
 
 /** The disaggregated prefill-pool cell; its handoffs feed the
