@@ -1314,7 +1314,8 @@ ServingSim::stepDecode()
                 _batch.moveTo(w, r);
             ++w;
         }
-        _batch.truncate(w);
+        if (w != n)
+            _batch.truncate(w);
         _steadyValid = false;
     }
 
