@@ -445,8 +445,7 @@ ServingSim::admit()
         // Cached prefix blocks are reclaimable headroom (evicted
         // before any preemption); with the cache empty this is the
         // pre-cache freeBlocks() check bit-for-bit.
-        if (!growthBoundFits(reserve) &&
-            _kv.availableBlocks() < reserve + worstGrowthBlocks())
+        if (!kvGrowthFits(reserve))
             break;
         ActiveSnapshot a = pr.state;
         a.admitSeq = _admitSeqNext++;
@@ -519,8 +518,7 @@ ServingSim::admit()
             // force an eviction by itself).
             const std::uint64_t reserve = _kv.blocksForTokens(
                 pp.kvTokens + _spec.length);
-            if (!growthBoundFits(reserve) &&
-                _kv.availableBlocks() < reserve + worstGrowthBlocks())
+            if (!kvGrowthFits(reserve))
                 break;
             kv = _kv.admit(req.id, pp.kvTokens);
         }
@@ -580,9 +578,7 @@ ServingSim::admit()
                     std::max<std::uint32_t>(
                         _spec.length,
                         _options.prefillChunkTokens));
-                if (!growthBoundFits(reserve) &&
-                    _kv.availableBlocks() <
-                        reserve + worstGrowthBlocks())
+                if (!kvGrowthFits(reserve))
                     break;
                 // Chunked mode materializes the cached span right
                 // away (its prefill is skipped, so no later chunk

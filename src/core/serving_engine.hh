@@ -939,6 +939,16 @@ class ServingSim
                _batch.size() * _kvGrowthBound <= avail - reserve;
     }
 
+    /** The on-demand admission gate: @p reserve blocks fit on top of
+     *  the batch's next-iteration growth (the O(1) bound first, the
+     *  exact sum when it is undecided). */
+    bool
+    kvGrowthFits(std::uint64_t reserve)
+    {
+        return growthBoundFits(reserve) ||
+               _kv.availableBlocks() >= reserve + worstGrowthBlocks();
+    }
+
     /** True if batch element @p i's KV tokens outgrew the blocks it
      *  holds: only such a request's grow allocates, so the others
      *  skip the call. A multiply, not a division: it runs for every
