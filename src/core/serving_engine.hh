@@ -958,6 +958,7 @@ class ServingSim
     {
         return _batch.kvTokens[i] > _batch.kvBlocks[i] * _kvBlockTokens;
     }
+
     /** Evict the youngest-admitted active request. */
     void preemptYoungest();
 

@@ -409,9 +409,9 @@ class KvCacheManager
     // request id only - the duplicate-id check in admit() (ids come
     // from traces), the erase at release, and the read-only
     // requestBlocks() query (every mutator goes through KvHandle
-    // slots); size() feeds liveRequests()/
-    // occupancy() as a scalar count. Never iterated - per-request
-    // block placement order lives in the _slots vectors.
+    // slots); size() feeds liveRequests()/occupancy() as a scalar
+    // count. Never iterated - per-request block placement order
+    // lives in the _slots vectors.
     std::unordered_map<std::uint64_t, std::uint32_t> _requests;
     /** Slot pool: per-device vectors are retained across occupants
      *  so a steady-state admit/release cycle does not allocate. */

@@ -9,7 +9,8 @@
  * stream through both implementations step by step, asserting
  * bit-identical peeked iteration durations, clocks, queues, handoffs
  * and prefix probes at every boundary, and every result, record,
- * breakdown, per-target count and trace row at the end.
+ * breakdown, per-target count and trace row at the end. The
+ * spec-decode cases also read ServingSim's KV work counters.
  */
 
 #include <gtest/gtest.h>
@@ -380,20 +381,21 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
         return sim.finish();
     };
 
-    const ServingResult roomy =
-        run(specDecodeCase(0, KvPreemptPolicy::Recompute));
-    EXPECT_GT(roomy.work.kvGrowCalls, 0u);
-    EXPECT_LE(roomy.work.kvGrowCalls, roomy.work.kvBlocksGrown);
-    EXPECT_EQ(roomy.work.kvExactHeadroomSums, 0u);
+    DiffCase roomy = specDecodeCase(0, KvPreemptPolicy::Recompute);
+    roomy.name = "platform pool";
+    const ServingResult r = run(roomy);
+    expectGrowthAtCrossings(roomy, r);
+    EXPECT_EQ(r.work.kvExactHeadroomSums, 0u);
     for (const KvPreemptPolicy policy :
          {KvPreemptPolicy::Recompute, KvPreemptPolicy::SwapRestore}) {
-        SCOPED_TRACE(policy == KvPreemptPolicy::Recompute ? "recompute"
-                                                          : "swap-restore");
-        const ServingResult tight = run(specDecodeCase(4096, policy));
-        EXPECT_GT(tight.preemptions, 0u);
-        EXPECT_GT(tight.work.kvGrowCalls, 0u);
-        EXPECT_LE(tight.work.kvGrowCalls, tight.work.kvBlocksGrown);
-        EXPECT_GT(tight.work.kvExactHeadroomSums, 0u);
+        DiffCase tight = specDecodeCase(4096, policy);
+        tight.name = policy == KvPreemptPolicy::Recompute
+                         ? "tight pool, recompute"
+                         : "tight pool, swap-restore";
+        const ServingResult t = run(tight);
+        expectGrowthAtCrossings(tight, t);
+        EXPECT_GT(t.preemptions, 0u) << tight.name;
+        EXPECT_GT(t.work.kvExactHeadroomSums, 0u) << tight.name;
     }
 
     const DiffCase c = specDecodeCase(4096, KvPreemptPolicy::Recompute);
@@ -405,8 +407,8 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
             .run(stream(c.cat, c.rateRps, c.count, c.streamSeed), c.spec,
                  model);
     WorkCounters sum;
-    for (const ServingResult &r : cr.perGroup)
-        sum += r.work;
+    for (const ServingResult &g : cr.perGroup)
+        sum += g.work;
     EXPECT_GT(cr.work.kvExactHeadroomSums, 0u);
     EXPECT_EQ(cr.work.kvGrowCalls, sum.kvGrowCalls);
     EXPECT_EQ(cr.work.kvBlocksGrown, sum.kvBlocksGrown);
