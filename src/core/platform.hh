@@ -147,6 +147,16 @@ class Platform
     /** The GPU model, or nullptr for PIM-only platforms. */
     const gpu::GpuModel *gpuModel() const { return _gpu.get(); }
 
+    /** GEMV replay work of the FC and attention devices' engines
+     *  (pim::GemvWork; not a simulated result). */
+    pim::GemvWork
+    gemvWork() const
+    {
+        pim::GemvWork w = _fcDevice->gemvWork();
+        w += _attnDevice->gemvWork();
+        return w;
+    }
+
     // ------------------------------------------ target registry
 
     /** The platform's execution targets, in registration order. */

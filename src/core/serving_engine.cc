@@ -400,9 +400,12 @@ ServingSim::admit()
     // Prefix-cache probe for a fresh keyed request (runs only after
     // its KV reservation is gated, so a lookup is never wasted on a
     // request that cannot join). A hit promotes the entry to MRU.
+    // A Decode-role replica's cache stays empty (publishPrefix skips
+    // it), so a request it recomputes is a miss without a probe.
     const auto lookup_prefix =
         [this](const llm::Request &req) -> std::uint32_t {
-        if (!_prefixOn || req.prefixKey == 0)
+        if (!_prefixOn || req.prefixKey == 0 ||
+            _role == ServingRole::Decode)
             return 0;
         ++_out.prefixLookups;
         const auto hit = static_cast<std::uint32_t>(_kv.prefixLookup(
@@ -1277,9 +1280,13 @@ ServingSim::stepDecode()
         // no tokens this iteration (their TTFT reflects the chunk
         // delay). A decoder crossing into a new block grows before
         // any later request retires; survivors compact from the
-        // first retirement on.
+        // first retirement on, and their context sum and smallest
+        // remaining output are the steady aggregates refreshSteady
+        // would rebuild (generated is synced, so _genShift is 0).
         const std::uint32_t accepted =
             plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
+        std::uint64_t ctx_sum = 0;
+        std::uint32_t min_rem = ~0u;
         std::size_t w = 0;
         for (std::size_t r = 0; r < n; ++r) {
             if (_decoding[r]) {
@@ -1306,13 +1313,18 @@ ServingSim::stepDecode()
                     continue;
                 }
             }
+            ctx_sum += _batch.inputLen[r] + _batch.generated[r];
+            min_rem = std::min(min_rem,
+                               _batch.outputLen[r] - _batch.generated[r]);
             if (w != r)
                 _batch.moveTo(w, r);
             ++w;
         }
         if (w != n)
             _batch.truncate(w);
-        _steadyValid = false;
+        _ctxSumBase = ctx_sum;
+        _minRem = min_rem;
+        _steadyValid = true;
     }
 
     // Restore the next iteration's worst-case growth headroom

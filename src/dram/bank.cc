@@ -122,4 +122,31 @@ Bank::issue(CommandType type, std::uint32_t row, Tick now)
     sim::panic("Bank::issue: bad command type");
 }
 
+void
+Bank::issueMacBurst(const MacBurst &burst)
+{
+    // issue() would check each PIM_MAC against the cadence its
+    // predecessor set, so the first against the bank's earliest tick
+    // and every later one against the spacing covers them all.
+    const BankTimingTable &tt = *_tt;
+    const Tick cadence =
+        tt.colCadence[commandIndex(CommandType::PimMac)];
+    if (burst.count == 0 || burst.last < burst.first ||
+        burst.minGap < cadence ||
+        !canIssue(CommandType::PimMac, burst.row, burst.first)) {
+        sim::panic("Bank::issueMacBurst: illegal burst of ",
+                   burst.count, " PIM_MACs row=", burst.row,
+                   " at ticks ", burst.first, "..", burst.last,
+                   " min gap ", burst.minGap, " (earliest=",
+                   earliestIssue(CommandType::PimMac), " cadence=",
+                   cadence, ")");
+    }
+    // The ticks never decrease, so the last PIM_MAC sets both gates.
+    setColumnEarliest(burst.last + cadence);
+    _earliest[commandIndex(CommandType::Pre)] =
+        std::max(_earliest[commandIndex(CommandType::Pre)],
+                 burst.last + tt.rdToPre);
+    _pimMacs += burst.count;
+}
+
 } // namespace papi::dram

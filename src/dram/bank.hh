@@ -41,6 +41,21 @@ struct BankTimingTable
 };
 
 /**
+ * A run of PIM_MACs to one open row, summarized for
+ * Bank::issueMacBurst. Ticks are issue ticks in program order.
+ */
+struct MacBurst
+{
+    std::uint32_t row = 0;   ///< Row every PIM_MAC reads.
+    Tick first = 0;          ///< Tick of the first PIM_MAC.
+    Tick last = 0;           ///< Tick of the last PIM_MAC.
+    /** Smallest spacing between consecutive PIM_MACs (maxTick for
+     *  a single one). */
+    Tick minGap = sim::maxTick;
+    std::uint64_t count = 0; ///< PIM_MACs in the burst (>= 1).
+};
+
+/**
  * One DRAM bank: row-buffer state plus the earliest ticks at which
  * each command class may legally be issued to this bank.
  *
@@ -89,6 +104,17 @@ class Bank
      *         for Pre).
      */
     Tick issue(CommandType type, std::uint32_t row, Tick now);
+
+    /**
+     * Apply @p burst as if each of its PIM_MACs went through
+     * issue() in order, in O(1): sets the column cadence past the
+     * last one, raises PRE to tRTP past it and counts the burst.
+     * Panics like issue() unless the burst's row is open, its first
+     * tick is at or after earliestIssue(PimMac), and its ticks are
+     * at least the PIM_MAC cadence (tCCD_S) apart - exactly the
+     * checks issue() would make one PIM_MAC at a time.
+     */
+    void issueMacBurst(const MacBurst &burst);
 
     /** Row-buffer hit/miss bookkeeping. */
     std::uint64_t activations() const { return _activations; }

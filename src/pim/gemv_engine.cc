@@ -183,6 +183,7 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
         }
     }
 
+    ++_work.replays;
     dram::PseudoChannel channel(_config.dramSpec);
 
     const std::uint32_t cols_per_row = org.columnsPerRow();
@@ -195,6 +196,9 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     // (tCL + tBURST) or queued at the FPUs, but not so early that the
     // queue would overflow.
     const Tick pipe = t.tCL + t.tBURST + 4 * compute_per_col;
+    auto fpu_gate = [&](Tick fpu_ready_at) -> Tick {
+        return fpu_ready_at > pipe ? fpu_ready_at - pipe : 0;
+    };
 
     struct BankCursor
     {
@@ -223,23 +227,25 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     // previous one, and every tick picked while it waits is at or
     // below its earliest, so the floor of a global scan never binds.
     auto plan = [&](BankCursor &c) {
+        ++_work.channelCalls;
         c.nextAt = channel.earliestIssue(c.next, 0);
-        if (c.next.type == CommandType::PimMac && c.fpuReadyAt > pipe)
-            c.nextAt = std::max(c.nextAt, c.fpuReadyAt - pipe);
+        if (c.next.type == CommandType::PimMac)
+            c.nextAt = std::max(c.nextAt, fpu_gate(c.fpuReadyAt));
     };
     for (auto &c : banks) {
         if (!c.done)
             plan(c);
     }
 
+    CommandTrace *const recorder = _recorder;
     const std::size_t trace_from =
-        _recorder != nullptr ? _recorder->size() : 0;
-    // Issue the bank's planned command; returns its completion tick.
-    auto issue = [&](const BankCursor &c) -> Tick {
-        Tick done_at = channel.issue(c.next, c.nextAt);
-        if (_recorder)
-            _recorder->push_back(TraceEntry{c.nextAt, c.next});
-        return done_at;
+        recorder != nullptr ? recorder->size() : 0;
+    // Issue the bank's planned ACT or PRE.
+    auto issue = [&](const BankCursor &c) {
+        _work.channelCalls += 2;
+        channel.issue(c.next, c.nextAt);
+        if (recorder)
+            recorder->push_back(TraceEntry{c.nextAt, c.next});
     };
     std::uint64_t activations = 0;
     std::uint64_t column_accesses = 0;
@@ -282,17 +288,32 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
             const std::uint32_t cols =
                 (c.rowsLeft == 1 && tail_cols != 0) ? tail_cols
                                                     : cols_per_row;
+            // Only this bank's cadence and FPU gate move between the
+            // burst's PIM_MACs, so each tick follows from the last.
+            Tick tick = c.nextAt;
+            Tick fpu_ready = c.fpuReadyAt;
+            Tick min_gap = sim::maxTick;
             for (std::uint32_t i = 0; i < cols; ++i) {
-                if (i > 0)
-                    plan(c); // only this bank's timing and FPU moved
-                Tick data_at = issue(c);
-                Tick start = std::max(data_at, c.fpuReadyAt);
-                if (start > data_at)
-                    ++compute_stalled_cols;
-                c.fpuReadyAt = start + compute_per_col;
-                c.fpuBusyTicks += compute_per_col;
-                kernel_end = std::max(kernel_end, c.fpuReadyAt);
+                if (i > 0) {
+                    const Tick next = std::max(tick + t.tCCD_S,
+                                               fpu_gate(fpu_ready));
+                    min_gap = std::min(min_gap, next - tick);
+                    tick = next;
+                }
+                if (recorder)
+                    recorder->push_back(TraceEntry{tick, c.next});
+                const Tick data_at = tick + t.tCL + t.tBURST;
+                const Tick start = std::max(data_at, fpu_ready);
+                compute_stalled_cols += start > data_at ? 1 : 0;
+                fpu_ready = start + compute_per_col;
             }
+            channel.bank(c.next.coord.bankGroup, c.next.coord.bank)
+                .issueMacBurst(dram::MacBurst{c.next.coord.row, c.nextAt,
+                                              tick, min_gap, cols});
+            c.fpuReadyAt = fpu_ready;
+            c.fpuBusyTicks += cols * compute_per_col;
+            // A bank's FPU ready tick never falls.
+            kernel_end = std::max(kernel_end, fpu_ready);
             column_accesses += cols;
             ++c.next.coord.row;
             if (--c.rowsLeft == 0) {

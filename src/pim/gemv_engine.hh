@@ -20,14 +20,21 @@
  * earliest-first scan over all banks would give it (lowest flat bank
  * index on ties), but it does not rescan every bank per command.
  * Only ACT and PRE read and write channel-scope state (the command
- * bus, tRRD and tFAW), so only they go through the cross-bank merge:
- * each bank keeps its next command and its earliest tick, re-planned
- * when the bank issues and, for banks waiting on an ACT or PRE,
- * whenever any ACT or PRE issues. A PIM_MAC reads only its own
- * bank's timing and FPU gate and writes no channel state, so once a
- * bank's row is open its whole PIM_MAC burst issues in one pass, row
- * at a time. Every command still goes through PseudoChannel::issue
- * and its legality checks.
+ * bus, tRRD and tFAW), so only they go through the cross-bank merge
+ * and PseudoChannel::issue: each bank keeps its next command and its
+ * earliest tick, re-planned when the bank issues and, for banks
+ * waiting on an ACT or PRE, whenever any ACT or PRE issues. A
+ * PIM_MAC reads only its own bank's timing and FPU gate and writes
+ * no channel state, so once a bank's row is open its whole PIM_MAC
+ * burst follows in closed form from the first tick (planned when the
+ * row opened):
+ *
+ *     tick_k = max(tick_{k-1} + tCCD_S, FPU gate)
+ *     FPU start_k = max(tick_k + tCL + tBURST, FPU ready)
+ *
+ * and the bank's end state is committed once through
+ * dram::Bank::issueMacBurst, which checks the whole burst the way
+ * Bank::issue checks one PIM_MAC.
  *
  * Trace-order contract: a recorded trace (setTraceRecorder) lists
  * the commands in exactly the order the global scan issues them.
@@ -65,6 +72,31 @@ struct GemvResult
     double fpuBusyFrac = 0.0;
     /** True when FPU service time, not DRAM, set the pace. */
     bool computeBound = false;
+};
+
+/**
+ * Work counters of GEMV engines: plain integers, incremented only,
+ * so a cost-model claim can cite counts instead of wall-clock time.
+ * They are not simulated results and stay out of every identity
+ * check.
+ */
+struct GemvWork
+{
+    /** Command-stream replays run (memo misses and traced runs). */
+    std::uint64_t replays = 0;
+    /** dram::PseudoChannel calls those replays made: one per
+     *  earliestIssue, two per issue (its legality check re-runs
+     *  earliestIssue). */
+    std::uint64_t channelCalls = 0;
+
+    /** Add @p o's counts (a device or platform sums its engines). */
+    GemvWork &
+    operator+=(const GemvWork &o)
+    {
+        replays += o.replays;
+        channelCalls += o.channelCalls;
+        return *this;
+    }
 };
 
 /** Near-bank GEMV timing engine for one PIM configuration. */
@@ -115,6 +147,9 @@ class GemvEngine
      */
     void setTraceRecorder(CommandTrace *trace) { _recorder = trace; }
 
+    /** Replays and channel calls made so far (see GemvWork). */
+    const GemvWork &work() const { return _work; }
+
   private:
     GemvResult runExact(std::uint64_t bytes_per_bank,
                         std::uint32_t reuse) const;
@@ -147,6 +182,7 @@ class GemvEngine
     // and nothing walks the table, so bucket order cannot reach
     // simulated timing or the command trace.
     mutable std::unordered_map<MemoKey, GemvResult, MemoKeyHash> _cache;
+    mutable GemvWork _work;
     CommandTrace *_recorder = nullptr;
 };
 

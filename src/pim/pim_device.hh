@@ -51,6 +51,15 @@ class PimDevice
     /** The GEMV engine that times FC kernels. */
     const GemvEngine &gemvEngine() const { return _gemv; }
 
+    /** Work of both GEMV engines: FC and attention (see GemvWork). */
+    GemvWork
+    gemvWork() const
+    {
+        GemvWork w = _gemv.work();
+        w += _attn.gemv().work();
+        return w;
+    }
+
     /**
      * Fully-connected GEMV: @p weight_bytes of FP16 weights sharded
      * over @p num_devices devices of this type, each weight element

@@ -56,8 +56,8 @@ class TraceValidator
      *  - non-decreasing issue ticks;
      *  - ACT only on a closed bank; column commands only on the
      *    addressed open row; PRE only on an open bank;
-     *  - per-bank tRCD (ACT to column), tRAS (ACT to PRE), tRP
-     *    (PRE to ACT), tRC (ACT to ACT);
+     *  - per-bank tRCD (ACT to column), tRAS (ACT to PRE), tRTP
+     *    (column to PRE), tRP (PRE to ACT), tRC (ACT to ACT);
      *  - per-bank column cadence >= tCCD_S (PIM) / tCCD_L (ext);
      *  - channel tRRD_S/tRRD_L between ACTs and the tFAW window.
      */

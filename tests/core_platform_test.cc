@@ -153,6 +153,40 @@ TEST(Platform, AttentionScalesWithContextAndRequests)
 }
 
 /**
+ * Platform::gemvWork sums the GEMV replay work of the FC and the
+ * attention device. An FC-PIM cost replays on the FC device only, an
+ * attention cost on the attention device only, and a repeated
+ * attention cost hits the GEMV memo and replays nothing.
+ */
+TEST(Platform, GemvWorkSumsFcAndAttentionEngines)
+{
+    Platform papi(makePapiConfig());
+    const llm::ModelConfig m = llm::llama65b();
+    EXPECT_EQ(papi.gemvWork().replays, 0u);
+    EXPECT_EQ(papi.gemvWork().channelCalls, 0u);
+
+    papi.fcExec(m, 4, papi.targetId("fc-pim"));
+    const papi::pim::GemvWork fc = papi.fcDevice().gemvWork();
+    EXPECT_GT(fc.replays, 0u);
+    EXPECT_GT(fc.channelCalls, fc.replays);
+    EXPECT_EQ(papi.attnDevice().gemvWork().replays, 0u);
+
+    const std::vector<std::uint32_t> ctx(8, 512);
+    papi.attnExec(m, ctx, 2);
+    const papi::pim::GemvWork attn = papi.attnDevice().gemvWork();
+    EXPECT_GT(attn.replays, 0u);
+    EXPECT_EQ(papi.fcDevice().gemvWork().replays, fc.replays);
+
+    const papi::pim::GemvWork sum = papi.gemvWork();
+    EXPECT_EQ(sum.replays, fc.replays + attn.replays);
+    EXPECT_EQ(sum.channelCalls, fc.channelCalls + attn.channelCalls);
+
+    papi.attnExec(m, ctx, 2);
+    EXPECT_EQ(papi.gemvWork().replays, sum.replays);
+    EXPECT_EQ(papi.gemvWork().channelCalls, sum.channelCalls);
+}
+
+/**
  * ServingSim's plan memo is keyed on (RLP, tokens, context sum),
  * which is sound only if attention cost depends on the context
  * vector through its sum and count alone. Every vector is costed on

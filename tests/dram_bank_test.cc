@@ -13,6 +13,7 @@ namespace {
 
 using namespace papi::dram;
 using papi::sim::PanicError;
+using papi::sim::maxTick;
 using papi::sim::Tick;
 
 class BankTest : public ::testing::Test
@@ -121,6 +122,67 @@ TEST_F(BankTest, PimReadsPaceAtBurstCadence)
     EXPECT_EQ(bank.earliestIssue(CommandType::PimMac),
               t0 + spec.timing.tCCD_S);
     EXPECT_LT(spec.timing.tCCD_S, spec.timing.tCCD_L);
+}
+
+/**
+ * A PIM_MAC burst committed at once leaves the bank exactly as the
+ * same PIM_MACs issued one by one: column cadence past the last one,
+ * PRE at tRTP past it (here later than tRAS), and the MAC count.
+ */
+TEST_F(BankTest, MacBurstMatchesPerCommandIssue)
+{
+    const Tick gap = spec.timing.tCCD_S;
+    const Tick ticks[] = {spec.timing.tRCD, spec.timing.tRCD + gap,
+                          spec.timing.tRCD + 5 * gap,
+                          spec.timing.tRCD + 20 * gap};
+    Bank single(table);
+    single.issue(CommandType::Act, 3, 0);
+    for (Tick t : ticks)
+        single.issue(CommandType::PimMac, 3, t);
+
+    bank.issue(CommandType::Act, 3, 0);
+    bank.issueMacBurst(MacBurst{3, ticks[0], ticks[3], gap, 4});
+    for (CommandType type :
+         {CommandType::Act, CommandType::Pre, CommandType::Rd,
+          CommandType::Wr, CommandType::Ref, CommandType::PimMac}) {
+        EXPECT_EQ(bank.earliestIssue(type), single.earliestIssue(type))
+            << commandName(type);
+    }
+    EXPECT_EQ(bank.earliestIssue(CommandType::Pre),
+              ticks[3] + spec.timing.tRTP);
+    EXPECT_GT(bank.earliestIssue(CommandType::Pre), spec.timing.tRAS);
+    EXPECT_EQ(bank.pimMacs(), single.pimMacs());
+    EXPECT_EQ(bank.pimMacs(), 4u);
+}
+
+/** A burst is checked as issue() checks each of its PIM_MACs. */
+TEST_F(BankTest, MacBurstRejectsIllegalBursts)
+{
+    const Tick t0 = spec.timing.tRCD;
+    const Tick gap = spec.timing.tCCD_S;
+    // Closed bank.
+    EXPECT_THROW(bank.issueMacBurst(MacBurst{3, t0, t0, maxTick, 1}),
+                 PanicError);
+    bank.issue(CommandType::Act, 3, 0);
+    // Another row than the open one.
+    EXPECT_THROW(bank.issueMacBurst(MacBurst{4, t0, t0 + gap, gap, 2}),
+                 PanicError);
+    // First PIM_MAC before the row is open.
+    EXPECT_THROW(
+        bank.issueMacBurst(MacBurst{3, t0 - 1, t0 - 1 + gap, gap, 2}),
+        PanicError);
+    // Two PIM_MACs closer than tCCD_S.
+    EXPECT_THROW(
+        bank.issueMacBurst(MacBurst{3, t0, t0 + 3 * gap, gap - 1, 4}),
+        PanicError);
+    // An empty burst, and one whose last tick precedes its first.
+    EXPECT_THROW(bank.issueMacBurst(MacBurst{3, t0, t0, maxTick, 0}),
+                 PanicError);
+    EXPECT_THROW(bank.issueMacBurst(MacBurst{3, t0 + gap, t0, gap, 2}),
+                 PanicError);
+    EXPECT_EQ(bank.pimMacs(), 0u);
+    bank.issueMacBurst(MacBurst{3, t0, t0 + gap, gap, 2});
+    EXPECT_EQ(bank.pimMacs(), 2u);
 }
 
 TEST_F(BankTest, CountersTrackCommands)

@@ -263,7 +263,8 @@ class ServingModel
                           : !_kv.canAdmit(worst)))
                 return false;
             std::uint32_t hit = 0;
-            if (_prefixOn && req.prefixKey != 0) {
+            if (_prefixOn && req.prefixKey != 0 &&
+                _opt.role != ServingRole::Decode) {
                 ++_out.prefixLookups;
                 hit = static_cast<std::uint32_t>(_kv.prefixLookup(
                     req.prefixKey, std::min(req.prefixTokens, req.inputLen)));

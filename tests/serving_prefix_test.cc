@@ -16,6 +16,8 @@
  *    prefixHitTokens + prefixMissTokens == admitted prompt tokens.
  *  - Disaggregated prefill handoffs shrink by exactly the hit
  *    blocks (same per-request kvTokens, fewer kvBlocks/kvBytes).
+ *  - A Decode-role replica, whose cache stays empty, counts no
+ *    lookup for a request it recomputes; its prompt is all misses.
  *  - Under KV pressure, cached blocks are evicted (accounted in
  *    prefixEvictedBytes) before requests are preempted.
  *  - Two chunked-prefill KV accounting rules (when peak utilization
@@ -400,6 +402,52 @@ TEST(ServingPrefix, HandoffKeepsSessionAndPrefixIdentity)
         for (const LostRequest &l : lost)
             expect_identity(l.request);
     }
+}
+
+/**
+ * A Decode-role replica never publishes prefixes, so its cache stays
+ * empty, and a request it recomputes after a transfer fell back is a
+ * miss without a probe: no lookup is counted, and its whole prompt
+ * still counts as miss tokens, since it is prefilled at full cost.
+ * The same decode pool, fed the keyed trace directly, runs in
+ * lockstep with the specification.
+ */
+TEST(ServingPrefix, DecodeRoleRecomputeSkipsPrefixProbe)
+{
+    const auto reqs =
+        stream(llm::TraceCategory::AgenticLoop, 150.0, 48, 29);
+    ServingOptions opt;
+    opt.maxRlp = 16;
+    opt.role = ServingRole::Prefill;
+    opt.prefillChunkTokens = 128;
+    opt.prefixCacheEnabled = true;
+    const RunOutput prefill = runSim(opt, reqs);
+    ASSERT_EQ(prefill.handoffs.size(), reqs.size());
+
+    ServingOptions dopt;
+    dopt.maxRlp = 8;
+    dopt.role = ServingRole::Decode;
+    dopt.prefixCacheEnabled = true;
+    const Platform papi(makePapiConfig());
+    ServingSim decode(papi, {}, llm::llama65b(), dopt);
+    for (const HandoffRecord &h : prefill.handoffs)
+        decode.redeliver(h.request, h.readySeconds);
+    while (decode.canStep())
+        decode.step();
+    const ServingResult r = decode.finish();
+    std::uint64_t prompt_tokens = 0;
+    for (const auto &tr : reqs)
+        prompt_tokens += tr.request.inputLen;
+    EXPECT_EQ(decode.records().size(), reqs.size());
+    EXPECT_EQ(r.prefixLookups, 0u);
+    EXPECT_EQ(r.prefixHits, 0u);
+    EXPECT_EQ(r.prefixHitTokens, 0u);
+    EXPECT_EQ(r.prefixMissTokens, 25747u);
+    EXPECT_EQ(r.prefixMissTokens, prompt_tokens);
+
+    const RunOutput direct = lockstep(dopt, reqs);
+    EXPECT_EQ(direct.result.prefixLookups, 0u);
+    EXPECT_EQ(direct.result.prefixMissTokens, prompt_tokens);
 }
 
 /**
