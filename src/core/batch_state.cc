@@ -168,18 +168,6 @@ BatchState::clear()
     truncate(0);
 }
 
-std::uint64_t
-BatchState::ctxSum() const
-{
-    const std::size_t n = size();
-    const std::uint32_t *in = inputLen.data();
-    const std::uint32_t *gen = generated.data();
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += in[i] + gen[i];
-    return sum;
-}
-
 bool
 BatchState::anyPrefilling() const
 {

@@ -3,7 +3,7 @@
  * Structure-of-arrays per-request state of the live serving batch.
  *
  * ServingSim's hot loops - the per-iteration context-sum / chunk-
- * budget walk, the advance-and-retire pass, the KV-headroom gates -
+ * budget walk, the decode pass, the KV-headroom gates -
  * used to chase a std::vector<ActiveRequest> of 96-byte structs, so
  * every pass touched far more cache than it used and none of it
  * vectorized. BatchState flattens that state into parallel plain-
@@ -154,9 +154,6 @@ class BatchState
     void clear();
 
     // ---- hot array passes (branch-light, autovectorizable) ----
-
-    /** Sum of context lengths over the whole batch. */
-    std::uint64_t ctxSum() const;
 
     /** True if any request is still prefilling (chunked mode). */
     bool anyPrefilling() const;

@@ -102,12 +102,6 @@ ServingSim::ServingSim(const Platform &platform,
     _chunkPlan.reserve(options.maxRlp);
     _chunkPrior.reserve(options.maxRlp);
     _chunkNow.reserve(options.maxRlp);
-    _decoding.reserve(options.maxRlp);
-    _growIdx.reserve(options.maxRlp);
-    _growIds.reserve(options.maxRlp);
-    _growSlots.reserve(options.maxRlp);
-    _growTok.reserve(options.maxRlp);
-    _growBlocks.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
     _planMemo.resize(kPlanMemoSlots);
 }
@@ -121,16 +115,22 @@ ServingSim::planMemoSlot(std::uint64_t key1, std::uint64_t key2) const
 }
 
 void
-ServingSim::deliver(const llm::TimedRequest &request)
+ServingSim::anchorDelivery(double ready_seconds)
 {
-    if (_anchored && request.arrivalSeconds < _lastDelivered)
+    if (_anchored && ready_seconds < _lastDelivered)
         sim::fatal("ServingSim: deliveries must be time-ordered");
     if (!_anchored) {
-        _firstArrival = request.arrivalSeconds;
-        _now = request.arrivalSeconds;
+        _firstArrival = ready_seconds;
+        _now = ready_seconds;
         _anchored = true;
     }
-    _lastDelivered = request.arrivalSeconds;
+    _lastDelivered = ready_seconds;
+}
+
+void
+ServingSim::deliver(const llm::TimedRequest &request)
+{
+    anchorDelivery(request.arrivalSeconds);
     _pending.push_back({request, request.arrivalSeconds});
 }
 
@@ -146,14 +146,7 @@ ServingSim::redeliver(const llm::TimedRequest &request,
         sim::fatal("ServingSim: retry of request ",
                    request.request.id,
                    " cannot precede its original arrival");
-    if (_anchored && ready_seconds < _lastDelivered)
-        sim::fatal("ServingSim: deliveries must be time-ordered");
-    if (!_anchored) {
-        _firstArrival = ready_seconds;
-        _now = ready_seconds;
-        _anchored = true;
-    }
-    _lastDelivered = ready_seconds;
+    anchorDelivery(ready_seconds);
     _pending.push_back({request, ready_seconds});
 }
 
@@ -171,14 +164,7 @@ ServingSim::deliverPrefilled(const llm::TimedRequest &request,
                    request.request.id, " (", kv_tokens,
                    " tokens) does not cover its context (",
                    request.request.contextLen(), " tokens)");
-    if (_anchored && ready_seconds < _lastDelivered)
-        sim::fatal("ServingSim: deliveries must be time-ordered");
-    if (!_anchored) {
-        _firstArrival = ready_seconds;
-        _now = ready_seconds;
-        _anchored = true;
-    }
-    _lastDelivered = ready_seconds;
+    anchorDelivery(ready_seconds);
     _pendingPrefilled.push_back({request, ready_seconds, kv_tokens});
 }
 
@@ -630,51 +616,19 @@ ServingSim::admit()
     }
     if (admitted > 0 && _static.enabled)
         _staticInitialRlp = admitted;
+    // Prefill the newcomers before the next decode step.
     if (!_prefillLens.empty() &&
-        (!_static.enabled || _static.includePrefill)) {
-        // Prefill the newcomers before the next decode step.
-        KernelExec pre = _platform.prefillExec(_model, _prefillLens);
-        double pre_seconds = pre.seconds;
-        double pre_joules = pre.energyJoules;
-        if (!_cost.trivial()) {
-            std::uint64_t prompt_tokens = 0;
-            for (std::uint32_t len : _prefillLens)
-                prompt_tokens += len;
-            const auto tokens =
-                static_cast<std::uint32_t>(prompt_tokens);
-            pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
-            if (_cost.extraJoules)
-                pre_joules += _cost.extraJoules(tokens);
-        }
-        _now += pre_seconds;
-        _busySeconds += pre_seconds;
-        _breakdown.prefillSeconds += pre_seconds;
-        _out.energyJoules += pre_joules;
-    }
-    if (!_hitNow.empty()) {
-        // Prefix-hit newcomers (non-chunked mode): prefill only the
-        // uncached suffix, costed as an incremental prefill whose
-        // prior context is the cached span - the same arithmetic
-        // chunked prefill uses for its later chunks.
-        KernelExec pre =
-            _platform.prefillChunkExec(_model, _hitPrior, _hitNow);
-        double pre_seconds = pre.seconds;
-        double pre_joules = pre.energyJoules;
-        if (!_cost.trivial()) {
-            std::uint64_t now_tokens = 0;
-            for (std::uint32_t len : _hitNow)
-                now_tokens += len;
-            const auto tokens =
-                static_cast<std::uint32_t>(now_tokens);
-            pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
-            if (_cost.extraJoules)
-                pre_joules += _cost.extraJoules(tokens);
-        }
-        _now += pre_seconds;
-        _busySeconds += pre_seconds;
-        _breakdown.prefillSeconds += pre_seconds;
-        _out.energyJoules += pre_joules;
-    }
+        (!_static.enabled || _static.includePrefill))
+        chargePrefill(_platform.prefillExec(_model, _prefillLens),
+                      _prefillLens);
+    // Prefix-hit newcomers (non-chunked mode): prefill only the
+    // uncached suffix, costed as an incremental prefill whose prior
+    // context is the cached span - the same arithmetic chunked
+    // prefill uses for its later chunks.
+    if (!_hitNow.empty())
+        chargePrefill(
+            _platform.prefillChunkExec(_model, _hitPrior, _hitNow),
+            _hitNow);
     if (swap_seconds > 0.0) {
         _now += swap_seconds;
         _busySeconds += swap_seconds;
@@ -696,6 +650,27 @@ ServingSim::admit()
         _out.admissions += admitted;
     _out.resumes += resumed;
     return admitted + resumed;
+}
+
+void
+ServingSim::chargePrefill(const KernelExec &pre,
+                          const std::vector<std::uint32_t> &lens)
+{
+    double pre_seconds = pre.seconds;
+    double pre_joules = pre.energyJoules;
+    if (!_cost.trivial()) {
+        std::uint64_t prompt_tokens = 0;
+        for (std::uint32_t len : lens)
+            prompt_tokens += len;
+        const auto tokens = static_cast<std::uint32_t>(prompt_tokens);
+        pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
+        if (_cost.extraJoules)
+            pre_joules += _cost.extraJoules(tokens);
+    }
+    _now += pre_seconds;
+    _busySeconds += pre_seconds;
+    _breakdown.prefillSeconds += pre_seconds;
+    _out.energyJoules += pre_joules;
 }
 
 void
@@ -1012,6 +987,7 @@ ServingSim::syncGen() const
 void
 ServingSim::refreshSteady() const
 {
+    ++_steadyRebuilds;
     syncGen();
     const std::size_t n = _batch.size();
     const std::uint32_t *in = _batch.inputLen.data();
@@ -1038,89 +1014,127 @@ ServingSim::steadyCtxSum() const
            static_cast<std::uint64_t>(_genShift) * _batch.size();
 }
 
-std::uint32_t
-ServingSim::advanceAndRetire(std::uint32_t accepted)
+bool
+ServingSim::steadyAdvance(const IterationPlan &plan, std::uint32_t accepted)
 {
-    const std::size_t n = _batch.size();
-    if (!_steadyValid)
-        refreshSteady();
-    // O(1) algebraic advance: with every first token seen and
+    // With every first token seen, KV reserved up front (on-demand
+    // accounting reads per-request contexts after the advance) and
     // accepted strictly below the smallest remaining output, every
-    // request advances by exactly `accepted` and nobody retires -
-    // so the per-element sweep collapses to a scalar shift on the
+    // request advances by exactly `accepted` and nobody retires, so
+    // the per-request pass collapses to a scalar shift on the
     // generated column and closed-form aggregate updates. The token
     // total (n identical u32 increments summed in u64) and the
-    // deferred per-element values are exactly what the sweep would
-    // produce. Preemption mode reads per-element contexts right
-    // after this call, so it stays on the materialized path.
-    if (_allSeen && !_preempt && n > 0 && accepted < _minRem) {
-        _genShift += accepted;
-        _minRem -= accepted;
-        _out.tokensGenerated +=
-            static_cast<std::uint64_t>(accepted) * n;
-        return 0;
-    }
-    syncGen();
-    std::uint32_t *gen = _batch.generated.data();
-    const std::uint32_t *out = _batch.outputLen.data();
+    // deferred per-request values are exactly what the pass would
+    // produce.
+    const std::size_t n = _batch.size();
+    if (plan.decodeRlp != n || _preempt || !_allSeen)
+        return false;
+    if (!_steadyValid)
+        refreshSteady();
+    if (accepted >= _minRem)
+        return false;
+    _genShift += accepted;
+    _minRem -= accepted;
+    _out.tokensGenerated += static_cast<std::uint64_t>(accepted) * n;
+    return true;
+}
 
-    // First-token bookkeeping only matters while someone in the
-    // batch has yet to produce a token - the iterations right after
-    // an admission wave. _allSeen goes false on every batch
-    // mutation and back to true here, so steady-state decode skips
-    // this pass and the advance loop below stays a single-width
-    // elementwise sweep. A request advances exactly when
-    // min(accepted, out - gen) > 0, i.e. accepted > 0 and gen < out
-    // - evaluated before gen moves, matching the fused original.
-    if (!_allSeen && accepted > 0) {
-        std::uint8_t *seen = _batch.firstTokenSeen.data();
-        double *first = _batch.firstTokenSeconds.data();
-        const double now = _now;
-        std::uint32_t unseen = 0;
+std::uint32_t
+ServingSim::decodePass(const IterationPlan &plan, std::uint32_t accepted)
+{
+    syncGen(); // the pass reads and writes generated[]
+    const std::size_t n = _batch.size();
+
+    // Prompt-chunk progress in batch order, growing an on-demand
+    // request's KV where its chunk crosses into a new block. A request
+    // whose prefill completes here starts decoding at the NEXT
+    // iteration (its chunk was costed, its decode was not), so the
+    // decoders below are the requests that got no chunk and have no
+    // prefill left.
+    const std::uint32_t *chunk =
+        plan.chunkTokens > 0 ? _chunkPlan.data() : nullptr;
+    if (chunk != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
-            const bool advances = gen[i] < out[i];
-            const bool is_first = advances && seen[i] == 0;
-            first[i] = is_first ? now : first[i];
-            seen[i] = seen[i] | (advances ? 1 : 0);
-            unseen += seen[i] == 0 ? 1u : 0u;
+            if (chunk[i] == 0)
+                continue;
+            _batch.prefillRemaining[i] -= chunk[i];
+            if (_preempt) {
+                _batch.kvTokens[i] += chunk[i];
+                growAtCrossing(i);
+            }
         }
-        _allSeen = unseen == 0;
     }
 
-    // Pass 1 - advance: elementwise min/add/compare over the
-    // generation columns. No calls, no erases, no early exits:
-    // this is the loop the compiler vectorizes.
-    std::uint64_t tok = 0;
+    // Advance the decoders; requests still prefilling produce no
+    // tokens this iteration (their TTFT reflects the chunk delay). A
+    // chunked on-demand decoder crossing into a new block grows
+    // before any later request retires: that order decides which
+    // cached prefix blocks get evicted. Retirees record and release
+    // in batch order, survivors compact in place from the first
+    // retirement on, and their context sum, smallest remaining
+    // output and first-token state are the steady aggregates
+    // refreshSteady would rebuild (generated is synced, so _genShift
+    // is 0).
+    const bool grow_inline = _preempt && _chunked;
     std::uint32_t eos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t rem = out[i] - gen[i];
-        const std::uint32_t used = accepted < rem ? accepted : rem;
-        gen[i] += used;
-        tok += used;
-        eos += gen[i] >= out[i] ? 1u : 0u;
-    }
-    _out.tokensGenerated += tok;
-
-    // Pass 2 - retire: only when somebody finished. Records and KV
-    // releases fire in batch (admission) order; survivors compact
-    // in place, preserving admission order.
-    if (eos > 0) {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            if (gen[r] >= out[r]) {
+    std::uint64_t ctx_sum = 0;
+    std::uint32_t min_rem = ~0u;
+    std::size_t unseen = 0;
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        if (_batch.prefillRemaining[r] == 0 &&
+            (chunk == nullptr || chunk[r] == 0)) {
+            const std::uint32_t rem =
+                _batch.outputLen[r] - _batch.generated[r];
+            const std::uint32_t used = std::min(accepted, rem);
+            _batch.generated[r] += used;
+            _out.tokensGenerated += used;
+            if (used > 0 && _batch.firstTokenSeen[r] == 0) {
+                _batch.firstTokenSeconds[r] = _now;
+                _batch.firstTokenSeen[r] = 1;
+            }
+            if (grow_inline && used > 0) {
+                _batch.kvTokens[r] += used;
+                growAtCrossing(r);
+            }
+            if (_batch.generated[r] >= _batch.outputLen[r]) {
                 recordRetirementAt(r);
                 if (!_static.enabled) { // static batches hold no KV
                     _kv.release(kvHandle(r));
                     publishPrefix(r);
                 }
-            } else {
-                _batch.moveTo(w, r);
-                ++w;
+                ++eos;
+                continue;
             }
         }
-        _batch.truncate(w);
+        ctx_sum += _batch.inputLen[r] + _batch.generated[r];
+        min_rem = std::min(min_rem,
+                           _batch.outputLen[r] - _batch.generated[r]);
+        unseen += _batch.firstTokenSeen[r] == 0 ? 1 : 0;
+        if (w != r)
+            _batch.moveTo(w, r);
+        ++w;
     }
-    _steadyValid = false; // generation/membership moved
+    if (w != n)
+        _batch.truncate(w);
+    _ctxSumBase = ctx_sum;
+    _minRem = min_rem;
+    _steadyValid = true;
+    _allSeen = unseen == 0;
+
+    // Monolithic on-demand runs grow the survivors after every
+    // retirement: materialize the tokens this iteration appended
+    // (a migrated-in request may already hold more than its
+    // context) and grow the requests that crossed into a new block.
+    if (_preempt && !_chunked) {
+        for (std::size_t i = 0; i < w; ++i) {
+            const std::uint32_t ctx = _batch.contextLen(i);
+            if (ctx > _batch.kvTokens[i]) {
+                _batch.kvTokens[i] = ctx;
+                growAtCrossing(i);
+            }
+        }
+    }
     return eos;
 }
 
@@ -1132,8 +1146,8 @@ ServingSim::stepDecode()
     // Per-iteration decisions are stateless threshold checks, so the
     // plan a driver peeked is the plan executed here; RLP transitions
     // in both directions are counted by noteDispatch. refreshPlan
-    // also refilled _chunkPlan when someone prefills, which the mixed
-    // loop below consumes; any mutation since a peek would have
+    // also refilled _chunkPlan when someone prefills, which
+    // decodePass consumes; any mutation since a peek would have
     // invalidated the cache.
     refreshPlan();
     const IterationPlan plan = _plan;
@@ -1219,112 +1233,14 @@ ServingSim::stepDecode()
         _out.peakKvUtilization = std::max(_out.peakKvUtilization,
                                           _kv.utilization());
 
-    const std::size_t n = _batch.size();
+    const std::uint32_t accepted =
+        plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
     std::uint32_t eos = 0;
-    // When everyone decodes, the iteration is one vectorized
-    // advance (then a bulk KV grow in on-demand mode). Chunked
-    // on-demand runs stay in the mixed loop even then: it grows each
-    // survivor before later requests in the batch retire, and that
-    // order decides which cached prefix blocks get evicted.
-    const bool bulk = plan.chunkTokens == 0 && plan.decodeRlp == n &&
-                      !(_chunked && _preempt);
-    if (bulk) {
-        eos = advanceAndRetire(_spec.sampleAccepted(_rng));
-        if (_preempt) {
-            // On-demand accounting: materialize the tokens this
-            // iteration appended. Only requests crossing into a new
-            // block grow (one bulk grow, ascending batch order - the
-            // allocation sequence of per-request calls, which
-            // allocate nothing for the others).
-            clearGrowScratch();
-            for (std::size_t i = 0; i < _batch.size(); ++i) {
-                const std::uint32_t ctx = _batch.contextLen(i);
-                if (ctx > _batch.kvTokens[i]) {
-                    _batch.kvTokens[i] = ctx;
-                    if (crossesBlock(i))
-                        gatherGrow(i, ctx);
-                }
-            }
-            growGathered();
-        }
+    if (steadyAdvance(plan, accepted)) {
+        ++_out.work.steadyAdvances;
     } else {
-        // Freeze the decode set before prefill progress: a request
-        // whose prefill completes in THIS iteration starts decoding
-        // at the NEXT one (its chunk was costed, its decode was
-        // not).
-        syncGen(); // the mixed loop below reads/writes generated[]
-        _decoding.assign(n, 0);
-        for (std::size_t i = 0; i < n; ++i)
-            _decoding[i] = _batch.prefillRemaining[i] == 0;
-
-        // Prefill progress; materialize the chunk's KV for requests
-        // crossing into a new block (one bulk grow in ascending
-        // batch order - the same allocation sequence as per-request
-        // calls).
-        if (plan.chunkTokens > 0) {
-            clearGrowScratch();
-            for (std::size_t i = 0; i < n; ++i) {
-                if (_chunkPlan[i] == 0)
-                    continue;
-                _batch.prefillRemaining[i] -= _chunkPlan[i];
-                if (_preempt) {
-                    _batch.kvTokens[i] += _chunkPlan[i];
-                    if (crossesBlock(i))
-                        gatherGrow(i, _batch.kvTokens[i]);
-                }
-            }
-            growGathered();
-        }
-
-        // Advance the decoders; requests still prefilling produce
-        // no tokens this iteration (their TTFT reflects the chunk
-        // delay). A decoder crossing into a new block grows before
-        // any later request retires; survivors compact from the
-        // first retirement on, and their context sum and smallest
-        // remaining output are the steady aggregates refreshSteady
-        // would rebuild (generated is synced, so _genShift is 0).
-        const std::uint32_t accepted =
-            plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
-        std::uint64_t ctx_sum = 0;
-        std::uint32_t min_rem = ~0u;
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            if (_decoding[r]) {
-                const std::uint32_t rem =
-                    _batch.outputLen[r] - _batch.generated[r];
-                const std::uint32_t used = std::min(accepted, rem);
-                _batch.generated[r] += used;
-                _out.tokensGenerated += used;
-                if (used > 0 && _batch.firstTokenSeen[r] == 0) {
-                    _batch.firstTokenSeconds[r] = _now;
-                    _batch.firstTokenSeen[r] = 1;
-                }
-                if (_preempt && used > 0) {
-                    _batch.kvTokens[r] += used;
-                    if (crossesBlock(r))
-                        _batch.kvBlocks[r] =
-                            _kv.grow(kvHandle(r), _batch.kvTokens[r]);
-                }
-                if (_batch.generated[r] >= _batch.outputLen[r]) {
-                    recordRetirementAt(r);
-                    _kv.release(kvHandle(r));
-                    publishPrefix(r);
-                    ++eos;
-                    continue;
-                }
-            }
-            ctx_sum += _batch.inputLen[r] + _batch.generated[r];
-            min_rem = std::min(min_rem,
-                               _batch.outputLen[r] - _batch.generated[r]);
-            if (w != r)
-                _batch.moveTo(w, r);
-            ++w;
-        }
-        if (w != n)
-            _batch.truncate(w);
-        _ctxSumBase = ctx_sum;
-        _minRem = min_rem;
-        _steadyValid = true;
+        ++_out.work.decodePasses;
+        eos = decodePass(plan, accepted);
     }
 
     // Restore the next iteration's worst-case growth headroom
@@ -1352,36 +1268,6 @@ ServingSim::stepDecode()
     // instead of letting them join the decode set.
     if (_role == ServingRole::Prefill)
         handoffCompletedPrefills();
-}
-
-void
-ServingSim::clearGrowScratch()
-{
-    _growIdx.clear();
-    _growSlots.clear();
-    _growIds.clear();
-    _growTok.clear();
-}
-
-void
-ServingSim::gatherGrow(std::size_t i, std::uint64_t tokens)
-{
-    _growIdx.push_back(i);
-    _growSlots.push_back(_batch.kvSlot[i]);
-    _growIds.push_back(_batch.id[i]);
-    _growTok.push_back(tokens);
-}
-
-void
-ServingSim::growGathered()
-{
-    if (_growIdx.empty())
-        return;
-    _growBlocks.resize(_growIdx.size());
-    _kv.growMany(_growSlots.data(), _growIds.data(), _growTok.data(),
-                 _growBlocks.data(), _growIdx.size());
-    for (std::size_t j = 0; j < _growIdx.size(); ++j)
-        _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
 }
 
 std::uint64_t
@@ -1506,6 +1392,7 @@ ServingSim::finish()
     _out.prefixEvictedBytes = _kv.prefixEvictedBytes();
     _out.work.kvGrowCalls = _kv.growCalls();
     _out.work.kvBlocksGrown = _kv.blocksGrown();
+    _out.work.steadyRebuilds = _steadyRebuilds;
 
     if (_bounded && _stream.overflowed) {
         // The record buffer capped out: the retained latencies are a

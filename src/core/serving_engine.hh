@@ -247,14 +247,21 @@ struct IterationTrace
  */
 struct WorkCounters
 {
-    /** llm::KvCacheManager::grow calls, growMany elements included
-     *  (admissions excluded). */
+    /** llm::KvCacheManager::grow calls (admissions excluded). */
     std::uint64_t kvGrowCalls = 0;
     /** KV blocks those grow calls allocated. */
     std::uint64_t kvBlocksGrown = 0;
     /** Exact worst-case KV growth sums over the batch (on-demand
      *  headroom checks the O(1) bound could not settle). */
     std::uint64_t kvExactHeadroomSums = 0;
+    /** Decode iterations taken by the O(1) steady advance. */
+    std::uint64_t steadyAdvances = 0;
+    /** Decode iterations taken by the per-request decode pass (with
+     *  steadyAdvances, every iteration exactly once). */
+    std::uint64_t decodePasses = 0;
+    /** Batch walks that rebuilt the steady aggregates (context sum,
+     *  smallest remaining output) after a batch change. */
+    std::uint64_t steadyRebuilds = 0;
 
     /** Add @p o's counts (cluster sums over replicas). */
     WorkCounters &
@@ -263,6 +270,9 @@ struct WorkCounters
         kvGrowCalls += o.kvGrowCalls;
         kvBlocksGrown += o.kvBlocksGrown;
         kvExactHeadroomSums += o.kvExactHeadroomSums;
+        steadyAdvances += o.steadyAdvances;
+        decodePasses += o.decodePasses;
+        steadyRebuilds += o.steadyRebuilds;
         return *this;
     }
 };
@@ -815,6 +825,17 @@ class ServingSim
     double scaledSeconds(double kernel_seconds, double other_seconds,
                          std::uint32_t tokens) const;
 
+    /** Charge an admission prefill @p pre over the prompt tokens
+     *  @p lens (scaled by the TP cost model) to the clock, busy
+     *  time, breakdown and energy. */
+    void chargePrefill(const KernelExec &pre,
+                       const std::vector<std::uint32_t> &lens);
+
+    /** Check that a delivery ready at @p ready_seconds keeps the
+     *  deliveries time-ordered; the first one anchors the clock and
+     *  the makespan origin. */
+    void anchorDelivery(double ready_seconds);
+
     /** One decode iteration's decode-phase costs. */
     struct IterationTiming
     {
@@ -878,15 +899,28 @@ class ServingSim
     void publishPrefix(std::size_t i);
 
     /**
-     * Advance every batch member by @p accepted tokens and retire
-     * the finished ones (record, KV release unless static mode,
-     * in-place ordered compaction). The advance itself is one
-     * branch-light pass over the generated/outputLen columns; the
-     * compaction pass runs only when the advance saw a finish.
-     * stepDecode's path for iterations in which everyone decodes.
+     * The O(1) steady advance: when every request decodes, each has
+     * produced its first token, KV is reserved up front and nobody
+     * can reach <eos>, move the whole batch by @p accepted tokens
+     * through _genShift (see _allSeen). False, with nothing changed,
+     * when any of those does not hold.
+     */
+    bool steadyAdvance(const IterationPlan &plan, std::uint32_t accepted);
+
+    /**
+     * Every iteration steadyAdvance does not take, in one pass shaped
+     * like the specification's decode step: the prompt chunks of
+     * @p plan in batch order, then one loop that advances the decoders
+     * by @p accepted tokens, stamps first tokens, grows a chunked
+     * on-demand decoder at a block crossing before later requests
+     * retire, retires finished requests (record; KV release and
+     * prefix publish unless static mode) and compacts the survivors
+     * while summing the steady aggregates, and then, in monolithic
+     * on-demand runs only, grows the survivors that crossed a block.
      * @return Requests that finished (<eos> count).
      */
-    std::uint32_t advanceAndRetire(std::uint32_t accepted);
+    std::uint32_t decodePass(const IterationPlan &plan,
+                             std::uint32_t accepted);
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
@@ -969,15 +1003,14 @@ class ServingSim
         return {_batch.id[i], _batch.kvSlot[i]};
     }
 
-    /**
-     * Bulk KV growth in three steps: clear the gather scratch,
-     * gather each growing element (batch order), then one growMany
-     * over the gathered handles that scatters the block counts back
-     * into the kvBlocks column.
-     */
-    void clearGrowScratch();
-    void gatherGrow(std::size_t i, std::uint64_t tokens);
-    void growGathered();
+    /** Grow batch element @p i's KV to its kvTokens if that crosses
+     *  into a new block (any other grow allocates nothing). */
+    void
+    growAtCrossing(std::size_t i)
+    {
+        if (crossesBlock(i))
+            _batch.kvBlocks[i] = _kv.grow(kvHandle(i), _batch.kvTokens[i]);
+    }
 
     /** Per-request next-iteration chunk budget, admission order
      *  (chunked mode; fills @p chunks aligned with _active). */
@@ -1089,15 +1122,6 @@ class ServingSim
     mutable std::vector<std::uint32_t> _chunkPlan;
     mutable std::vector<std::uint32_t> _chunkPrior;
     mutable std::vector<std::uint32_t> _chunkNow;
-    /** Decode-set snapshot of the running iteration (see
-     *  stepDecode's mixed prefill/decode loop). */
-    std::vector<std::uint8_t> _decoding;
-    // Gather/scatter scratch for bulk KV growth (growMany).
-    std::vector<std::size_t> _growIdx;
-    std::vector<std::uint32_t> _growSlots;
-    std::vector<std::uint64_t> _growIds;
-    std::vector<std::uint64_t> _growTok;
-    std::vector<std::uint64_t> _growBlocks;
     /** _kv.blockTokens(), cached so the headroom gate's
      *  blocks-for-tokens arithmetic inlines into its array pass. */
     std::uint64_t _kvBlockTokens = 16;
@@ -1110,10 +1134,10 @@ class ServingSim
     mutable bool _planValid = false;
 
     /**
-     * True once every batched request has produced its first token
-     * - cleared on every admission so advanceAndRetire only runs
-     * its first-token bookkeeping pass near admission waves and
-     * steady-state decode stays a pure elementwise sweep.
+     * True once every batched request has produced its first token:
+     * cleared on every admission, set again by the decode pass that
+     * sees no survivor without one. The O(1) steady advance stamps no
+     * first tokens, so it runs only while this holds.
      */
     bool _allSeen = true;
 
@@ -1128,9 +1152,10 @@ class ServingSim
      * iteration is _genShift += accepted (nobody retires, the
      * context sum moves by n * accepted) - O(1) instead of O(n).
      * Any path that reads or mutates the generated column calls
-     * syncGen() first to fold the shift in; any batch mutation
-     * clears _steadyValid so the aggregates are rebuilt on the next
-     * decode iteration (refreshSteady).
+     * syncGen() first to fold the shift in. The decode pass leaves
+     * the aggregates valid (it sums them while it compacts); any
+     * other batch mutation clears _steadyValid so they are rebuilt
+     * when next needed (refreshSteady).
      */
     mutable std::uint32_t _genShift = 0;
     /** Context-length sum over stored columns (valid iff
@@ -1140,15 +1165,16 @@ class ServingSim
      *  iff _steadyValid). */
     mutable std::uint32_t _minRem = 0;
     mutable bool _steadyValid = false;
+    /** refreshSteady walks (WorkCounters::steadyRebuilds). */
+    mutable std::uint64_t _steadyRebuilds = 0;
 
     /** Fold _genShift into _batch.generated (no observable-state
      *  change: every true value is preserved). */
     void syncGen() const;
     /** Rebuild _ctxSumBase/_minRem from the (synced) columns. */
     void refreshSteady() const;
-    /** Batch context-length sum, O(1) in steady-state decode;
-     *  bit-identical to BatchState::ctxSum() (integer arithmetic,
-     *  shift folded algebraically). */
+    /** Batch context-length sum, O(1) in steady-state decode
+     *  (integer arithmetic, shift folded algebraically). */
     std::uint64_t steadyCtxSum() const;
 
     /**

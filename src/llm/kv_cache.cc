@@ -232,22 +232,6 @@ KvCacheManager::grow(KvHandle h, std::uint64_t new_tokens)
     return state.blocks;
 }
 
-void
-KvCacheManager::growMany(const std::uint32_t *slots,
-                         const std::uint64_t *ids,
-                         const std::uint64_t *new_tokens,
-                         std::uint64_t *blocks_out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        RequestState &state =
-            _slots[slotOf(KvHandle{ids[i], slots[i]})].state;
-        const std::uint64_t held = state.blocks;
-        blocks_out[i] = growState(ids[i], state, new_tokens[i]);
-        _blocksGrown += blocks_out[i] - held;
-    }
-    _growCalls += n;
-}
-
 std::uint64_t
 KvCacheManager::requestBlocks(std::uint64_t id) const
 {

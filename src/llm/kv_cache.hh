@@ -26,9 +26,9 @@
  * fill force one rescan (pinned against an independent scan model
  * by a churn test). Each live request owns a slot in a pool whose
  * per-device vectors are reused across occupants. admit() hands the
- * slot back as a KvHandle, and every mutator (grow, growMany,
- * release, exportRequest) takes the handle and indexes the slot
- * directly: a per-iteration grow costs no hash lookup. A slot
+ * slot back as a KvHandle, and every mutator (grow, release,
+ * exportRequest) takes the handle and indexes the slot directly: a
+ * per-iteration grow costs no hash lookup. A slot
  * records its request id, so a stale handle (its slot released,
  * perhaps reused) is fatal. The id -> slot map remains for the
  * duplicate-id check at admission (request ids come from traces)
@@ -188,19 +188,6 @@ class KvCacheManager
      */
     std::uint64_t grow(KvHandle h, std::uint64_t new_tokens);
 
-    /**
-     * Bulk grow over parallel slot/id/token arrays (the serving
-     * simulator's per-iteration KV materialization): equivalent to
-     * grow(KvHandle{ids[i], slots[i]}, new_tokens[i]) for i in
-     * order, writing the resulting block counts to
-     * @p blocks_out[i]. One call per iteration instead of one per
-     * request keeps the structure-of-arrays hot loop free of
-     * per-element function-call overhead.
-     */
-    void growMany(const std::uint32_t *slots, const std::uint64_t *ids,
-                  const std::uint64_t *new_tokens,
-                  std::uint64_t *blocks_out, std::size_t n);
-
     /** Release all of @p h's blocks (at <eos>, or when the request
      *  is preempted under KV pressure). Fatal if the handle is
      *  stale. */
@@ -222,8 +209,7 @@ class KvCacheManager
     /** Live request count. */
     std::uint64_t liveRequests() const { return _requests.size(); }
 
-    /** Work counter: grow() calls plus growMany() elements so far
-     *  (admit() excluded). */
+    /** Work counter: grow() calls so far (admit() excluded). */
     std::uint64_t growCalls() const { return _growCalls; }
 
     /** Work counter: blocks those grow calls allocated. */

@@ -438,10 +438,10 @@ class ScanPlacementModel
 };
 
 /**
- * Seeded churn of admits, 1-8-block grows, bulk growMany calls,
- * releases, prefix inserts (new and re-inserted keys) and lookups on
- * a tight pool, so prefix entries are LRU-evicted by growth and by
- * other inserts. The manager is driven through KvHandle slots (which
+ * Seeded churn of admits, 1-8-block grows, grows over a subset of
+ * the live requests, releases, prefix inserts (new and re-inserted
+ * keys) and lookups on a tight pool, so prefix entries are
+ * LRU-evicted by growth and by other inserts. The manager is driven through KvHandle slots (which
  * released requests hand to later admissions), the scan model by
  * request id. After every operation the manager's per-device levels,
  * cache and every live request's blocks and tokens must equal the
@@ -466,7 +466,7 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
     std::uint64_t evicted_bytes = 0;
     std::uint64_t bulk_placements = 0; // admits/inserts over 8 blocks
     std::uint64_t slot_reuses = 0;
-    std::uint64_t grow_many_calls = 0;
+    std::uint64_t multi_grows = 0; // subset ops over 2+ requests
     for (std::size_t round = 0; round < fleets.size(); ++round) {
         const std::uint32_t devices = fleets[round];
         const std::uint64_t per_device = 6 + rnd(10);
@@ -520,27 +520,26 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
                 mgr.grow(h, tokens);
                 ref.grow(h.id, tokens);
             } else if (kind < 60) {
-                // One growMany over an admission-ordered subset,
+                // Grows over an admission-ordered subset, one handle
+                // after another (a decode iteration's sequence),
                 // against per-id grows in the same order.
-                std::vector<std::uint32_t> slots;
-                std::vector<std::uint64_t> ids, toks;
+                std::vector<KvHandle> handles;
+                std::vector<std::uint64_t> toks;
                 std::uint64_t add = 0;
                 for (const auto &[id, slot] : slot_of) {
                     const std::uint64_t k = 1 + rnd(2);
                     if (rnd(2) == 0 || !ref.fits(add + k))
                         continue;
                     add += k;
-                    slots.push_back(slot);
-                    ids.push_back(id);
+                    handles.push_back(KvHandle{id, slot});
                     toks.push_back(grown(id, k));
                 }
-                std::vector<std::uint64_t> blocks(ids.size());
-                mgr.growMany(slots.data(), ids.data(), toks.data(),
-                             blocks.data(), ids.size());
-                grow_many_calls += ids.size() > 1;
-                for (std::size_t j = 0; j < ids.size(); ++j) {
-                    ref.grow(ids[j], toks[j]);
-                    ASSERT_EQ(blocks[j], ref.live.at(ids[j]).blocks);
+                multi_grows += handles.size() > 1;
+                for (std::size_t j = 0; j < handles.size(); ++j) {
+                    const std::uint64_t blocks =
+                        mgr.grow(handles[j], toks[j]);
+                    ref.grow(handles[j].id, toks[j]);
+                    ASSERT_EQ(blocks, ref.live.at(handles[j].id).blocks);
                 }
             } else if (kind < 78) {
                 if (slot_of.empty())
@@ -574,11 +573,11 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
         evicted_bytes += mgr.prefixEvictedBytes();
     }
     // The churn must exercise LRU eviction, the bulk fill, slot reuse
-    // and multi-request growMany calls.
+    // and grows of several requests in one op.
     EXPECT_GT(evicted_bytes, 0u);
     EXPECT_GT(bulk_placements, 0u);
     EXPECT_GT(slot_reuses, 0u);
-    EXPECT_GT(grow_many_calls, 0u);
+    EXPECT_GT(multi_grows, 0u);
 }
 
 // ------------------------------------------------------ KV handles
@@ -601,11 +600,6 @@ TEST(KvHandle, StaleHandleIsFatal)
     EXPECT_THROW(mgr.grow(stale, 64), FatalError);
     EXPECT_THROW(mgr.release(stale), FatalError);
     EXPECT_THROW(mgr.exportRequest(stale), FatalError);
-    const std::uint64_t id = stale.id;
-    const std::uint64_t tokens = 64;
-    std::uint64_t blocks = 0;
-    EXPECT_THROW(mgr.growMany(&stale.slot, &id, &tokens, &blocks, 1),
-                 FatalError);
     // Request 2 kept its blocks through every rejected call.
     EXPECT_EQ(mgr.usedPerDevice(), used);
     EXPECT_EQ(mgr.requestBlocks(2), 2u);

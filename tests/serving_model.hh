@@ -6,11 +6,11 @@
  * agree bit for bit, but none of ServingSim's speed layers: the batch
  * is a vector of ActiveSnapshot structs in admission order, one plan
  * function runs on every peek and every step, one decode step serves
- * every mode, and there is no memo, no steady-state algebra and no
- * bulk KV growth. It grows every decoder's KV every iteration, where
- * ServingSim grows only requests that cross into a new block, and it
- * sums the worst-case growth for every headroom check, where
- * ServingSim first tries an O(1) bound. It validates nothing: the
+ * every mode, and there is no memo and no steady-state algebra. It
+ * grows every decoder's KV every iteration, where ServingSim grows
+ * only requests that cross into a new block, and it sums the
+ * worst-case growth for every headroom check, where ServingSim first
+ * tries an O(1) bound. It validates nothing: the
  * tests drive ServingSim with the same inputs first, and ServingSim
  * keeps every check. Platform, PhaseDispatcher and
  * llm::KvCacheManager (through handles) are shared with ServingSim.

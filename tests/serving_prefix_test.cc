@@ -192,6 +192,11 @@ TEST(ServingPrefix, CacheOnLockstepWithModel)
          KvPreemptPolicy::Recompute},
         {llm::TraceCategory::AgenticLoop, 20.0, 48, 13, 4096, 16,
          KvPreemptPolicy::Recompute},
+        // Pins the monolithic on-demand order (every retiree
+        // releases before a survivor grows): growing each survivor
+        // before later requests retire fails at "on-demand chunk=0".
+        {llm::TraceCategory::SharedQa, 100.0, 64, 5, 2048, 24,
+         KvPreemptPolicy::Recompute},
         {llm::TraceCategory::SharedQa, 300.0, 60, 2, 2048, 12,
          KvPreemptPolicy::SwapRestore},
     };

@@ -10,7 +10,8 @@
  * bit-identical peeked iteration durations, clocks, queues, handoffs
  * and prefix probes at every boundary, and every result, record,
  * breakdown, per-target count and trace row at the end. The
- * spec-decode cases also read ServingSim's KV work counters.
+ * spec-decode cases also read ServingSim's KV work counters, and a
+ * general-qa case its decode work counters.
  */
 
 #include <gtest/gtest.h>
@@ -407,12 +408,47 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
             .run(stream(c.cat, c.rateRps, c.count, c.streamSeed), c.spec,
                  model);
     WorkCounters sum;
-    for (const ServingResult &g : cr.perGroup)
+    std::uint64_t iterations = 0;
+    for (const ServingResult &g : cr.perGroup) {
         sum += g.work;
+        iterations += g.iterations;
+    }
     EXPECT_GT(cr.work.kvExactHeadroomSums, 0u);
     EXPECT_EQ(cr.work.kvGrowCalls, sum.kvGrowCalls);
     EXPECT_EQ(cr.work.kvBlocksGrown, sum.kvBlocksGrown);
     EXPECT_EQ(cr.work.kvExactHeadroomSums, sum.kvExactHeadroomSums);
+    EXPECT_EQ(cr.work.steadyAdvances, sum.steadyAdvances);
+    EXPECT_EQ(cr.work.decodePasses, sum.decodePasses);
+    EXPECT_EQ(cr.work.steadyRebuilds, sum.steadyRebuilds);
+    EXPECT_EQ(cr.work.steadyAdvances + cr.work.decodePasses, iterations);
+}
+
+/**
+ * The decode work counters on a general-qa stream with monolithic
+ * prefill and reserved KV (30 req/s, 512 requests, seed 5, maxRlp
+ * 16). Every iteration is either the O(1) steady advance or the
+ * per-request decode pass, and the decode pass leaves the steady
+ * aggregates valid, so they are rebuilt only after a batch change:
+ * at most once per admission here (no preemption, no handoff);
+ * dropping them after each decode pass rebuilds them 893 times.
+ */
+TEST(SoaDiff, DecodeWorkCounters)
+{
+    Platform papi(makePapiConfig());
+    ServingOptions opt;
+    opt.maxRlp = 16;
+    ServingSim sim(papi, llm::SpeculativeConfig{}, llm::llama65b(), opt);
+    for (const llm::TimedRequest &tr :
+         stream(llm::TraceCategory::GeneralQa, 30.0, 512, 5))
+        sim.deliver(tr);
+    while (sim.canStep())
+        sim.step();
+    const ServingResult r = sim.finish();
+    EXPECT_EQ(r.admissions, 512u);
+    EXPECT_EQ(r.work.steadyAdvances + r.work.decodePasses, r.iterations);
+    EXPECT_GT(r.work.steadyAdvances, 0u);
+    EXPECT_GT(r.work.decodePasses, 0u);
+    EXPECT_LE(r.work.steadyRebuilds, r.admissions);
 }
 
 /** The disaggregated prefill-pool cell; its handoffs feed the
