@@ -1224,14 +1224,11 @@ ServingSim::stepDecode()
             ++_out.fcOnPimIterations;
     }
 
-    // Monolithic-prefill admission reserves each newcomer's KV as
-    // one wave, so the pool can peak at the admission just before
-    // this iteration: sample it before the advance too. Chunked runs
-    // sample only after the advance, which misses a peak reached at
-    // a chunked admission (a known under-report, kept bit-for-bit).
-    if (!_chunked)
-        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                          _kv.utilization());
+    // Admission can fill the pool just before this iteration, and
+    // retirements may free blocks before the post-advance sample:
+    // sample it before the advance too.
+    _out.peakKvUtilization = std::max(_out.peakKvUtilization,
+                                      _kv.utilization());
 
     const std::uint32_t accepted =
         plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;

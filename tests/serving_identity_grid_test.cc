@@ -14,8 +14,10 @@
  * RequestRecord, the breakdown and the per-target iteration counts.
  *
  * The goldens were recorded from the serving core as it stood before
- * KV growth was restricted to block crossings. Never re-record them
- * to make a change pass; a change that moves simulated results on
+ * KV growth was restricted to block crossings; four chunked cells
+ * were re-recorded when chunked runs began sampling KV utilization
+ * before the advance (peakKvUtilization). Never re-record them to
+ * make a change pass; a change that moves simulated results on
  * purpose says so and re-records them in its own commit.
  */
 
@@ -197,7 +199,10 @@ runGrid()
     return cells;
 }
 
-// Recorded from the serving core before block-crossing KV growth.
+// Recorded from the serving core before block-crossing KV growth;
+// cells 108, 127, 138 and 186 (chunked, peak reached at an admission)
+// re-recorded when every mode began sampling KV utilization before
+// the advance as well.
 const std::uint64_t kGolden[] = {
     // creative chunk 0: pool 0/4096/2048 x TLP 1/4 x preemption x cache
     0x77e4dc28f47bbbcbULL, 0x99f9f66a7a89e886ULL, 0x7a19cbbeb2b254d7ULL,
@@ -239,17 +244,17 @@ const std::uint64_t kGolden[] = {
     0xd7198b1a97a12183ULL, 0x32dbb4e35acb14deULL, 0x35206eeb676e5416ULL,
     0xc3e2fa27a3cfaadcULL, 0x5777ae3a65a13bf2ULL, 0x5ac576bb760c1c55ULL,
     // shared-qa chunk 64: pool 0/4096/2048 x TLP 1/4 x preemption x cache
-    0x67077a27a9c1ea6bULL, 0xf94993898d61e5bcULL, 0x0c5ea0cd8f70f72aULL,
+    0x53e2ae3e8a8c6603ULL, 0xf94993898d61e5bcULL, 0x0c5ea0cd8f70f72aULL,
     0x7e80534b24e03119ULL, 0x0c5ea0cd8f70f72aULL, 0x7e80534b24e03119ULL,
     0x8ea10cfe5a4e5edcULL, 0x209fae2e3c99d865ULL, 0x91401ebe15995a8bULL,
     0xe0f693f020407e52ULL, 0x91401ebe15995a8bULL, 0xe0f693f020407e52ULL,
     0x8a64069da02a1933ULL, 0x3b5c5af7c0abfc65ULL, 0x0d523e9dbec3e7f2ULL,
     0x3fcbff1870400d1dULL, 0x46764a994a80de74ULL, 0xb52bb3f595ee88a6ULL,
-    0x87ffcfaacf616d6cULL, 0xf2026f727d752675ULL, 0x074a981d0cf2c22cULL,
+    0x87ffcfaacf616d6cULL, 0xbe86345b56bb71c7ULL, 0x074a981d0cf2c22cULL,
     0xee022722f3e0df9fULL, 0x074a981d0cf2c22cULL, 0xf0f59b7d0ee89cf9ULL,
     0xb5cba285383588bcULL, 0xf1072bd00ad5f0caULL, 0x6b0f86274175bed9ULL,
     0x22017af5af555b37ULL, 0xdd26b10018a13b19ULL, 0x34e1fbc4dfc4dc24ULL,
-    0xc86deec4e60c1676ULL, 0xb8ed5f8a7b95365cULL, 0x50e91a4d090fe814ULL,
+    0xd39f023f54777660ULL, 0xb8ed5f8a7b95365cULL, 0x50e91a4d090fe814ULL,
     0x802c868fa72e2474ULL, 0xf7ada8dc59361b82ULL, 0x60d9c72ab4b569cfULL,
     // agentic chunk 0: pool 0/4096/2048 x TLP 1/4 x preemption x cache
     0x342d83c1763e846aULL, 0x80492b49a6fdc7f4ULL, 0x2c32147d3f014a54ULL,
@@ -267,7 +272,7 @@ const std::uint64_t kGolden[] = {
     // agentic chunk 64: pool 0/4096/2048 x TLP 1/4 x preemption x cache
     0x65ab6e70bcf49cf3ULL, 0x5a28e28126b4ec65ULL, 0xeba7e4a08a19b3f6ULL,
     0x5a28e28126b4ec65ULL, 0xeba7e4a08a19b3f6ULL, 0x5a28e28126b4ec65ULL,
-    0x3935555413fc2507ULL, 0xd263d53d780a66c7ULL, 0x9092daef48a3c1ccULL,
+    0x8ecb596fdbccedbfULL, 0xd263d53d780a66c7ULL, 0x9092daef48a3c1ccULL,
     0xd263d53d780a66c7ULL, 0x9092daef48a3c1ccULL, 0xd263d53d780a66c7ULL,
     0x02f3d9d07569d33dULL, 0xb4816679fed72448ULL, 0x0417b5ef7454bc8aULL,
     0x9ea0103da154baf6ULL, 0x584473f900608ab0ULL, 0x16c30218d8e0ff4dULL,

@@ -15,12 +15,11 @@
  * keeps every check. Platform, PhaseDispatcher and
  * llm::KvCacheManager (through handles) are shared with ServingSim.
  *
- * Four rules are choices, not consequences of the features; the model
- * keeps them as ServingSim's comments state them:
+ * Three rules are choices, not consequences of the features; the
+ * model keeps them as ServingSim's comments state them:
  *  - Monolithic on-demand runs retire before they grow the survivors;
  *    chunked ones grow each decoder before later requests retire. The
  *    order decides which cached prefix blocks get evicted.
- *  - Monolithic runs also sample KV utilization before the advance.
  *  - Static batches add device and host energy separately.
  *  - Under a tensor-parallel cost model, communication takes the
  *    residual of the charged duration, in every mode.
@@ -376,11 +375,9 @@ class ServingModel
             ++(isGpu(target) ? _out.fcOnGpuIterations
                              : _out.fcOnPimIterations);
         }
-        // A monolithic admission wave can fill the pool right before
-        // this iteration.
-        if (!_chunked)
-            _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                              _kv.utilization());
+        // Admission can fill the pool right before this iteration.
+        _out.peakKvUtilization =
+            std::max(_out.peakKvUtilization, _kv.utilization());
 
         for (std::size_t i = 0; i < _batch.size(); ++i) {
             ActiveSnapshot &a = _batch[i];

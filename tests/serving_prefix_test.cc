@@ -533,11 +533,13 @@ expectGolden(const ServingResult &r, const ResultGolden &g)
 }
 
 /**
- * Two places where chunked-prefill KV accounting differs from the
- * monolithic-prefill runs that share the decode step, pinned
- * bitwise on a shared-system-prompt trace with the prefix cache on
- * and a small pool. Either difference, if dropped, still passes every
- * other test in the suite but moves these results.
+ * Chunked-prefill KV accounting, pinned bitwise on a
+ * shared-system-prompt trace with the prefix cache on and a small
+ * pool: (a) a peak reached at an admission, which only the sample
+ * taken before the advance sees, and (b) the per-request growth
+ * order under preemption. A change to either that ServingSim and the
+ * specification make alike passes the lockstep tests but moves these
+ * results.
  */
 TEST(ServingPrefix, ChunkedKvAccountingPins)
 {
@@ -547,14 +549,12 @@ TEST(ServingPrefix, ChunkedKvAccountingPins)
     base.maxRlp = 12;
     base.prefixCacheEnabled = true;
 
-    // (a) Chunked runs sample KV utilization only after the advance.
-    // Admission here fills the pool to 1.0, which no post-advance
-    // sample sees, so 0.99166... is a known under-report, not a
-    // correct peak: see item (c) of "Correctness gates" in
-    // ROADMAP.md. Sampling before the advance as well, as
-    // monolithic-prefill runs do, reads 1.0.
+    // (a) Admission here fills the pool to 1.0, and retirements free
+    // blocks before the post-advance sample, so only the sample taken
+    // before the advance sees the peak (the post-advance sample alone
+    // reads 0.99166...).
     {
-        SCOPED_TRACE("peak KV sampled after the advance");
+        SCOPED_TRACE("peak KV sampled before the advance");
         ServingOptions opt = base;
         opt.prefillChunkTokens = 128;
         opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
@@ -565,7 +565,7 @@ TEST(ServingPrefix, ChunkedKvAccountingPins)
                      {4.5916443537333311, 6233.0293534702214, 590,
                       5882, 60, 0, 0, 0, 589, 2.3329538858071204,
                       4.1763887253664995, 10.769010882137231,
-                      0.9916666666666667, 0, 0, 0, 0.0, 0.0, 0, 0, 0,
+                      1.0, 0, 0, 0, 0.0, 0.0, 0, 0, 0,
                       60, 48, 3072, 6323, 335544320, {}});
     }
 
