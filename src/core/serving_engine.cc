@@ -1389,6 +1389,8 @@ ServingSim::finish()
     _out.prefixEvictedBytes = _kv.prefixEvictedBytes();
     _out.work.kvGrowCalls = _kv.growCalls();
     _out.work.kvBlocksGrown = _kv.blocksGrown();
+    _out.work.kvBlocksAllocated = _kv.blocksAllocated();
+    _out.work.kvPrefixEvictions = _kv.prefixEvictions();
     _out.work.steadyRebuilds = _steadyRebuilds;
 
     if (_bounded && _stream.overflowed) {

@@ -251,6 +251,11 @@ struct WorkCounters
     std::uint64_t kvGrowCalls = 0;
     /** KV blocks those grow calls allocated. */
     std::uint64_t kvBlocksGrown = 0;
+    /** KV blocks the pool handed out: admissions, grows and prefix
+     *  inserts (so at least kvBlocksGrown). */
+    std::uint64_t kvBlocksAllocated = 0;
+    /** Prefix-cache entries evicted (LRU and pressure reclaim). */
+    std::uint64_t kvPrefixEvictions = 0;
     /** Exact worst-case KV growth sums over the batch (on-demand
      *  headroom checks the O(1) bound could not settle). */
     std::uint64_t kvExactHeadroomSums = 0;
@@ -269,6 +274,8 @@ struct WorkCounters
     {
         kvGrowCalls += o.kvGrowCalls;
         kvBlocksGrown += o.kvBlocksGrown;
+        kvBlocksAllocated += o.kvBlocksAllocated;
+        kvPrefixEvictions += o.kvPrefixEvictions;
         kvExactHeadroomSums += o.kvExactHeadroomSums;
         steadyAdvances += o.steadyAdvances;
         decodePasses += o.decodePasses;

@@ -22,8 +22,7 @@ KvCacheManager::KvCacheManager(const ModelConfig &model,
         sim::fatal("KvCacheManager: block (", _blockBytes,
                    " B) does not fit a device (",
                    device_capacity_bytes, " B)");
-    _blocksPerDevice = device_capacity_bytes / _blockBytes;
-    _usedPerDevice.assign(num_devices, 0);
+    _totalBlocks = device_capacity_bytes / _blockBytes * num_devices;
 }
 
 std::uint64_t
@@ -60,112 +59,12 @@ KvCacheManager::slotOf(KvHandle h) const
     return h.slot;
 }
 
-std::uint32_t
-KvCacheManager::scanLeastUsed() const
-{
-    // min_element returns the first minimum: lowest index on ties.
-    return static_cast<std::uint32_t>(
-        std::min_element(_usedPerDevice.begin(),
-                         _usedPerDevice.end()) -
-        _usedPerDevice.begin());
-}
-
-std::uint32_t
-KvCacheManager::nextPick(std::uint32_t placed,
-                         std::uint64_t level) const
-{
-    // `placed` was the lowest-index device at the fleet minimum
-    // `level` and now holds one block more. Any other device at
-    // `level` sits above it in index order; failing that, every
-    // device holds more than `level`, so the lowest index at
-    // level + 1 (at worst `placed` itself) is the new pick.
-    const auto begin = _usedPerDevice.begin();
-    const auto end = _usedPerDevice.end();
-    auto it = std::find(begin + placed + 1, end, level);
-    if (it == end)
-        it = std::find(begin, end, level + 1);
-    return static_cast<std::uint32_t>(it - begin);
-}
-
 void
 KvCacheManager::allocBlocks(RequestState &state, std::uint64_t add)
 {
-    const std::size_t n = _usedPerDevice.size();
-    if (add <= 8 || n <= 1) {
-        // Few blocks: place them one at a time on the least-loaded
-        // device, lowest index on ties (the definition the closed
-        // form below must reproduce). The pick is carried between
-        // blocks and calls, so only a level change other than the
-        // pick's own (release, eviction, bulk fill) costs a scan.
-        if (_pick == kNoPick)
-            _pick = scanLeastUsed();
-        for (std::uint64_t b = 0; b < add; ++b) {
-            const std::uint32_t d = _pick;
-            const std::uint64_t level = _usedPerDevice[d]++;
-            ++state.perDevice[d];
-            _pick = nextPick(d, level);
-        }
-    } else {
-        // Closed-form water-filling, bit-identical to the scan:
-        // the sequence of least-loaded/lowest-index picks raises
-        // every device below some final level h to h, then hands
-        // the remainder to the devices sitting at h in index
-        // order, one block each. Find the largest h whose fill
-        // cost S(h) = sum(max(0, h - used[d])) still fits in add.
-        std::uint64_t mn = _usedPerDevice[0];
-        std::uint64_t mx = _usedPerDevice[0];
-        for (std::size_t d = 1; d < n; ++d) {
-            const std::uint64_t u = _usedPerDevice[d];
-            mn = u < mn ? u : mn;
-            mx = u > mx ? u : mx;
-        }
-        const auto fill_cost = [&](std::uint64_t h) {
-            std::uint64_t s = 0;
-            for (std::uint64_t u : _usedPerDevice)
-                s += h > u ? h - u : 0;
-            return s;
-        };
-        std::uint64_t level;
-        std::uint64_t remainder;
-        // Past the highest device S(h) is affine (n*h - usedTotal),
-        // so when the grow clears the fleet's spread - the common
-        // steady-state case, where water-filling itself keeps every
-        // device within a block of level - h comes out closed-form
-        // with no search at all.
-        const std::uint64_t h0 = (add + _usedTotal) / n;
-        if (h0 >= mx) {
-            level = h0;
-            remainder = add - (n * h0 - _usedTotal);
-        } else {
-            // Otherwise the level sits strictly below mx: h >= mx
-            // would imply S(h) = n*h - usedTotal <= add and hence
-            // h <= h0 < mx. Search the remaining [mn, mx) span.
-            std::uint64_t lo = mn;
-            std::uint64_t hi = mx - 1;
-            while (lo < hi) {
-                const std::uint64_t mid = lo + (hi - lo + 1) / 2;
-                if (fill_cost(mid) <= add)
-                    lo = mid;
-                else
-                    hi = mid - 1;
-            }
-            level = lo;
-            remainder = add - fill_cost(level);
-        }
-        for (std::size_t d = 0; d < n; ++d) {
-            std::uint64_t &u = _usedPerDevice[d];
-            std::uint64_t give = u < level ? level - u : 0;
-            if (remainder > 0 && u <= level) {
-                ++give;
-                --remainder;
-            }
-            u += give;
-            state.perDevice[d] += give;
-        }
-        _pick = kNoPick; // every level moved: rescan on next use
-    }
     state.blocks += add;
     _usedTotal += add;
+    _blocksAllocated += add;
 }
 
 std::uint64_t
@@ -212,7 +111,6 @@ KvCacheManager::admit(std::uint64_t id, std::uint64_t initial_tokens)
     RequestState &state = s.state;
     state.tokens = 0;
     state.blocks = 0;
-    state.perDevice.assign(_usedPerDevice.size(), 0);
     _requests.emplace(id, slot);
     KvAdmission out;
     out.slot = slot;
@@ -261,13 +159,9 @@ KvCacheManager::releaseSlot(std::uint32_t slot)
 {
     RequestSlot &s = _slots[slot];
     RequestState &state = s.state;
-    for (std::uint32_t d = 0; d < _usedPerDevice.size(); ++d) {
-        if (state.perDevice[d] > _usedPerDevice[d])
-            sim::panic("KvCacheManager: accounting underflow");
-        _usedPerDevice[d] -= state.perDevice[d];
-    }
+    if (state.blocks > _usedTotal)
+        sim::panic("KvCacheManager: accounting underflow");
     _usedTotal -= state.blocks;
-    _pick = kNoPick;
     state.tokens = 0;
     state.blocks = 0;
     s.live = false;
@@ -310,14 +204,10 @@ KvCacheManager::evictPrefixSlot(std::uint32_t slot)
     PrefixEntry &e = _prefixSlots[slot];
     lruUnlink(slot);
     RequestState &state = e.state;
-    for (std::uint32_t d = 0; d < _usedPerDevice.size(); ++d) {
-        if (state.perDevice[d] > _usedPerDevice[d])
-            sim::panic("KvCacheManager: prefix accounting "
-                       "underflow");
-        _usedPerDevice[d] -= state.perDevice[d];
-    }
+    if (state.blocks > _usedTotal)
+        sim::panic("KvCacheManager: prefix accounting underflow");
     _usedTotal -= state.blocks;
-    _pick = kNoPick;
+    ++_prefixEvictions;
     _cachedBlocks -= state.blocks;
     _prefixEvictedBytes += state.blocks * _blockBytes;
     _prefixIndex.erase(e.key);
@@ -416,7 +306,6 @@ KvCacheManager::prefixInsert(std::uint64_t key, std::uint64_t tokens)
     e.key = key;
     e.state.tokens = tokens;
     e.state.blocks = 0;
-    e.state.perDevice.assign(_usedPerDevice.size(), 0);
     allocBlocks(e.state, need);
     _cachedBlocks += need;
     _prefixIndex.emplace(key, slot);
@@ -427,19 +316,10 @@ KvOccupancy
 KvCacheManager::occupancy() const
 {
     KvOccupancy out;
-    out.totalBlocks = _blocksPerDevice * _usedPerDevice.size();
+    out.totalBlocks = _totalBlocks;
     out.usedBlocks = _usedTotal;
     out.requests = _requests.size();
     out.cachedBlocks = _cachedBlocks;
-    if (out.usedBlocks > 0) {
-        std::uint64_t max_used =
-            *std::max_element(_usedPerDevice.begin(),
-                              _usedPerDevice.end());
-        double mean = static_cast<double>(out.usedBlocks) /
-                      static_cast<double>(_usedPerDevice.size());
-        out.deviceImbalance =
-            mean > 0.0 ? static_cast<double>(max_used) / mean : 1.0;
-    }
     return out;
 }
 

@@ -1,58 +1,54 @@
 /**
  * @file
- * Block-granular KV-cache allocation across the Attn-PIM fleet.
+ * Block-granular KV-cache accounting for the Attn-PIM fleet.
  *
  * The disaggregated Attn-PIM devices exist to house the growing KV
- * footprint (paper Section 6.2). This allocator manages that
- * capacity the way a serving system would: per-request block lists
- * allocated from per-device free pools, grown as decoding extends
- * the context, and released at <eos>. It provides the admission
- * signal for continuous batching (canAdmit), occupancy stats, and
- * the free and reclaimable block counts a KV-pressure preemption
- * policy compares the batch's worst-case growth against *before* an
- * iteration (release doubles as the eviction primitive - preempted
- * requests simply return their blocks).
+ * footprint (paper Section 6.2). This manager accounts for that
+ * capacity the way a serving system would: per-request block counts
+ * drawn from one pool of blocksPerDevice x devices blocks, grown as
+ * decoding extends the context, and released at <eos>. It provides
+ * the admission signal for continuous batching (canAdmit), occupancy
+ * stats, and the free and reclaimable block counts a KV-pressure
+ * preemption policy compares the batch's worst-case growth against
+ * *before* an iteration (release doubles as the eviction primitive -
+ * preempted requests simply return their blocks).
  *
- * Placement is deterministic: every allocated block goes to the
- * least-loaded device, lowest index on ties. A multi-block grow is
- * therefore a water-filling of the per-device load levels, and
- * grow() computes that fill in closed form instead of scanning the
- * fleet once per block - the resulting distribution is bit-identical
- * to the block-at-a-time loop (pinned by a fuzz test). Small grows
- * place block by block but pay no fleet scan either: the current
- * pick is kept and advanced to the next device at its level (a
- * forward walk that amortizes to O(1) per block while the levels
- * stay water-filled), and only release, prefix eviction, or a bulk
- * fill force one rescan (pinned against an independent scan model
- * by a churn test). Each live request owns a slot in a pool whose
- * per-device vectors are reused across occupants. admit() hands the
- * slot back as a KvHandle, and every mutator (grow, release,
- * exportRequest) takes the handle and indexes the slot directly: a
- * per-iteration grow costs no hash lookup. A slot
- * records its request id, so a stale handle (its slot released,
- * perhaps reused) is fatal. The id -> slot map remains for the
- * duplicate-id check at admission (request ids come from traces)
+ * Blocks are counted for the whole pool only. Which device holds a
+ * block is not modelled: attention cost follows the round-robin head
+ * placement (pim::HeadPlacement, paper Section 6.4), and every
+ * admission, growth, eviction and preemption decision reads only
+ * pool-wide totals. A device still bounds the block size (a block
+ * that does not fit one device is fatal at construction), and the
+ * pool holds a whole number of blocks per device. So grow, admit,
+ * release and prefix eviction are O(1) in the fleet size, and
+ * freeBlocks() / canAdmit() / utilization() are O(1) too - these run
+ * inside the serving simulator's per-iteration admission gate.
+ *
+ * Each live request owns a slot in a pool of slots reused across
+ * occupants. admit() hands the slot back as a KvHandle, and every
+ * mutator (grow, release, exportRequest) takes the handle and
+ * indexes the slot directly: a per-iteration grow costs no hash
+ * lookup. A slot records its request id, so a stale handle (its slot
+ * released, perhaps reused) is fatal. The id -> slot map remains for
+ * the duplicate-id check at admission (request ids come from traces)
  * and the read-only requestBlocks() query. Callers may skip a grow
  * that crosses no block, so a request's token count is not kept
  * exact and the manager exposes block counts only.
- * Used-block totals are maintained incrementally so freeBlocks() /
- * canAdmit() / utilization() are O(1) - these run inside the serving
- * simulator's per-iteration admission gate.
  *
- * On top of the per-request pools sits an optional shared prefix
+ * On top of the per-request blocks sits an optional shared prefix
  * cache (off by default; setPrefixCacheEnabled). Entries are
  * block-granular KV spans keyed by a caller-chosen 64-bit identity
  * (llm::Request::prefixKey) and held in an LRU list. Cached blocks
- * come from the same per-device pools as live requests, but they
- * are *reclaimable*: canAdmit() counts them as available headroom,
- * and growState() evicts LRU entries before declaring the pool
- * exhausted - cached prefixes are strictly evict-before-preempt
- * victims, so enabling the cache can never preempt a request the
- * uncached pool would have served. A lookup hit is block-aligned
- * down (whole cached blocks only), which keeps the "disaggregated
- * handoff shrinks by exactly the hit blocks" ledger exact. With the
- * cache disabled (or simply never inserted into) every code path
- * is integer-identical to the pre-cache manager.
+ * come from the same pool as live requests, but they are
+ * *reclaimable*: canAdmit() counts them as available headroom, and
+ * growState() evicts LRU entries before declaring the pool exhausted
+ * - cached prefixes are strictly evict-before-preempt victims, so
+ * enabling the cache can never preempt a request the uncached pool
+ * would have served. A lookup hit is block-aligned down (whole
+ * cached blocks only), which keeps the "disaggregated handoff
+ * shrinks by exactly the hit blocks" ledger exact. With the cache
+ * disabled (or simply never inserted into) every code path is
+ * integer-identical to the pre-cache manager.
  */
 
 #ifndef PAPI_LLM_KV_CACHE_HH
@@ -70,15 +66,14 @@ namespace papi::llm {
 /** Occupancy snapshot of the KV pool. */
 struct KvOccupancy
 {
-    std::uint64_t totalBlocks = 0;
-    std::uint64_t usedBlocks = 0;
-    std::uint64_t requests = 0;
+    std::uint64_t totalBlocks = 0; ///< Pool capacity in blocks.
+    std::uint64_t usedBlocks = 0;  ///< Blocks held (requests + cache).
+    std::uint64_t requests = 0;    ///< Live requests.
     /** Of usedBlocks, blocks held by shared-prefix cache entries
      *  (reclaimable under pressure). */
     std::uint64_t cachedBlocks = 0;
-    /** Max/mean used blocks across devices (balance quality). */
-    double deviceImbalance = 1.0;
 
+    /** usedBlocks / totalBlocks in [0, 1] (0 for an empty pool). */
     double
     utilization() const
     {
@@ -179,7 +174,7 @@ class KvCacheManager
 
     /**
      * Grow @p h's context to @p new_tokens, allocating blocks as
-     * needed (least-loaded device first). Fatal if the handle is
+     * needed. Fatal if the handle is
      * stale or the pool is exhausted - callers must gate admissions
      * with canAdmit on the worst case. A grow that crosses no block
      * (@p new_tokens <= blocks held x blockTokens()) allocates
@@ -215,6 +210,14 @@ class KvCacheManager
     /** Work counter: blocks those grow calls allocated. */
     std::uint64_t blocksGrown() const { return _blocksGrown; }
 
+    /** Work counter: blocks the pool handed out (admissions, grows
+     *  and prefix inserts). */
+    std::uint64_t blocksAllocated() const { return _blocksAllocated; }
+
+    /** Work counter: prefix-cache entries evicted (LRU and pressure
+     *  reclaim). */
+    std::uint64_t prefixEvictions() const { return _prefixEvictions; }
+
     /** Current occupancy snapshot. */
     KvOccupancy occupancy() const;
 
@@ -223,28 +226,13 @@ class KvCacheManager
     double
     utilization() const
     {
-        const std::uint64_t total =
-            _blocksPerDevice * _usedPerDevice.size();
-        return total ? static_cast<double>(_usedTotal) /
-                           static_cast<double>(total)
-                     : 0.0;
+        return _totalBlocks ? static_cast<double>(_usedTotal) /
+                                  static_cast<double>(_totalBlocks)
+                            : 0.0;
     }
 
-    /** Free blocks remaining across the fleet; O(1). */
-    std::uint64_t
-    freeBlocks() const
-    {
-        return _blocksPerDevice * _usedPerDevice.size() - _usedTotal;
-    }
-
-    /** Used blocks per attention device (placement-visible state;
-     *  lets tests assert the bulk water-filling allocator matches
-     *  the sequential least-loaded definition exactly). */
-    const std::vector<std::uint64_t> &
-    usedPerDevice() const
-    {
-        return _usedPerDevice;
-    }
+    /** Free blocks remaining in the pool; O(1). */
+    std::uint64_t freeBlocks() const { return _totalBlocks - _usedTotal; }
 
     // ---- shared prefix cache (see file comment) ----
 
@@ -321,9 +309,7 @@ class KvCacheManager
          *  of its last grow (callers skip grows that cross no
          *  block), kept only for the no-shrink check. */
         std::uint64_t tokens = 0;
-        std::uint64_t blocks = 0;
-        /** Blocks held per device index. */
-        std::vector<std::uint64_t> perDevice;
+        std::uint64_t blocks = 0; ///< Blocks held.
     };
 
     /** A request slot: its occupant's holdings and identity. */
@@ -343,17 +329,8 @@ class KvCacheManager
     /** release() body on a located slot. */
     void releaseSlot(std::uint32_t slot);
 
-    /** Allocate @p add blocks into @p state, least-loaded device
-     *  first, lowest index on ties (caller checked capacity). */
+    /** Hand @p add blocks to @p state (caller checked capacity). */
     void allocBlocks(RequestState &state, std::uint64_t add);
-
-    /** Least-used device, lowest index on ties: an O(n) scan. */
-    std::uint32_t scanLeastUsed() const;
-
-    /** The pick after one block went to @p placed, the lowest-index
-     *  device at the fleet minimum @p level, without a full scan. */
-    std::uint32_t nextPick(std::uint32_t placed,
-                           std::uint64_t level) const;
 
     /** grow() body on a located slot. */
     std::uint64_t growState(std::uint64_t id, RequestState &state,
@@ -380,27 +357,23 @@ class KvCacheManager
 
     std::uint64_t _blockBytes;
     std::uint32_t _blockTokens;
-    std::uint64_t _blocksPerDevice;
+    std::uint64_t _totalBlocks; ///< blocksPerDevice x devices.
     std::uint64_t _usedTotal = 0;
-    std::vector<std::uint64_t> _usedPerDevice;
-    std::uint64_t _growCalls = 0;   ///< See growCalls().
-    std::uint64_t _blocksGrown = 0; ///< See blocksGrown().
-    /** "No pick" sentinel: the levels moved, rescan on next use. */
-    static constexpr std::uint32_t kNoPick = 0xffffffffu;
-    /** Device the next small-grow block goes to (scanLeastUsed()'s
-     *  answer), or kNoPick. */
-    std::uint32_t _pick = kNoPick;
+    std::uint64_t _growCalls = 0;       ///< See growCalls().
+    std::uint64_t _blocksGrown = 0;     ///< See blocksGrown().
+    std::uint64_t _blocksAllocated = 0; ///< See blocksAllocated().
+    std::uint64_t _prefixEvictions = 0; ///< See prefixEvictions().
     /** id -> slot index into _slots. */
     // detlint: allow(unordered-decl): keyed find/emplace/erase by
     // request id only - the duplicate-id check in admit() (ids come
     // from traces), the erase at release, and the read-only
     // requestBlocks() query (every mutator goes through KvHandle
     // slots); size() feeds liveRequests()/occupancy() as a scalar
-    // count. Never iterated - per-request block placement order
-    // lives in the _slots vectors.
+    // count. Never iterated - every block count lives in the _slots
+    // vector.
     std::unordered_map<std::uint64_t, std::uint32_t> _requests;
-    /** Slot pool: per-device vectors are retained across occupants
-     *  so a steady-state admit/release cycle does not allocate. */
+    /** Slot pool: released slots are reused, so a steady-state
+     *  admit/release cycle does not grow it. */
     std::vector<RequestSlot> _slots;
     std::vector<std::uint32_t> _freeSlots;
 
@@ -415,7 +388,7 @@ class KvCacheManager
     // over _prefixSlots, so reclaim order is insertion-history
     // determined, not bucket-order determined.
     std::unordered_map<std::uint64_t, std::uint32_t> _prefixIndex;
-    /** Entry pool (per-device vectors retained across occupants). */
+    /** Entry pool (released entries are reused). */
     std::vector<PrefixEntry> _prefixSlots;
     std::vector<std::uint32_t> _freePrefixSlots;
     std::uint32_t _lruHead = kNoEntry; ///< Most recently used.

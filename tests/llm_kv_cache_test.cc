@@ -9,7 +9,7 @@
 #include <iterator>
 #include <list>
 #include <map>
-#include <numeric>
+#include <string>
 #include <vector>
 
 #include "llm/kv_cache.hh"
@@ -59,14 +59,22 @@ TEST_F(KvCacheTest, AdmitGrowRelease)
     EXPECT_EQ(mgr.liveRequests(), 0u);
 }
 
-TEST_F(KvCacheTest, BlocksSpreadAcrossDevices)
+TEST_F(KvCacheTest, PoolHoldsWholeBlocksPerDevice)
 {
-    // Allocate many blocks; the least-loaded-first policy must keep
-    // devices balanced.
-    mgr.admit(1, 16 * 40); // 40 blocks across 4 devices
-    KvOccupancy occ = mgr.occupancy();
+    // The pool is devices x floor(capacity / blockBytes) blocks: a
+    // block never straddles two devices.
+    EXPECT_EQ(mgr.occupancy().totalBlocks,
+              4 * ((1ULL << 30) / mgr.blockBytes()));
+    const std::uint64_t odd = 5 * mgr.blockBytes() / 2; // 2.5 blocks
+    KvCacheManager tight(model, 3, odd, 16);
+    EXPECT_EQ(tight.occupancy().totalBlocks, 6u);
+    EXPECT_EQ(tight.freeBlocks(), 6u);
+
+    mgr.admit(1, 16 * 40); // 40 blocks
+    const KvOccupancy occ = mgr.occupancy();
     EXPECT_EQ(occ.usedBlocks, 40u);
-    EXPECT_NEAR(occ.deviceImbalance, 1.0, 1e-9);
+    EXPECT_EQ(occ.requests, 1u);
+    EXPECT_EQ(mgr.freeBlocks(), occ.totalBlocks - 40);
 }
 
 TEST_F(KvCacheTest, AdmissionGating)
@@ -184,97 +192,24 @@ TEST_P(KvBlockSizes, GeometryInvariants)
 INSTANTIATE_TEST_SUITE_P(BlockSizes, KvBlockSizes,
                          ::testing::Values(1u, 8u, 16u, 64u, 256u));
 
-// ------------------------------------------- water-fill equivalence
+// ------------------------------------------------------ pool ledger
 
 /**
- * The bulk allocator's closed-form water-filling (used for large
- * grows) must reproduce the sequential least-loaded-lowest-index
- * scan (used for small grows) EXACTLY - same per-device placement,
- * not just the same totals. Randomized preloads create uneven
- * device levels; a one-call bulk grow on manager A must then leave
- * the same per-device state as block-at-a-time growth on manager B.
+ * Test-local pool reference: one used-block total for the whole
+ * pool, written independently of the manager, with the prefix
+ * cache's LRU and evict-before-fail rules restated on top.
  */
-TEST(KvWaterFill, BulkGrowMatchesSequentialScanExactly)
-{
-    const ModelConfig m = opt30b();
-    const std::uint32_t bt = 16;
-    std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
-    auto rnd = [&lcg](std::uint64_t bound) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return (lcg >> 33) % bound;
-    };
-
-    for (int round = 0; round < 50; ++round) {
-        const std::uint32_t devices =
-            static_cast<std::uint32_t>(2 + rnd(7)); // 2..8
-        KvCacheManager a(m, devices, 4ULL << 30, bt);
-        KvCacheManager b(m, devices, 4ULL << 30, bt);
-
-        // Uneven preload: a few requests of random footprint, some
-        // released again to leave holes.
-        const std::uint64_t preload = 1 + rnd(6);
-        for (std::uint64_t id = 100; id < 100 + preload; ++id) {
-            const std::uint64_t tokens = 1 + rnd(20) * bt;
-            const KvHandle ha{id, a.admit(id, tokens).slot};
-            const KvHandle hb{id, b.admit(id, tokens).slot};
-            if (rnd(3) == 0) {
-                a.release(ha);
-                b.release(hb);
-            }
-        }
-        ASSERT_EQ(a.usedPerDevice(), b.usedPerDevice());
-
-        // The victim grows by a random large amount (far past the
-        // <= 8-block scan threshold) in one call on A...
-        const KvHandle ha{1, a.admit(1, 1).slot};
-        const KvHandle hb{1, b.admit(1, 1).slot};
-        const std::uint64_t target =
-            bt + (9 + rnd(60)) * bt + rnd(bt);
-        const std::uint64_t blocks_a = a.grow(ha, target);
-
-        // ...and one block at a time on B (every call is a 1-block
-        // grow, which takes the sequential scan path by
-        // construction).
-        std::uint64_t blocks_b = 0;
-        for (std::uint64_t t = bt + 1; ; t += bt) {
-            const std::uint64_t step = std::min(t, target);
-            blocks_b = b.grow(hb, step);
-            if (step == target)
-                break;
-        }
-
-        EXPECT_EQ(blocks_a, blocks_b) << "round " << round;
-        EXPECT_EQ(a.usedPerDevice(), b.usedPerDevice())
-            << "round " << round << ": bulk water-fill diverged "
-            << "from the sequential least-loaded definition";
-        EXPECT_EQ(a.freeBlocks(), b.freeBlocks());
-    }
-}
-
-/**
- * Test-local placement reference: every block goes to the least-used
- * device, lowest index on ties, found by a full scan per block - the
- * definition, written independently of both of the manager's
- * allocation paths (the closed-form bulk fill and the small-grow
- * pick it carries between blocks). The prefix cache's LRU and
- * evict-before-fail rules are restated on top, because evictions
- * are what move device levels other than through placement.
- */
-class ScanPlacementModel
+class PoolModel
 {
   public:
     struct Holding
     {
         std::uint64_t tokens = 0;
         std::uint64_t blocks = 0;
-        std::vector<std::uint64_t> perDevice;
     };
 
-    ScanPlacementModel(std::uint32_t devices,
-                       std::uint64_t blocks_per_device,
-                       std::uint32_t block_tokens)
-        : used(devices, 0), _capacity(blocks_per_device),
-          _blockTokens(block_tokens)
+    PoolModel(std::uint64_t total_blocks, std::uint32_t block_tokens)
+        : _capacity(total_blocks), _blockTokens(block_tokens)
     {}
 
     std::uint64_t
@@ -283,13 +218,7 @@ class ScanPlacementModel
         return (tokens + _blockTokens - 1) / _blockTokens;
     }
 
-    std::uint64_t
-    freeBlocks() const
-    {
-        return _capacity * used.size() -
-               std::accumulate(used.begin(), used.end(),
-                               std::uint64_t{0});
-    }
+    std::uint64_t freeBlocks() const { return _capacity - used; }
 
     std::uint64_t
     cachedBlocks() const
@@ -311,8 +240,7 @@ class ScanPlacementModel
     void
     admit(std::uint64_t id, std::uint64_t tokens)
     {
-        Holding &h = live[id];
-        h.perDevice.assign(used.size(), 0);
+        live[id] = Holding{};
         grow(id, std::max<std::uint64_t>(tokens, 1));
     }
 
@@ -325,7 +253,7 @@ class ScanPlacementModel
             const std::uint64_t add = need - h.blocks;
             reclaim(add);
             ASSERT_LE(add, freeBlocks());
-            place(h, add);
+            take(h, add);
         }
         h.tokens = tokens;
     }
@@ -333,7 +261,7 @@ class ScanPlacementModel
     void
     release(std::uint64_t id)
     {
-        drop(live.at(id));
+        used -= live.at(id).blocks;
         live.erase(id);
     }
 
@@ -353,7 +281,7 @@ class ScanPlacementModel
                     const std::uint64_t add = need - h.blocks;
                     reclaim(add);
                     if (add <= freeBlocks()) {
-                        place(h, add);
+                        take(h, add);
                         h.tokens = tokens;
                     }
                 } else {
@@ -369,9 +297,8 @@ class ScanPlacementModel
             return; // dropped: the pool is too hot
         Holding h;
         h.tokens = tokens;
-        h.perDevice.assign(used.size(), 0);
-        place(h, need);
-        lru.emplace_front(key, std::move(h));
+        take(h, need);
+        lru.emplace_front(key, h);
     }
 
     void
@@ -386,7 +313,10 @@ class ScanPlacementModel
             lru.splice(lru.begin(), lru, it); // promote to MRU
     }
 
-    std::vector<std::uint64_t> used;
+    std::uint64_t used = 0;          ///< Blocks held (live + cached).
+    std::uint64_t allocated = 0;     ///< Blocks ever handed out.
+    std::uint64_t evictions = 0;     ///< Prefix entries evicted.
+    std::uint64_t evictedBlocks = 0; ///< Blocks of evicted entries.
     std::map<std::uint64_t, Holding> live;
     /** Prefix entries, most recently used first. */
     std::list<std::pair<std::uint64_t, Holding>> lru;
@@ -402,25 +332,11 @@ class ScanPlacementModel
     }
 
     void
-    place(Holding &h, std::uint64_t add)
+    take(Holding &h, std::uint64_t add)
     {
-        for (std::uint64_t b = 0; b < add; ++b) {
-            std::size_t best = 0;
-            for (std::size_t d = 1; d < used.size(); ++d) {
-                if (used[d] < used[best])
-                    best = d;
-            }
-            ++used[best];
-            ++h.perDevice[best];
-        }
+        used += add;
+        allocated += add;
         h.blocks += add;
-    }
-
-    void
-    drop(const Holding &h)
-    {
-        for (std::size_t d = 0; d < used.size(); ++d)
-            used[d] -= h.perDevice[d];
     }
 
     /** Evict LRU entries until @p need blocks are free. */
@@ -428,7 +344,9 @@ class ScanPlacementModel
     reclaim(std::uint64_t need)
     {
         while (freeBlocks() < need && !lru.empty()) {
-            drop(lru.back().second);
+            used -= lru.back().second.blocks;
+            evictedBlocks += lru.back().second.blocks;
+            ++evictions;
             lru.pop_back();
         }
     }
@@ -441,13 +359,15 @@ class ScanPlacementModel
  * Seeded churn of admits, 1-8-block grows, grows over a subset of
  * the live requests, releases, prefix inserts (new and re-inserted
  * keys) and lookups on a tight pool, so prefix entries are
- * LRU-evicted by growth and by other inserts. The manager is driven through KvHandle slots (which
- * released requests hand to later admissions), the scan model by
- * request id. After every operation the manager's per-device levels,
- * cache and every live request's blocks and tokens must equal the
- * scan model's, at small fleets and at the platforms' 60 devices.
+ * LRU-evicted by growth and by other inserts. The manager is driven
+ * through KvHandle slots (which released requests hand to later
+ * admissions), the pool model by request id. After every operation
+ * the manager's used and cached blocks, evicted bytes and every live
+ * request's blocks must equal the model's, at small fleets and at
+ * the platforms' 60 devices, and the manager's own ledger must
+ * balance: used blocks == live request blocks + cached blocks.
  */
-TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
+TEST(KvPoolLedger, ChurnMatchesIndependentModel)
 {
     const ModelConfig m = opt30b();
     const std::uint32_t bt = 16;
@@ -464,7 +384,6 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
     fleets.insert(fleets.end(), {60, 60, 60});
 
     std::uint64_t evicted_bytes = 0;
-    std::uint64_t bulk_placements = 0; // admits/inserts over 8 blocks
     std::uint64_t slot_reuses = 0;
     std::uint64_t multi_grows = 0; // subset ops over 2+ requests
     for (std::size_t round = 0; round < fleets.size(); ++round) {
@@ -472,9 +391,8 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
         const std::uint64_t per_device = 6 + rnd(10);
         KvCacheManager mgr(m, devices, per_device * block_bytes, bt);
         mgr.setPrefixCacheEnabled(true);
-        ScanPlacementModel ref(devices, per_device, bt);
-        // Footprints scale with the fleet so the pool stays tight;
-        // admits and inserts above 8 blocks take the bulk fill.
+        PoolModel ref(per_device * devices, bt);
+        // Footprints scale with the fleet so the pool stays tight.
         const std::uint64_t max_blocks =
             std::max<std::uint64_t>(12, per_device * devices / 6);
         std::map<std::uint64_t, std::uint32_t> slot_of; // live ids
@@ -499,7 +417,6 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
                 const std::uint64_t tokens = 1 + rnd(max_blocks * bt);
                 if (!ref.fits(ref.blocksFor(tokens)))
                     continue;
-                bulk_placements += ref.blocksFor(tokens) > 8;
                 const KvAdmission a = mgr.admit(next_id, tokens);
                 ref.admit(next_id, tokens);
                 ASSERT_EQ(a.blocks, ref.live.at(next_id).blocks);
@@ -559,23 +476,32 @@ TEST(KvWaterFill, ChurnMatchesIndependentScanModel)
                 mgr.prefixLookup(key, max_tokens);
                 ref.lookup(key, max_tokens);
             }
-            ASSERT_EQ(mgr.usedPerDevice(), ref.used)
-                << "round " << round << " (" << devices
-                << " devices), op " << op;
-            ASSERT_EQ(mgr.cachedBlocks(), ref.cachedBlocks())
-                << "round " << round << ", op " << op;
-            ASSERT_EQ(mgr.prefixEntries(), ref.lru.size())
-                << "round " << round << ", op " << op;
+            SCOPED_TRACE("round " + std::to_string(round) + " (" +
+                         std::to_string(devices) + " devices), op " +
+                         std::to_string(op));
+            const KvOccupancy occ = mgr.occupancy();
+            ASSERT_EQ(occ.usedBlocks, ref.used);
+            ASSERT_EQ(mgr.freeBlocks(), ref.freeBlocks());
+            ASSERT_EQ(mgr.cachedBlocks(), ref.cachedBlocks());
+            ASSERT_EQ(mgr.prefixEntries(), ref.lru.size());
+            ASSERT_EQ(mgr.prefixEvictedBytes(),
+                      ref.evictedBlocks * block_bytes);
+            ASSERT_EQ(mgr.prefixEvictions(), ref.evictions);
+            ASSERT_EQ(mgr.blocksAllocated(), ref.allocated);
             ASSERT_EQ(mgr.liveRequests(), ref.live.size());
-            for (const auto &[id, held] : ref.live)
+            std::uint64_t live_blocks = 0;
+            for (const auto &[id, held] : ref.live) {
                 ASSERT_EQ(mgr.requestBlocks(id), held.blocks);
+                live_blocks += mgr.requestBlocks(id);
+            }
+            // The KV ledger, read off the manager alone.
+            ASSERT_EQ(occ.usedBlocks, live_blocks + occ.cachedBlocks);
         }
         evicted_bytes += mgr.prefixEvictedBytes();
     }
-    // The churn must exercise LRU eviction, the bulk fill, slot reuse
-    // and grows of several requests in one op.
+    // The churn must exercise LRU eviction, slot reuse and grows of
+    // several requests in one op.
     EXPECT_GT(evicted_bytes, 0u);
-    EXPECT_GT(bulk_placements, 0u);
     EXPECT_GT(slot_reuses, 0u);
     EXPECT_GT(multi_grows, 0u);
 }
@@ -595,13 +521,15 @@ TEST(KvHandle, StaleHandleIsFatal)
     mgr.release(stale);
     const KvAdmission second = mgr.admit(2, 32);
     ASSERT_EQ(second.slot, first.slot); // slot handed to request 2
-    const std::vector<std::uint64_t> used = mgr.usedPerDevice();
+    const std::uint64_t free = mgr.freeBlocks();
 
     EXPECT_THROW(mgr.grow(stale, 64), FatalError);
     EXPECT_THROW(mgr.release(stale), FatalError);
     EXPECT_THROW(mgr.exportRequest(stale), FatalError);
     // Request 2 kept its blocks through every rejected call.
-    EXPECT_EQ(mgr.usedPerDevice(), used);
+    EXPECT_EQ(mgr.freeBlocks(), free);
+    EXPECT_EQ(mgr.occupancy().usedBlocks, 2u);
+    EXPECT_EQ(mgr.liveRequests(), 1u);
     EXPECT_EQ(mgr.requestBlocks(2), 2u);
 
     // A released slot nobody reused, and a slot never handed out.

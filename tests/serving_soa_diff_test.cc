@@ -10,7 +10,8 @@
  * bit-identical peeked iteration durations, clocks, queues, handoffs
  * and prefix probes at every boundary, and every result, record,
  * breakdown, per-target count and trace row at the end. The
- * spec-decode cases also read ServingSim's KV work counters, and a
+ * spec-decode cases also read ServingSim's KV work counters (with
+ * the prefix cache on, its allocation and eviction counters), and a
  * general-qa case its decode work counters.
  */
 
@@ -353,6 +354,32 @@ TEST(SoaDiff, SpecDecodeChunkedOnDemand)
     }
 }
 
+/** @p c's options on LLaMA-65B, with its KV pool shrunk to
+ *  c.poolTokens when that is nonzero. */
+ServingOptions
+poolOptions(const DiffCase &c, const PlatformConfig &cfg)
+{
+    ServingOptions opt = c.opt;
+    if (c.poolTokens > 0)
+        opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+            llm::llama65b(), c.poolTokens, cfg.numAttnDevices);
+    return opt;
+}
+
+/** One ServingSim (no lockstep) over @p reqs with @p c's options. */
+ServingResult
+runServing(Platform &platform, const DiffCase &c,
+           const std::vector<llm::TimedRequest> &reqs)
+{
+    ServingSim sim(platform, c.spec, llm::llama65b(),
+                   poolOptions(c, platform.config()));
+    for (const llm::TimedRequest &tr : reqs)
+        sim.deliver(tr);
+    while (sim.canStep())
+        sim.step();
+    return sim.finish();
+}
+
 /**
  * The KV work counters on the spec-decode config. Every grow call
  * allocates, because growth is called only at block crossings; the
@@ -365,21 +392,9 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
     const PlatformConfig cfg = makePapiConfig();
     Platform papi(cfg);
     const llm::ModelConfig model = llm::llama65b();
-    const auto options = [&](const DiffCase &c) {
-        ServingOptions opt = c.opt;
-        if (c.poolTokens > 0)
-            opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
-                model, c.poolTokens, cfg.numAttnDevices);
-        return opt;
-    };
     const auto run = [&](const DiffCase &c) {
-        ServingSim sim(papi, c.spec, model, options(c));
-        for (const llm::TimedRequest &tr :
-             stream(c.cat, c.rateRps, c.count, c.streamSeed))
-            sim.deliver(tr);
-        while (sim.canStep())
-            sim.step();
-        return sim.finish();
+        return runServing(
+            papi, c, stream(c.cat, c.rateRps, c.count, c.streamSeed));
     };
 
     DiffCase roomy = specDecodeCase(0, KvPreemptPolicy::Recompute);
@@ -402,7 +417,7 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
     const DiffCase c = specDecodeCase(4096, KvPreemptPolicy::Recompute);
     papi::cluster::ClusterOptions copt;
     copt.numPlatforms = 2;
-    copt.serving = options(c);
+    copt.serving = poolOptions(c, cfg);
     const papi::cluster::ClusterResult cr =
         papi::cluster::ClusterEngine(cfg, copt)
             .run(stream(c.cat, c.rateRps, c.count, c.streamSeed), c.spec,
@@ -421,6 +436,45 @@ TEST(SoaDiff, SpecDecodeWorkCounters)
     EXPECT_EQ(cr.work.decodePasses, sum.decodePasses);
     EXPECT_EQ(cr.work.steadyRebuilds, sum.steadyRebuilds);
     EXPECT_EQ(cr.work.steadyAdvances + cr.work.decodePasses, iterations);
+}
+
+/**
+ * The KV allocation and prefix-eviction counters on the spec-decode
+ * config's tight pool behind four shared system prompts (the
+ * "prefix cache" lockstep cell). Cached prefixes are evicted, the
+ * pool hands out at least the blocks grown (admissions and prefix
+ * inserts allocate too), every evicted entry held at least one
+ * block, and a cluster's counters are its replicas' sum.
+ */
+TEST(SoaDiff, PrefixWorkCounters)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    Platform papi(cfg);
+    const llm::ModelConfig model = llm::llama65b();
+    // ServingSim's KV blocks are 16 tokens.
+    const std::uint64_t block_bytes = 16 * model.kvBytesPerToken();
+    DiffCase c = specDecodeCase(4096, KvPreemptPolicy::Recompute);
+    c.opt.prefixCacheEnabled = true;
+    const std::vector<llm::TimedRequest> reqs = keyedSpecDecodeStream(c);
+
+    const ServingResult r = runServing(papi, c, reqs);
+    EXPECT_GT(r.work.kvPrefixEvictions, 0u);
+    EXPECT_GT(r.work.kvBlocksAllocated, r.work.kvBlocksGrown);
+    EXPECT_GE(r.prefixEvictedBytes,
+              r.work.kvPrefixEvictions * block_bytes);
+
+    papi::cluster::ClusterOptions copt;
+    copt.numPlatforms = 2;
+    copt.serving = poolOptions(c, cfg);
+    const papi::cluster::ClusterResult cr =
+        papi::cluster::ClusterEngine(cfg, copt).run(reqs, c.spec, model);
+    WorkCounters sum;
+    for (const ServingResult &g : cr.perGroup)
+        sum += g.work;
+    EXPECT_GT(cr.work.kvPrefixEvictions, 0u);
+    EXPECT_EQ(cr.work.kvBlocksAllocated, sum.kvBlocksAllocated);
+    EXPECT_EQ(cr.work.kvPrefixEvictions, sum.kvPrefixEvictions);
+    EXPECT_GE(cr.work.kvBlocksAllocated, cr.work.kvBlocksGrown);
 }
 
 /**
