@@ -27,12 +27,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "core/serving_engine.hh"
 #include "llm/arrival.hh"
 #include "llm/kv_cache.hh"
 #include "llm/model_config.hh"
+#include "llm/trace.hh"
 #include "serving_lockstep.hh"
 
 namespace {
@@ -201,14 +205,24 @@ TEST(ServingPrefix, CacheOnLockstepWithModel)
          KvPreemptPolicy::SwapRestore},
     };
     std::uint64_t preemptions = 0;
-    for (const Trace &t : traces) {
+    for (std::size_t row = 0; row < std::size(traces); ++row) {
+        const Trace &t = traces[row];
         const auto reqs = stream(t.cat, t.rateRps, t.count, t.seed);
         for (const bool on_demand : {false, true}) {
             for (const std::uint32_t chunk : {0u, 64u}) {
-                SCOPED_TRACE("trace " +
-                             std::to_string(static_cast<int>(t.cat)) +
-                             (on_demand ? " on-demand" : " reserved") +
-                             " chunk=" + std::to_string(chunk));
+                std::ostringstream label;
+                label << "row " << row << " ("
+                      << llm::traceCategoryName(t.cat) << " "
+                      << t.rateRps << " req/s seed " << t.seed
+                      << " pool " << t.poolTokens << " maxRlp "
+                      << t.maxRlp << " "
+                      << (t.policy == KvPreemptPolicy::Recompute
+                              ? "recompute"
+                              : "swap-restore")
+                      << ")"
+                      << (on_demand ? " on-demand" : " reserved")
+                      << " chunk=" << chunk;
+                SCOPED_TRACE(label.str());
                 ServingOptions opt;
                 opt.maxRlp = t.maxRlp;
                 opt.prefillChunkTokens = chunk;
