@@ -39,8 +39,8 @@ namespace papi::llm {
 /** A request plus its arrival time in the serving timeline. */
 struct TimedRequest
 {
-    Request request;
-    double arrivalSeconds = 0.0;
+    Request request;             ///< Lengths and prefix identity.
+    double arrivalSeconds = 0.0; ///< Arrival time, seconds.
     /**
      * Conversation/user identity for session-affinity routing: a
      * cluster router can pin all requests of one session to one
@@ -101,6 +101,7 @@ class ArrivalProcess
     /** LongContextRag: document length bounds (deterministic per
      *  session in [kRagDocMin, kRagDocMax]). */
     static constexpr std::uint32_t kRagDocMin = 768;
+    /** LongContextRag: longest document (see kRagDocMin). */
     static constexpr std::uint32_t kRagDocMax = 1280;
     /** SharedQa: the deployment-wide system prompt every request
      *  begins with. */
@@ -126,6 +127,7 @@ class ArrivalProcess
     /** Generate @p count requests with increasing arrival times. */
     std::vector<TimedRequest> generate(std::uint32_t count);
 
+    /** Mean arrival rate, requests per second. */
     double rateRps() const { return _rateRps; }
 
   private:

@@ -27,13 +27,14 @@ struct DecodeStep
     std::uint32_t rlpBefore = 0; ///< Live requests entering the step.
     std::uint32_t eosCount = 0;  ///< Requests that finished.
     std::uint32_t rlpAfter = 0;  ///< Live requests after the step.
-    std::uint64_t tokensGenerated = 0;
+    std::uint64_t tokensGenerated = 0; ///< Tokens accepted.
 };
 
 /** A statically-batched set of requests being decoded. */
 class Batch
 {
   public:
+    /** Admit @p requests as one batch decoding @p model. */
     Batch(std::vector<Request> requests, const ModelConfig &model);
 
     /** Live (unfinished) request count: the runtime RLP. */
@@ -46,6 +47,7 @@ class Batch
         return static_cast<std::uint32_t>(_requests.size());
     }
 
+    /** True once every request reached <eos>. */
     bool done() const { return _live == 0; }
 
     /** Decode iterations executed so far. */
@@ -77,6 +79,7 @@ class Batch
     /** Peak KV-cache bytes if all requests ran to completion. */
     std::uint64_t peakKvCacheBytes() const;
 
+    /** The batch's requests, in admission order. */
     const std::vector<Request> &requests() const { return _requests; }
 
   private:

@@ -32,10 +32,11 @@ enum class FcKernel : std::uint8_t
 /** Work of one kernel invocation. */
 struct KernelWork
 {
-    double flops = 0.0;
+    double flops = 0.0;           ///< Floating-point operations.
     double weightBytes = 0.0;     ///< Parameters (or KV data) read.
     double activationBytes = 0.0; ///< Inputs read + outputs written.
 
+    /** Bytes moved: weights plus activations. */
     double
     totalBytes() const
     {

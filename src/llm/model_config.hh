@@ -16,13 +16,13 @@ namespace papi::llm {
 /** A decoder-only transformer configuration (FP16 inference). */
 struct ModelConfig
 {
-    std::string name = "model";
+    std::string name = "model";    ///< Display name.
     std::uint32_t hiddenDim = 0;   ///< h.
     std::uint32_t numLayers = 0;   ///< Decoder blocks.
     std::uint32_t numHeads = 0;    ///< Attention heads.
     std::uint32_t ffnDim = 0;      ///< FFN inner dimension.
     std::uint32_t ffnMatrices = 2; ///< 2 for GELU MLP, 3 for SwiGLU.
-    std::uint32_t maxSeqLen = 2048;
+    std::uint32_t maxSeqLen = 2048; ///< Longest context, tokens.
     std::uint32_t bytesPerParam = 2; ///< FP16.
 
     /** Mixture-of-Experts FFN: expert count (0 = dense model). */
@@ -30,8 +30,10 @@ struct ModelConfig
     /** Experts routed per token (top-k). */
     std::uint32_t moeTopK = 0;
 
+    /** True for a Mixture-of-Experts FFN. */
     bool isMoe() const { return moeExperts > 0; }
 
+    /** Per-head dimension, h / heads. */
     std::uint32_t
     headDim() const
     {

@@ -13,7 +13,7 @@ namespace papi::llm {
 /** One user request moving through prefill and decode. */
 struct Request
 {
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;        ///< Unique within a trace.
     std::uint32_t inputLen = 0;  ///< Prompt tokens.
     std::uint32_t outputLen = 0; ///< Tokens until <eos> (oracle).
     std::uint32_t generated = 0; ///< Output tokens produced so far.
@@ -36,6 +36,7 @@ struct Request
      *  (prompt + generated) at completion. */
     std::uint32_t insertTokens = 0;
 
+    /** True once the request reached <eos>. */
     bool
     finished() const
     {

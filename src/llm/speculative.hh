@@ -30,6 +30,8 @@ struct SpeculativeConfig
     /** Draft-model cost relative to one target-model serial step. */
     double draftCostFraction = 0.0;
 
+    /** Fatal unless length >= 1, acceptanceRate is in (0, 1] and
+     *  draftCostFraction >= 0. */
     void
     validate() const
     {

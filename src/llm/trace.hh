@@ -62,12 +62,12 @@ TraceCategory traceCategoryFromName(const std::string &name);
 /** Length-distribution parameters of a trace category. */
 struct TraceParams
 {
-    double inputMean = 64.0;
-    double inputStddev = 48.0;
-    double outputMean = 512.0;
-    double outputStddev = 320.0;
-    std::uint32_t minLen = 4;
-    std::uint32_t maxLen = 2048;
+    double inputMean = 64.0;     ///< Mean prompt tokens.
+    double inputStddev = 48.0;   ///< Prompt-length deviation.
+    double outputMean = 512.0;   ///< Mean output tokens.
+    double outputStddev = 320.0; ///< Output-length deviation.
+    std::uint32_t minLen = 4;    ///< Shortest sampled length.
+    std::uint32_t maxLen = 2048; ///< Longest sampled length.
 };
 
 /** Category presets matched to Dolly statistics. */
@@ -77,7 +77,9 @@ TraceParams traceParams(TraceCategory category);
 class TraceGenerator
 {
   public:
+    /** Lengths from @p category's preset, drawn from @p seed. */
     TraceGenerator(TraceCategory category, std::uint64_t seed);
+    /** Lengths from explicit @p params, drawn from @p seed. */
     TraceGenerator(const TraceParams &params, std::uint64_t seed);
 
     /**
@@ -99,6 +101,7 @@ class TraceGenerator
                                          std::uint32_t input_len,
                                          std::uint32_t output_len);
 
+    /** The length distribution in use. */
     const TraceParams &params() const { return _params; }
 
   private:

@@ -40,9 +40,10 @@ std::vector<TimedRequest> readTraceCsv(std::istream &is,
                                        const std::string &source =
                                            "<trace>");
 
-/** Convenience file wrappers (fatal on I/O errors). */
+/** Write @p trace to the file @p path (fatal on I/O errors). */
 void saveTraceFile(const std::string &path,
                    const std::vector<TimedRequest> &trace);
+/** Read the trace file @p path (fatal on I/O or parse errors). */
 std::vector<TimedRequest> loadTraceFile(const std::string &path);
 
 } // namespace papi::llm
