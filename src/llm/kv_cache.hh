@@ -54,7 +54,6 @@
 #ifndef PAPI_LLM_KV_CACHE_HH
 #define PAPI_LLM_KV_CACHE_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
