@@ -40,23 +40,24 @@ PseudoChannel::bank(std::uint32_t group, std::uint32_t idx) const
 }
 
 Tick
-PseudoChannel::earliestIssue(const Command &cmd, Tick now) const
+PseudoChannel::channelEarliest(CommandType type,
+                               std::uint32_t bank_group) const
 {
+    if (bank_group >= _spec.org.bankGroups)
+        sim::panic("PseudoChannel::channelEarliest: bank group ",
+                   bank_group, " out of range");
     const auto &t = _spec.timing;
-    const auto &b = bank(cmd.coord.bankGroup, cmd.coord.bank);
-
-    Tick earliest = std::max(now, _refreshUntil);
-    earliest = std::max(earliest, b.earliestIssue(cmd.type));
+    Tick earliest = _refreshUntil;
 
     // One command per command-bus cycle; near-bank PIM reads are
     // produced by the per-bank sequencers and bypass the bus.
-    if (_anyCommandIssued && cmd.type != CommandType::PimMac)
+    if (_anyCommandIssued && type != CommandType::PimMac)
         earliest = std::max(earliest, _lastCommandAt + t.tCK);
 
-    switch (cmd.type) {
+    switch (type) {
       case CommandType::Act: {
         if (_anyActIssued) {
-            Tick rrd = _rrd[cmd.coord.bankGroup == _lastActGroup];
+            Tick rrd = _rrd[bank_group == _lastActGroup];
             earliest = std::max(earliest, _lastActAt + rrd);
         }
         if (_actCount >= 4) {
@@ -71,20 +72,20 @@ PseudoChannel::earliestIssue(const Command &cmd, Tick now) const
       case CommandType::Rd:
       case CommandType::Wr: {
         if (_anyColumnIssued) {
-            Tick ccd = _ccd[cmd.coord.bankGroup == _lastColumnGroup];
+            Tick ccd = _ccd[bank_group == _lastColumnGroup];
             earliest = std::max(earliest, _lastColumnAt + ccd);
         }
         // The data burst of this command (starting tCL/tWL after
         // issue) must not overlap the previous burst; commands may
         // pipeline through the access latency itself.
-        Tick data_lat = cmd.type == CommandType::Rd ? t.tCL : t.tWL;
+        Tick data_lat = type == CommandType::Rd ? t.tCL : t.tWL;
         if (_busFreeAt > data_lat)
             earliest = std::max(earliest, _busFreeAt - data_lat);
         // Bus turnaround between writes and reads.
         if (_anyColumnIssued) {
-            if (_lastDataWasWrite && cmd.type == CommandType::Rd)
+            if (_lastDataWasWrite && type == CommandType::Rd)
                 earliest = std::max(earliest, _busFreeAt + t.tWTR);
-            if (!_lastDataWasWrite && cmd.type == CommandType::Wr &&
+            if (!_lastDataWasWrite && type == CommandType::Wr &&
                 _busFreeAt + t.tRTW > t.tWL)
                 earliest = std::max(earliest,
                                     _busFreeAt + t.tRTW - t.tWL);
@@ -100,6 +101,14 @@ PseudoChannel::earliestIssue(const Command &cmd, Tick now) const
         break;
     }
     return earliest;
+}
+
+Tick
+PseudoChannel::earliestIssue(const Command &cmd, Tick now) const
+{
+    const auto &b = bank(cmd.coord.bankGroup, cmd.coord.bank);
+    return std::max({now, b.earliestIssue(cmd.type),
+                     channelEarliest(cmd.type, cmd.coord.bankGroup)});
 }
 
 bool
@@ -118,7 +127,6 @@ PseudoChannel::issue(const Command &cmd, Tick now)
         sim::panic("PseudoChannel::issue: illegal ",
                    commandName(cmd.type), " at tick ", now);
 
-    const auto &t = _spec.timing;
     auto &b = bank(cmd.coord.bankGroup, cmd.coord.bank);
     Tick done = b.issue(cmd.type, cmd.coord.row, now);
 
@@ -151,7 +159,6 @@ PseudoChannel::issue(const Command &cmd, Tick now)
       case CommandType::Ref:
         break;
     }
-    (void)t;
     return done;
 }
 

@@ -6,6 +6,14 @@
  * bank groups, tRRD_S/L activate spacing, the four-activate window
  * tFAW, and single-occupancy of the data bus) on top of each Bank's
  * intra-bank timing.
+ *
+ * The earliest legal tick of a command splits in two: the bank's own
+ * tick (Bank::earliestIssue) and the channel bound (channelEarliest),
+ * which depends only on the command type and, for ACT and RD/WR, the
+ * bank group. earliestIssue is the max of the two and of `now`, so
+ * the rules have one implementation, and a caller that caches a
+ * bank's own tick can re-plan it from the bound alone while other
+ * banks issue (pim::GemvEngine does).
  */
 
 #ifndef PAPI_DRAM_PSEUDO_CHANNEL_HH
@@ -26,19 +34,24 @@ namespace papi::dram {
 class PseudoChannel
 {
   public:
+    /** A channel of @p spec with every bank closed at tick 0. */
     explicit PseudoChannel(const DramSpec &spec);
 
-    // Banks point at this channel's timing table.
+    /** Not copyable: the banks point at this channel's timing table. */
     PseudoChannel(const PseudoChannel &) = delete;
+    /** Not assignable, for the same reason. */
     PseudoChannel &operator=(const PseudoChannel &) = delete;
 
+    /** The organization and timing the channel enforces. */
     const DramSpec &spec() const { return _spec; }
 
     /** Number of banks across all bank groups. */
     std::uint32_t numBanks() const { return _spec.org.banks(); }
 
-    /** Access a bank by (group, index-within-group). */
+    /** Access a bank by (group, index-within-group); panics when
+     *  either is out of range. */
     Bank &bank(std::uint32_t group, std::uint32_t idx);
+    /** Read-only bank(group, idx). */
     const Bank &bank(std::uint32_t group, std::uint32_t idx) const;
 
     /** Flat bank index helper. */
@@ -49,11 +62,24 @@ class PseudoChannel
     }
 
     /**
-     * Earliest tick >= @p now at which @p cmd could be issued,
-     * honouring both channel-level and bank-level constraints.
-     * Does not check row-buffer state compatibility (see canIssue).
+     * Earliest tick >= @p now at which @p cmd could be issued:
+     * max(@p now, the addressed bank's earliestIssue(cmd.type),
+     * channelEarliest(cmd.type, cmd.coord.bankGroup)). Does not
+     * check row-buffer state compatibility (see canIssue).
      */
     sim::Tick earliestIssue(const Command &cmd, sim::Tick now) const;
+
+    /**
+     * The channel-scope bound on a @p type command to a bank of
+     * @p bank_group: refresh, the command bus (tCK; PIM_MAC
+     * bypasses it), tRRD and tFAW for ACT, and the tCCD column
+     * cadence, data-bus occupancy and turnarounds for RD/WR. Only
+     * the ACT and RD/WR bounds depend on @p bank_group. Moves only
+     * when a command issues or a refresh starts. Panics when
+     * @p bank_group is out of range.
+     */
+    sim::Tick channelEarliest(CommandType type,
+                              std::uint32_t bank_group) const;
 
     /** True if @p cmd is legal at exactly tick @p now. */
     bool canIssue(const Command &cmd, sim::Tick now) const;
@@ -81,9 +107,11 @@ class PseudoChannel
      */
     sim::Tick refresh(sim::Tick now);
 
-    /** Aggregate counters for stats/energy. */
+    /** ACTs issued to every bank (stats and energy). */
     std::uint64_t totalActivations() const;
+    /** RDs, WRs and PIM_MACs issued to every bank. */
     std::uint64_t totalColumnAccesses() const;
+    /** PIM_MACs issued to every bank. */
     std::uint64_t totalPimMacs() const;
 
   private:

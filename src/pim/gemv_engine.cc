@@ -80,6 +80,77 @@ restoreScanOrder(CommandTrace &trace, std::size_t from,
 
 } // namespace
 
+MacBurstTiming
+timeMacBurst(const MacCadence &cadence, Tick first, Tick fpu_ready_at,
+             std::uint64_t columns, CommandTrace *trace,
+             const Command &mac)
+{
+    if (columns == 0)
+        sim::panic("timeMacBurst: a burst needs at least one column");
+    const Tick s = cadence.ccd;
+    const Tick c = cadence.compute;
+
+    MacBurstTiming out;
+    const Tick data = first + cadence.latency;
+    // e: the latest column's FPU-ready tick minus its data arrival.
+    Tick e = c;
+    if (fpu_ready_at > data) {
+        e += fpu_ready_at - data;
+        out.stalledColumns = 1;
+    }
+    if (trace)
+        trace->push_back(TraceEntry{first, mac});
+    out.runs = 1;
+
+    Tick tick = first;
+    std::uint64_t left = columns - 1;
+    while (left > 0) {
+        // Step the next run of n columns, `step` apart, from e.
+        Tick step = s;
+        std::uint64_t n = left;
+        Tick next_e = c;
+        if (e <= s) {
+            // e >= C, so C <= S and e stays at C from here on.
+        } else if (e <= s + 4 * c) {
+            // The data waits for the FPUs at the S cadence.
+            if (c < s) {
+                n = std::min<std::uint64_t>(
+                    left, (e - s + (s - c) - 1) / (s - c));
+                next_e = e - n * (s - c);
+            } else if (c > s) {
+                n = std::min<std::uint64_t>(
+                    left, (s + 4 * c - e) / (c - s) + 1);
+                next_e = e + n * (c - s);
+            } else {
+                next_e = e;
+            }
+        } else {
+            // The full FPU queue gates the column: one catch-up step
+            // brings e to 5C, a fixed point when C > S.
+            step = e - 4 * c;
+            if (e != 5 * c || c <= s)
+                n = 1;
+            next_e = 5 * c;
+        }
+        // A column stalls when its data lands before the FPUs are
+        // ready; e > step holds for every column of a run or none.
+        if (e > step)
+            out.stalledColumns += n;
+        e = next_e;
+        if (trace) {
+            for (std::uint64_t i = 1; i <= n; ++i)
+                trace->push_back(TraceEntry{tick + i * step, mac});
+        }
+        tick += n * step;
+        out.minGap = std::min(out.minGap, step);
+        left -= n;
+        ++out.runs;
+    }
+    out.last = tick;
+    out.fpuReadyAt = tick + cadence.latency + e;
+    return out;
+}
+
 GemvEngine::GemvEngine(const PimConfig &config) : _config(config)
 {
     if (_config.fpusPerGroup == 0 || _config.banksPerGroup == 0)
@@ -195,14 +266,17 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     // earlier ones are in flight through the read latency
     // (tCL + tBURST) or queued at the FPUs, but not so early that the
     // queue would overflow.
-    const Tick pipe = t.tCL + t.tBURST + 4 * compute_per_col;
+    const MacCadence cadence{t.tCCD_S, t.tCL + t.tBURST, compute_per_col};
+    const Tick pipe = cadence.latency + 4 * cadence.compute;
     auto fpu_gate = [&](Tick fpu_ready_at) -> Tick {
         return fpu_ready_at > pipe ? fpu_ready_at - pipe : 0;
     };
 
     struct BankCursor
     {
+        dram::Bank *bank = nullptr; ///< This bank in `channel`.
         Command next;         ///< ACT, the row's PIM_MAC burst, or PRE.
+        Tick ownAt = 0;       ///< The bank's own earliest tick for `next`.
         Tick nextAt = 0;      ///< Earliest legal tick for `next`.
         std::uint64_t rowsLeft = 0; ///< Rows still to stream (incl. cur).
         Tick fpuReadyAt = 0;
@@ -215,6 +289,7 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     for (std::uint32_t g = 0; g < org.bankGroups; ++g) {
         for (std::uint32_t b = 0; b < org.banksPerGroup; ++b) {
             BankCursor c;
+            c.bank = &channel.bank(g, b);
             c.next.type = CommandType::Act;
             c.next.coord = Coord{g, b, 0, 0};
             c.rowsLeft = full_rows + (tail_cols != 0 ? 1 : 0);
@@ -223,12 +298,18 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
         }
     }
 
-    // No `now` floor: a bank's next command never precedes its own
-    // previous one, and every tick picked while it waits is at or
-    // below its earliest, so the floor of a global scan never binds.
+    // Full plan: PseudoChannel::earliestIssue(next, 0), split into
+    // the bank's own tick (kept for the re-plans below) and the
+    // channel bound. No `now` floor: a bank's next command never
+    // precedes its own previous one, and every tick picked while it
+    // waits is at or below its earliest, so the floor of a global
+    // scan never binds.
     auto plan = [&](BankCursor &c) {
         ++_work.channelCalls;
-        c.nextAt = channel.earliestIssue(c.next, 0);
+        c.ownAt = c.bank->earliestIssue(c.next.type);
+        c.nextAt = std::max(
+            c.ownAt,
+            channel.channelEarliest(c.next.type, c.next.coord.bankGroup));
         if (c.next.type == CommandType::PimMac)
             c.nextAt = std::max(c.nextAt, fpu_gate(c.fpuReadyAt));
     };
@@ -275,11 +356,37 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
                 c.next.type = CommandType::Act;
             }
             // The command bus, tRRD and tFAW moved: re-plan this bank
-            // and every bank waiting on an ACT or PRE.
+            // in full. The other banks' own ticks did not move, so a
+            // bank waiting on an ACT or PRE takes the new channel
+            // bound of its command: one for PRE, one per bank group
+            // for ACT (tRRD), each queried on first use.
+            plan(c);
+            Tick pre_bound = 0;
+            bool have_pre = false;
+            Tick act_bound = 0;
+            std::uint32_t act_group = ~0u;
             for (auto &o : banks) {
-                if (!o.done &&
-                    (&o == &c || o.next.type != CommandType::PimMac))
-                    plan(o);
+                if (o.done || &o == &c ||
+                    o.next.type == CommandType::PimMac)
+                    continue;
+                const std::uint32_t g = o.next.coord.bankGroup;
+                if (o.next.type == CommandType::Act) {
+                    if (act_group != g) {
+                        ++_work.channelCalls;
+                        act_bound =
+                            channel.channelEarliest(CommandType::Act, g);
+                        act_group = g;
+                    }
+                    o.nextAt = std::max(o.ownAt, act_bound);
+                } else {
+                    if (!have_pre) {
+                        ++_work.channelCalls;
+                        pre_bound =
+                            channel.channelEarliest(CommandType::Pre, g);
+                        have_pre = true;
+                    }
+                    o.nextAt = std::max(o.ownAt, pre_bound);
+                }
             }
             break;
           }
@@ -289,31 +396,18 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
                 (c.rowsLeft == 1 && tail_cols != 0) ? tail_cols
                                                     : cols_per_row;
             // Only this bank's cadence and FPU gate move between the
-            // burst's PIM_MACs, so each tick follows from the last.
-            Tick tick = c.nextAt;
-            Tick fpu_ready = c.fpuReadyAt;
-            Tick min_gap = sim::maxTick;
-            for (std::uint32_t i = 0; i < cols; ++i) {
-                if (i > 0) {
-                    const Tick next = std::max(tick + t.tCCD_S,
-                                               fpu_gate(fpu_ready));
-                    min_gap = std::min(min_gap, next - tick);
-                    tick = next;
-                }
-                if (recorder)
-                    recorder->push_back(TraceEntry{tick, c.next});
-                const Tick data_at = tick + t.tCL + t.tBURST;
-                const Tick start = std::max(data_at, fpu_ready);
-                compute_stalled_cols += start > data_at ? 1 : 0;
-                fpu_ready = start + compute_per_col;
-            }
-            channel.bank(c.next.coord.bankGroup, c.next.coord.bank)
-                .issueMacBurst(dram::MacBurst{c.next.coord.row, c.nextAt,
-                                              tick, min_gap, cols});
-            c.fpuReadyAt = fpu_ready;
+            // burst's PIM_MACs, so the burst is closed-form.
+            const MacBurstTiming burst = timeMacBurst(
+                cadence, c.nextAt, c.fpuReadyAt, cols, recorder, c.next);
+            _work.burstRuns += burst.runs;
+            c.bank->issueMacBurst(dram::MacBurst{c.next.coord.row,
+                                                 c.nextAt, burst.last,
+                                                 burst.minGap, cols});
+            compute_stalled_cols += burst.stalledColumns;
+            c.fpuReadyAt = burst.fpuReadyAt;
             c.fpuBusyTicks += cols * compute_per_col;
             // A bank's FPU ready tick never falls.
-            kernel_end = std::max(kernel_end, fpu_ready);
+            kernel_end = std::max(kernel_end, burst.fpuReadyAt);
             column_accesses += cols;
             ++c.next.coord.row;
             if (--c.rowsLeft == 0) {

@@ -21,18 +21,49 @@
  * index on ties), but it does not rescan every bank per command.
  * Only ACT and PRE read and write channel-scope state (the command
  * bus, tRRD and tFAW), so only they go through the cross-bank merge
- * and PseudoChannel::issue: each bank keeps its next command and its
- * earliest tick, re-planned when the bank issues and, for banks
- * waiting on an ACT or PRE, whenever any ACT or PRE issues. A
- * PIM_MAC reads only its own bank's timing and FPU gate and writes
+ * and PseudoChannel::issue: each bank keeps its next command, its
+ * own earliest tick (dram::Bank::earliestIssue) and its earliest
+ * tick overall.
+ *
+ * Re-plan rule: the bank that issues re-plans in full, as the max of
+ * its own tick and PseudoChannel::channelEarliest. A waiting bank's
+ * own tick cannot move while another bank issues, so after an ACT or
+ * PRE every bank waiting on an ACT or PRE becomes max(its cached own
+ * tick, the new PRE bound or its bank group's ACT bound): one
+ * channel query per bound, not one per bank.
+ *
+ * A PIM_MAC reads only its own bank's timing and FPU gate and writes
  * no channel state, so once a bank's row is open its whole PIM_MAC
- * burst follows in closed form from the first tick (planned when the
- * row opened):
+ * burst follows from the first tick (planned when the row opened)
+ * by the per-column recurrence
  *
- *     tick_k = max(tick_{k-1} + tCCD_S, FPU gate)
- *     FPU start_k = max(tick_k + tCL + tBURST, FPU ready)
+ *     tick_k = max(tick_{k-1} + S, FPU gate)
+ *     FPU start_k = max(tick_k + L, FPU ready)
  *
- * and the bank's end state is committed once through
+ * with S = tCCD_S, L = tCL + tBURST and C the FPU service ticks per
+ * column. timeMacBurst solves it in closed form. Let e be the latest
+ * column's FPU-ready tick minus its data-arrival tick. Column 0
+ * lands at first + L and leaves e = max(carried FPU ready - data,
+ * 0) + C, stalling when the carried tick is later. Each later column
+ * lands step = max(S, e - 4C) after the previous one, stalls (its
+ * data arrives before the FPUs are ready) exactly when e > step, and
+ * leaves e' = max(S, e) + C - step. Since e >= C always, e moves in
+ * three regimes:
+ *
+ *  - e <= S: step S, no stall, e' = C <= S, for the rest of the
+ *    burst.
+ *  - S < e <= S + 4C: step S, a stall, e moves by C - S per column:
+ *    for ceil((e - S) / (S - C)) columns when C < S,
+ *    floor((S + 4C - e) / (C - S)) + 1 when C > S, and the rest of
+ *    the burst when C = S.
+ *  - e > S + 4C: one catch-up step of e - 4C, a stall when C > 0,
+ *    and e' = 5C. When C > S that is a fixed point: every later
+ *    column stalls C apart.
+ *
+ * A burst is therefore at most four evenly spaced runs (column 0
+ * counts as one), stepped whole; a traced replay emits each run's
+ * ticks in the same loop, so traced and untraced replays share one
+ * path. The bank's end state is committed once through
  * dram::Bank::issueMacBurst, which checks the whole burst the way
  * Bank::issue checks one PIM_MAC.
  *
@@ -84,10 +115,14 @@ struct GemvWork
 {
     /** Command-stream replays run (memo misses and traced runs). */
     std::uint64_t replays = 0;
-    /** dram::PseudoChannel calls those replays made: one per
-     *  earliestIssue, two per issue (its legality check re-runs
-     *  earliestIssue). */
+    /** dram::PseudoChannel queries those replays made: one per
+     *  earliestIssue or channelEarliest, two per issue (its legality
+     *  check runs earliestIssue). */
     std::uint64_t channelCalls = 0;
+    /** PIM_MAC burst runs those replays stepped: the evenly spaced
+     *  runs of timeMacBurst, column 0 of each burst counted as one
+     *  (at most four per burst). */
+    std::uint64_t burstRuns = 0;
 
     /** Add @p o's counts (a device or platform sums its engines). */
     GemvWork &
@@ -95,9 +130,46 @@ struct GemvWork
     {
         replays += o.replays;
         channelCalls += o.channelCalls;
+        burstRuns += o.burstRuns;
         return *this;
     }
 };
+
+/** The per-column constants of a PIM_MAC burst. */
+struct MacCadence
+{
+    sim::Tick ccd = 0;     ///< S: tCCD_S, the PIM_MAC cadence.
+    sim::Tick latency = 0; ///< L: tCL + tBURST, issue to data.
+    sim::Tick compute = 0; ///< C: FPU service ticks per column.
+};
+
+/** Outcome of one PIM_MAC burst (see timeMacBurst). */
+struct MacBurstTiming
+{
+    sim::Tick last = 0; ///< Tick of the last PIM_MAC.
+    /** Smallest spacing between consecutive PIM_MACs (maxTick for a
+     *  one-column burst). */
+    sim::Tick minGap = sim::maxTick;
+    /** Columns whose data arrived before the FPUs were ready. */
+    std::uint64_t stalledColumns = 0;
+    /** FPU-ready tick after the last column. */
+    sim::Tick fpuReadyAt = 0;
+    /** Evenly spaced runs stepped, column 0 included (1 to 4). */
+    std::uint64_t runs = 0;
+};
+
+/**
+ * Time a burst of @p columns (>= 1) PIM_MACs to one open row whose
+ * first PIM_MAC issues at @p first, with the bank's FPUs ready at
+ * @p fpu_ready_at: the per-column recurrence of the file comment,
+ * solved run by run in O(1). When @p trace is not null, each
+ * PIM_MAC is appended to it as (tick, @p mac), in issue order.
+ */
+MacBurstTiming timeMacBurst(const MacCadence &cadence, sim::Tick first,
+                            sim::Tick fpu_ready_at,
+                            std::uint64_t columns,
+                            CommandTrace *trace = nullptr,
+                            const dram::Command &mac = {});
 
 /** Near-bank GEMV timing engine for one PIM configuration. */
 class GemvEngine
@@ -147,7 +219,7 @@ class GemvEngine
      */
     void setTraceRecorder(CommandTrace *trace) { _recorder = trace; }
 
-    /** Replays and channel calls made so far (see GemvWork). */
+    /** Replays, channel calls and burst runs so far (see GemvWork). */
     const GemvWork &work() const { return _work; }
 
   private:

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dram/address.hh"
 #include "dram/pseudo_channel.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -192,6 +197,91 @@ TEST_F(ChannelTest, AggregateCounters)
     EXPECT_EQ(ch.totalActivations(), 1u);
     EXPECT_EQ(ch.totalColumnAccesses(), 2u);
     EXPECT_EQ(ch.totalPimMacs(), 1u);
+}
+
+/**
+ * earliestIssue is the bank's own tick and the channel bound, nothing
+ * more: after every command of a random legal history (ACT, PRE, RD,
+ * WR, PIM_MAC and all-bank refreshes at random delays), for every
+ * bank and command type, earliestIssue(cmd, 0) equals
+ * max(Bank::earliestIssue, channelEarliest), and the PRE and PIM_MAC
+ * bounds are the same for every bank group (pim::GemvEngine re-plans
+ * waiting banks from one PRE bound).
+ */
+TEST_F(ChannelTest, EarliestIssueIsBankTickAndChannelBound)
+{
+    const CommandType types[] = {CommandType::Act, CommandType::Pre,
+                                 CommandType::PimMac, CommandType::Rd,
+                                 CommandType::Wr};
+    const std::uint32_t groups = spec.org.bankGroups;
+    const std::uint32_t per_group = spec.org.banksPerGroup;
+    std::uint64_t refreshes = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        PseudoChannel channel(spec);
+        papi::sim::Rng rng(seed);
+        std::vector<int> open_row(spec.org.banks(), -1);
+        Tick now = 0;
+        for (int step = 0; step < 1500; ++step) {
+            const bool all_closed =
+                std::all_of(open_row.begin(), open_row.end(),
+                            [](int r) { return r < 0; });
+            if (all_closed && rng.bernoulli(0.2)) {
+                now = std::max(now, channel.channelEarliest(
+                                        CommandType::Pre, 0));
+                channel.refresh(now);
+                ++refreshes;
+            } else {
+                const auto g = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, groups - 1));
+                const auto b = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, per_group - 1));
+                int &row = open_row[channel.flatIndex(g, b)];
+                Command cmd{CommandType::Act, Coord{g, b, 0, 0}};
+                if (row < 0) {
+                    row = static_cast<int>(rng.uniformInt(0, 63));
+                    cmd.coord.row = static_cast<std::uint32_t>(row);
+                } else {
+                    cmd.type = types[rng.uniformInt(1, 4)];
+                    cmd.coord.row = static_cast<std::uint32_t>(row);
+                    if (cmd.type == CommandType::Pre)
+                        row = -1;
+                }
+                const Tick delay =
+                    static_cast<Tick>(rng.uniformInt(0, 8));
+                now = channel.earliestIssue(cmd, now + delay);
+                channel.issue(cmd, now);
+            }
+            for (CommandType type : types) {
+                const Tick shared = channel.channelEarliest(type, 0);
+                for (std::uint32_t g = 0; g < groups; ++g) {
+                    const Tick bound = channel.channelEarliest(type, g);
+                    if (type == CommandType::Pre ||
+                        type == CommandType::PimMac) {
+                        EXPECT_EQ(bound, shared) << commandName(type);
+                    }
+                    for (std::uint32_t b = 0; b < per_group; ++b) {
+                        const Command cmd{type, Coord{g, b, 0, 0}};
+                        EXPECT_EQ(channel.earliestIssue(cmd, 0),
+                                  std::max(channel.bank(g, b)
+                                               .earliestIssue(type),
+                                           bound))
+                            << commandName(type) << " bank " << g
+                            << "." << b << " step " << step;
+                        EXPECT_EQ(channel.earliestIssue(cmd, now + 5),
+                                  std::max(now + 5,
+                                           channel.earliestIssue(cmd,
+                                                                 0)));
+                    }
+                }
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+    EXPECT_GT(refreshes, 0u);
+    EXPECT_THROW(ch.channelEarliest(CommandType::Act, groups),
+                 PanicError);
 }
 
 class AddressMappingParam
