@@ -356,6 +356,7 @@ ClusterEngine::runImpl(
         out.records.insert(out.records.end(), recs.begin(),
                            recs.end());
     }
+    out.work += driver.queueWork();
     out.makespanSeconds = t_end - first_arrival;
     out.requestsServed = served;
     out.requestsOffered = offered;

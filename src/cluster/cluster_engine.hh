@@ -252,8 +252,10 @@ struct ClusterResult
     /** Cached bytes evicted under KV pressure (LRU reclaim). */
     std::uint64_t prefixEvictedBytes = 0;
 
-    /** Work counters summed over replicas (not simulated results;
-     *  see core::WorkCounters). */
+    /** Work counters (not simulated results; see
+     *  core::WorkCounters): the replica counters summed over
+     *  replicas, and the queue counters of the run's
+     *  core::ServingEventDriver. */
     core::WorkCounters work;
 
     /**

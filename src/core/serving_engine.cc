@@ -104,6 +104,7 @@ ServingSim::ServingSim(const Platform &platform,
     _chunkNow.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
     _planMemo.resize(kPlanMemoSlots);
+    _gemvAtStart = _platform.gemvWork();
 }
 
 std::size_t
@@ -809,9 +810,11 @@ ServingSim::planIteration() const
             p.tokens;
         PlanMemoEntry &e = _planMemo[planMemoSlot(key1, ctx_sum)];
         if (e.key1 == key1 && e.key2 == ctx_sum) {
+            ++_planMemoHits;
             p.decision = e.decision;
             p.timing = e.timing;
         } else {
+            ++_planMemoMisses;
             p.decision = _fcDispatch.select(_model, p.decodeRlp,
                                             tlp, p.tokens);
             if (all_decoding) {
@@ -1392,6 +1395,13 @@ ServingSim::finish()
     _out.work.kvBlocksAllocated = _kv.blocksAllocated();
     _out.work.kvPrefixEvictions = _kv.prefixEvictions();
     _out.work.steadyRebuilds = _steadyRebuilds;
+    _out.work.planMemoHits = _planMemoHits;
+    _out.work.planMemoMisses = _planMemoMisses;
+    const pim::GemvWork gemv = _platform.gemvWork();
+    _out.work.gemvReplays = gemv.replays - _gemvAtStart.replays;
+    _out.work.gemvChannelCalls =
+        gemv.channelCalls - _gemvAtStart.channelCalls;
+    _out.work.gemvBurstRuns = gemv.burstRuns - _gemvAtStart.burstRuns;
 
     if (_bounded && _stream.overflowed) {
         // The record buffer capped out: the retained latencies are a
@@ -1444,7 +1454,9 @@ ServingEngine::run(const std::vector<llm::TimedRequest> &stream,
         sim.deliver(tr);
     ServingEventDriver driver({&sim});
     driver.runPredelivered();
-    return sim.finish();
+    ServingResult out = sim.finish();
+    out.work += driver.queueWork();
+    return out;
 }
 
 } // namespace papi::core

@@ -244,6 +244,13 @@ struct IterationTrace
  * wall-clock time. Perf changes are meant to move them, so they stay
  * out of every identity check (result comparisons, the FNV goldens,
  * the output digests).
+ *
+ * Two scopes: the replica counters (KV, decode, plan memo, GEMV) are
+ * counted per ServingSim, so a cluster's are its replicas' sum. The
+ * queue counters (events, bucket advances, windows) are counted per
+ * ServingEventDriver, summed over its global and shard queues: they
+ * are set in the result of ServingEngine::run and in
+ * ClusterResult::work, and stay 0 in a cluster's per-replica results.
  */
 struct WorkCounters
 {
@@ -267,6 +274,32 @@ struct WorkCounters
     /** Batch walks that rebuilt the steady aggregates (context sum,
      *  smallest remaining output) after a batch change. */
     std::uint64_t steadyRebuilds = 0;
+    /** Decode-plan memo probes that hit (one probe per planned
+     *  iteration with decoding requests). */
+    std::uint64_t planMemoHits = 0;
+    /** Decode-plan memo probes that missed and costed the plan. */
+    std::uint64_t planMemoMisses = 0;
+    /** GEMV command-stream replays the replica's platform ran between
+     *  the ServingSim's construction and finish() (pim::GemvWork). */
+    std::uint64_t gemvReplays = 0;
+    /** dram::PseudoChannel queries of those replays. */
+    std::uint64_t gemvChannelCalls = 0;
+    /** PIM_MAC burst runs those replays stepped. */
+    std::uint64_t gemvBurstRuns = 0;
+
+    /** Queue counter: events scheduled. */
+    std::uint64_t eventsScheduled = 0;
+    /** Queue counter: events executed (equals eventsScheduled once
+     *  the queues drain). */
+    std::uint64_t eventsExecuted = 0;
+    /** Queue counter: events scheduled past a calendar window, into
+     *  a queue's overflow heap. */
+    std::uint64_t eventsOverflowed = 0;
+    /** Queue counter: calendar buckets the queues moved onto. */
+    std::uint64_t bucketAdvances = 0;
+    /** Queue counter: lockstep windows, one per global event
+     *  executed (see sim::ParallelTimeline). */
+    std::uint64_t windows = 0;
 
     /** Add @p o's counts (cluster sums over replicas). */
     WorkCounters &
@@ -280,8 +313,21 @@ struct WorkCounters
         steadyAdvances += o.steadyAdvances;
         decodePasses += o.decodePasses;
         steadyRebuilds += o.steadyRebuilds;
+        planMemoHits += o.planMemoHits;
+        planMemoMisses += o.planMemoMisses;
+        gemvReplays += o.gemvReplays;
+        gemvChannelCalls += o.gemvChannelCalls;
+        gemvBurstRuns += o.gemvBurstRuns;
+        eventsScheduled += o.eventsScheduled;
+        eventsExecuted += o.eventsExecuted;
+        eventsOverflowed += o.eventsOverflowed;
+        bucketAdvances += o.bucketAdvances;
+        windows += o.windows;
         return *this;
     }
+
+    /** Field-wise equality (tests compare whole counter sets). */
+    bool operator==(const WorkCounters &) const = default;
 };
 
 /** Outcome of a serving run. */
@@ -1174,6 +1220,12 @@ class ServingSim
     mutable bool _steadyValid = false;
     /** refreshSteady walks (WorkCounters::steadyRebuilds). */
     mutable std::uint64_t _steadyRebuilds = 0;
+    /** Plan memo probes (WorkCounters::planMemoHits/Misses). */
+    mutable std::uint64_t _planMemoHits = 0;
+    mutable std::uint64_t _planMemoMisses = 0;
+    /** The platform's GEMV work at construction; finish() reports
+     *  the difference (WorkCounters::gemvReplays ...). */
+    pim::GemvWork _gemvAtStart;
 
     /** Fold _genShift into _batch.generated (no observable-state
      *  change: every true value is preserved). */

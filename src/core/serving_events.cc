@@ -29,6 +29,23 @@ ServingEventDriver::setWorkerThreads(unsigned threads)
     _workerThreads = threads == 0 ? 1 : threads;
 }
 
+WorkCounters
+ServingEventDriver::queueWork() const
+{
+    WorkCounters w;
+    auto add = [&w](const sim::EventQueue &q) {
+        w.eventsScheduled += q.scheduled();
+        w.eventsExecuted += q.executed();
+        w.eventsOverflowed += q.overflowed();
+        w.bucketAdvances += q.bucketAdvances();
+    };
+    add(_timeline.global());
+    for (std::size_t s = 0; s < _timeline.shardCount(); ++s)
+        add(_timeline.shard(s));
+    w.windows = _timeline.global().executed();
+    return w;
+}
+
 std::vector<LostRequest>
 ServingEventDriver::crashReplica(std::uint32_t g, double when)
 {

@@ -142,6 +142,14 @@ class ServingEventDriver
     const KvTransferStats &transferStats() const { return _xfer; }
 
     /**
+     * The queue counters of WorkCounters (events scheduled, executed
+     * and overflowed, bucket advances, summed over the global and
+     * shard queues, and windows, the global events executed); every
+     * other field is 0.
+     */
+    WorkCounters queueWork() const;
+
+    /**
      * Shard the replicas across @p threads concurrent executors
      * (including the caller; 1 = serial, the default). Any thread
      * count produces byte-for-byte the run of threads == 1: the

@@ -108,6 +108,7 @@ EventQueue::advanceToNextBucket()
             refillFromOverflow();
         }
 
+        ++_bucketAdvances;
         auto &store = _runStores[_numStores++];
         store.swap(_buckets[_curIdx]); // recycles buffer capacity
         clearOccupied(_curIdx);
@@ -141,6 +142,7 @@ void
 EventQueue::pushOverflow(Tick when, Priority prio, std::uint64_t seq,
                          EventCallback &&fn)
 {
+    ++_overflowed;
     _overflow.emplace_back(when, prio, seq, std::move(fn));
     std::push_heap(_overflow.begin(), _overflow.end(), laterThan);
 }

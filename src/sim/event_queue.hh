@@ -71,6 +71,17 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
+    /** Total number of events scheduled so far (cleared ones
+     *  included). */
+    std::uint64_t scheduled() const { return _nextSeq; }
+
+    /** Events scheduled past the calendar window, into the overflow
+     *  heap. */
+    std::uint64_t overflowed() const { return _overflowed; }
+
+    /** Buckets the calendar moved onto to refill the drain run. */
+    std::uint64_t bucketAdvances() const { return _bucketAdvances; }
+
     /**
      * Schedule a closure to run at an absolute tick.
      *
@@ -265,6 +276,8 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
+    std::uint64_t _overflowed = 0;
+    std::uint64_t _bucketAdvances = 0;
     std::size_t _size = 0;
 
     /**

@@ -121,8 +121,12 @@ class ParallelTimeline
 
     /** The coordinator-only cross-shard queue. */
     EventQueue &global() { return _global; }
+    /** Read-only global(). */
+    const EventQueue &global() const { return _global; }
     /** Shard @p s's private queue. */
     EventQueue &shard(std::size_t s) { return *_shards[s]; }
+    /** Read-only shard(@p s). */
+    const EventQueue &shard(std::size_t s) const { return *_shards[s]; }
     /** Number of shard queues. */
     std::size_t shardCount() const { return _shards.size(); }
 

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <iterator>
 #include <map>
 #include <sstream>
@@ -143,7 +144,14 @@ lockstep(const ServingOptions &opt,
          const std::vector<llm::TimedRequest> &reqs)
 {
     RunOutput out;
-    lockstepImpl(opt, reqs, &out);
+    // A sim::fatal or sim::panic thrown inside the run would fail the
+    // test body outside the caller's SCOPED_TRACE; failing here keeps
+    // the trace, so the report names the cell.
+    try {
+        lockstepImpl(opt, reqs, &out);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "lockstep threw: " << e.what();
+    }
     return out;
 }
 

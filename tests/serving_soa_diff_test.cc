@@ -11,13 +11,16 @@
  * and prefix probes at every boundary, and every result, record,
  * breakdown, per-target count and trace row at the end. The
  * spec-decode cases also read ServingSim's KV work counters (with
- * the prefix cache on, its allocation and eviction counters), and a
- * general-qa case its decode work counters.
+ * the prefix cache on, its allocation and eviction counters), a
+ * general-qa case its decode work counters, and fault-free single
+ * and cluster runs the plan memo, GEMV and queue counters.
+ * A cell that throws fails with its name.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,7 +184,13 @@ DiffOutput
 runLockstep(const DiffCase &c)
 {
     DiffOutput out;
-    runLockstepImpl(c, &out);
+    // A sim::fatal or sim::panic thrown inside the cell unwinds its
+    // SCOPED_TRACE; fail here so the report still names the cell.
+    try {
+        runLockstepImpl(c, &out);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "cell \"" << c.name << "\" threw: " << e.what();
+    }
     return out;
 }
 
@@ -503,6 +512,133 @@ TEST(SoaDiff, DecodeWorkCounters)
     EXPECT_GT(r.work.steadyAdvances, 0u);
     EXPECT_GT(r.work.decodePasses, 0u);
     EXPECT_LE(r.work.steadyRebuilds, r.admissions);
+}
+
+/** @p w with its queue counters (WorkCounters' event, bucket and
+ *  window counts) cleared: the replica counters only. */
+WorkCounters
+replicaCounters(WorkCounters w)
+{
+    w.eventsScheduled = 0;
+    w.eventsExecuted = 0;
+    w.eventsOverflowed = 0;
+    w.bucketAdvances = 0;
+    w.windows = 0;
+    return w;
+}
+
+/** Every fault-free run probes the plan memo once per dispatched
+ *  decode iteration, and drains its queues. */
+void
+expectMemoAndDrain(const ServingResult &r, const WorkCounters &queues)
+{
+    EXPECT_EQ(r.work.planMemoHits + r.work.planMemoMisses,
+              r.fcOnGpuIterations + r.fcOnPimIterations);
+    EXPECT_GT(r.work.planMemoMisses, 0u);
+    EXPECT_EQ(queues.eventsExecuted, queues.eventsScheduled);
+    EXPECT_GT(queues.eventsExecuted, 0u);
+    EXPECT_GT(queues.bucketAdvances, 0u);
+    EXPECT_LE(queues.windows, queues.eventsExecuted);
+}
+
+/**
+ * The plan memo, GEMV and queue counters on fault-free configs: a
+ * single platform (ServingEngine::run) and clusters shaped like the
+ * benchmark's qa-stream (4 round-robin replicas), spec-decode (2
+ * replicas, speculation, chunked prefill, on-demand KV) and
+ * agentic-prefix (prefix cache, cache-hit-aware routing). Memo
+ * probes equal the dispatched iterations; the queues drain; the
+ * GEMV counters are the platform's replays during the run; a
+ * cluster's replica counters are its replicas' sum while their
+ * queue counters stay 0; and worker threads move no counter.
+ */
+TEST(SoaDiff, MemoGemvAndQueueWorkCounters)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    const llm::ModelConfig model = llm::llama65b();
+    {
+        SCOPED_TRACE("single platform, general-qa");
+        Platform papi(cfg);
+        const papi::pim::GemvWork before = papi.gemvWork();
+        ServingOptions opt;
+        opt.maxRlp = 16;
+        const ServingResult r = ServingEngine(papi).run(
+            stream(llm::TraceCategory::GeneralQa, 30.0, 256, 5),
+            llm::SpeculativeConfig{}, model, opt);
+        expectMemoAndDrain(r, r.work);
+        // runPredelivered schedules every event on its one shard.
+        EXPECT_EQ(r.work.windows, 0u);
+        const papi::pim::GemvWork after = papi.gemvWork();
+        EXPECT_EQ(r.work.gemvReplays, after.replays - before.replays);
+        EXPECT_EQ(r.work.gemvChannelCalls,
+                  after.channelCalls - before.channelCalls);
+        EXPECT_EQ(r.work.gemvBurstRuns,
+                  after.burstRuns - before.burstRuns);
+        EXPECT_GT(r.work.gemvReplays, 0u);
+    }
+
+    struct ClusterCase
+    {
+        const char *name;
+        papi::cluster::ClusterOptions opt;
+        llm::SpeculativeConfig spec;
+        std::vector<llm::TimedRequest> requests;
+    };
+    std::vector<ClusterCase> cases;
+    {
+        ClusterCase c{"qa-stream shape", {}, {}, {}};
+        c.opt.numPlatforms = 4;
+        c.opt.serving.maxRlp = 16;
+        c.requests = stream(llm::TraceCategory::GeneralQa, 30.0, 256, 11);
+        cases.push_back(std::move(c));
+    }
+    {
+        const DiffCase d = specDecodeCase(4096, KvPreemptPolicy::Recompute);
+        ClusterCase c{"spec-decode shape", {}, d.spec, {}};
+        c.opt.numPlatforms = 2;
+        c.opt.serving = poolOptions(d, cfg);
+        c.requests = stream(d.cat, d.rateRps, d.count, d.streamSeed);
+        cases.push_back(std::move(c));
+    }
+    {
+        DiffCase d = specDecodeCase(4096, KvPreemptPolicy::Recompute);
+        d.opt.prefixCacheEnabled = true;
+        ClusterCase c{"agentic-prefix shape", {}, d.spec, {}};
+        c.opt.numPlatforms = 4;
+        c.opt.policy = papi::cluster::RouterPolicy::CacheHitAware;
+        c.opt.serving = poolOptions(d, cfg);
+        c.requests = keyedSpecDecodeStream(d);
+        cases.push_back(std::move(c));
+    }
+    for (const ClusterCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        papi::cluster::ClusterResult runs[2];
+        for (unsigned workers : {1u, 2u}) {
+            papi::cluster::ClusterOptions opt = c.opt;
+            opt.workerThreads = workers;
+            runs[workers - 1] = papi::cluster::ClusterEngine(cfg, opt).run(
+                c.requests, c.spec, model);
+        }
+        const papi::cluster::ClusterResult &cr = runs[0];
+        EXPECT_EQ(runs[1].work, cr.work) << "worker threads moved a counter";
+        WorkCounters sum;
+        for (const ServingResult &g : cr.perGroup) {
+            EXPECT_EQ(replicaCounters(g.work), g.work);
+            expectMemoAndDrain(g, cr.work);
+            sum += g.work;
+        }
+        EXPECT_EQ(replicaCounters(cr.work), sum);
+        EXPECT_GT(cr.work.eventsOverflowed, 0u);
+        // Round-robin routing is state independent, so every arrival
+        // is pre-routed onto the shards and no global event runs;
+        // cache-hit-aware routing delivers each arrival burst in a
+        // window of its own.
+        if (c.opt.policy == papi::cluster::RouterPolicy::RoundRobin) {
+            EXPECT_EQ(cr.work.windows, 0u);
+        } else {
+            EXPECT_GT(cr.work.windows, 0u);
+        }
+    }
 }
 
 /** The disaggregated prefill-pool cell; its handoffs feed the
