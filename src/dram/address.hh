@@ -35,6 +35,7 @@ enum class MappingPolicy : std::uint8_t
 class AddressMapping
 {
   public:
+    /** Mapping of one pseudo-channel of @p org under @p policy. */
     AddressMapping(const OrgParams &org, MappingPolicy policy);
 
     /**
@@ -47,6 +48,7 @@ class AddressMapping
     /** Inverse of decompose (for round-trip checks). */
     std::uint64_t compose(const Coord &coord) const;
 
+    /** The bit-order policy the mapping applies. */
     MappingPolicy policy() const { return _policy; }
 
   private:

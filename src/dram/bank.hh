@@ -15,6 +15,7 @@
 
 namespace papi::dram {
 
+/** DRAM timing is in simulator ticks (picoseconds). */
 using sim::Tick;
 
 /**
@@ -24,6 +25,7 @@ using sim::Tick;
  */
 struct BankTimingTable
 {
+    /** The increments @p t implies. */
     explicit BankTimingTable(const TimingParams &t);
 
     Tick actToCol;     ///< tRCD: row usable after ACT.
@@ -71,11 +73,15 @@ struct MacBurst
 class Bank
 {
   public:
+    /** A closed bank timed by @p table (borrowed, shared by the
+     *  channel's banks; must outlive the bank). */
     explicit Bank(const BankTimingTable &table) : _tt(&table) {}
 
     /** State of the bank's row buffer. */
     enum class State : std::uint8_t { Closed, Opening, Open };
 
+    /** Row-buffer state at tick @p now: Opening until tRCD after
+     *  the ACT. */
     State state(Tick now) const;
 
     /** Row currently open (or being opened); nullopt when closed. */
@@ -116,10 +122,13 @@ class Bank
      */
     void issueMacBurst(const MacBurst &burst);
 
-    /** Row-buffer hit/miss bookkeeping. */
+    /** ACTs issued to this bank. */
     std::uint64_t activations() const { return _activations; }
+    /** RDs issued to this bank. */
     std::uint64_t reads() const { return _reads; }
+    /** WRs issued to this bank. */
     std::uint64_t writes() const { return _writes; }
+    /** PIM_MACs issued to this bank, bursts included. */
     std::uint64_t pimMacs() const { return _pimMacs; }
 
   private:

@@ -32,11 +32,12 @@ const char *commandName(CommandType type);
 /** Coordinates addressing a location within one pseudo-channel. */
 struct Coord
 {
-    std::uint32_t bankGroup = 0;
+    std::uint32_t bankGroup = 0; ///< Bank group in the channel.
     std::uint32_t bank = 0; ///< Bank index within the bank group.
-    std::uint32_t row = 0;
+    std::uint32_t row = 0;  ///< Row within the bank.
     std::uint32_t column = 0; ///< Column-access index within the row.
 
+    /** True when all four coordinates match. */
     bool
     operator==(const Coord &other) const
     {
@@ -48,8 +49,8 @@ struct Coord
 /** A command plus its target coordinates. */
 struct Command
 {
-    CommandType type = CommandType::Act;
-    Coord coord;
+    CommandType type = CommandType::Act; ///< What to do.
+    Coord coord;                         ///< Where to do it.
 };
 
 } // namespace papi::dram

@@ -43,6 +43,7 @@ struct DramEnergyBreakdown
     double externalIo = 0.0; ///< TSV/PHY transfer joules.
     double background = 0.0; ///< Standby joules over elapsed time.
 
+    /** Sum of the four components, in joules. */
     double
     total() const
     {

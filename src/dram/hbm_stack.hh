@@ -30,14 +30,18 @@ class HbmStack
      */
     HbmStack(const DramSpec &spec, std::uint32_t num_pseudo_channels);
 
+    /** The per-pseudo-channel description every channel shares. */
     const DramSpec &spec() const { return _spec; }
 
+    /** Pseudo-channels in the stack. */
     std::uint32_t numPseudoChannels() const
     {
         return static_cast<std::uint32_t>(_channels.size());
     }
 
+    /** Pseudo-channel @p i; panics when out of range. */
     PseudoChannel &channel(std::uint32_t i);
+    /** Read-only channel(@p i). */
     const PseudoChannel &channel(std::uint32_t i) const;
 
     /** Total banks across the stack. */

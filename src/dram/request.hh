@@ -17,7 +17,7 @@ namespace papi::dram {
 struct MemRequest
 {
     std::uint64_t addr = 0; ///< Byte address within the channel.
-    bool isWrite = false;
+    bool isWrite = false;   ///< WR when true, RD otherwise.
     sim::Tick arrival = 0; ///< Set by the controller on enqueue.
     std::uint64_t id = 0;  ///< Set by the controller on enqueue.
 

@@ -17,6 +17,7 @@
 
 namespace papi::dram {
 
+/** DRAM timing is in simulator ticks (picoseconds). */
 using sim::Tick;
 
 /** Per-pseudo-channel organization parameters. */
@@ -84,8 +85,8 @@ struct TimingParams
 /** A complete device description: organization plus timing. */
 struct DramSpec
 {
-    OrgParams org;
-    TimingParams timing;
+    OrgParams org;       ///< Banks, rows and access sizes.
+    TimingParams timing; ///< Command timing in ticks.
 
     /**
      * Peak data bandwidth of one pseudo-channel in bytes/second:
