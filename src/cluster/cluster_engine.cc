@@ -30,10 +30,12 @@ summarize(std::vector<double> &values, double &mean_out)
     for (double v : values)
         sum += v;
     mean_out = sum / static_cast<double>(values.size());
-    std::sort(values.begin(), values.end());
-    out.p50 = core::percentileSorted(values, 0.50);
-    out.p95 = core::percentileSorted(values, 0.95);
-    out.p99 = core::percentileSorted(values, 0.99);
+    static constexpr double kRanks[] = {0.50, 0.95, 0.99};
+    double picks[3];
+    core::selectPercentiles(values, kRanks, picks);
+    out.p50 = picks[0];
+    out.p95 = picks[1];
+    out.p99 = picks[2];
     return out;
 }
 

@@ -1,31 +1,13 @@
 #include "core/batch_state.hh"
 
+#include <algorithm>
+
 namespace papi::core {
 
 void
 BatchState::reserve(std::size_t n)
 {
-    id.reserve(n);
-    inputLen.reserve(n);
-    outputLen.reserve(n);
-    generated.reserve(n);
-    prefillRemaining.reserve(n);
-    kvTokens.reserve(n);
-    preemptions.reserve(n);
-    admitSeq.reserve(n);
-    sessionId.reserve(n);
-    kvBlocks.reserve(n);
-    kvSlot.reserve(n);
-    prefixKey.reserve(n);
-    prefixTokens.reserve(n);
-    prefixHit.reserve(n);
-    insertKey.reserve(n);
-    insertTokens.reserve(n);
-    arrivalSeconds.reserve(n);
-    admissionSeconds.reserve(n);
-    firstTokenSeconds.reserve(n);
-    stallSeconds.reserve(n);
-    firstTokenSeen.reserve(n);
+    forEachColumn([n](auto &col) { col.reserve(n); });
 }
 
 void
@@ -85,110 +67,36 @@ BatchState::snapshot(std::size_t i) const
 void
 BatchState::popBack()
 {
-    id.pop_back();
-    inputLen.pop_back();
-    outputLen.pop_back();
-    generated.pop_back();
-    prefillRemaining.pop_back();
-    kvTokens.pop_back();
-    preemptions.pop_back();
-    admitSeq.pop_back();
-    sessionId.pop_back();
-    kvBlocks.pop_back();
-    kvSlot.pop_back();
-    prefixKey.pop_back();
-    prefixTokens.pop_back();
-    prefixHit.pop_back();
-    insertKey.pop_back();
-    insertTokens.pop_back();
-    arrivalSeconds.pop_back();
-    admissionSeconds.pop_back();
-    firstTokenSeconds.pop_back();
-    stallSeconds.pop_back();
-    firstTokenSeen.pop_back();
+    forEachColumn([](auto &col) { col.pop_back(); });
 }
 
 void
-BatchState::moveTo(std::size_t to, std::size_t from)
+BatchState::eraseSorted(std::span<const std::uint32_t> indices)
 {
-    if (to == from)
+    if (indices.empty())
         return;
-    id[to] = id[from];
-    inputLen[to] = inputLen[from];
-    outputLen[to] = outputLen[from];
-    generated[to] = generated[from];
-    prefillRemaining[to] = prefillRemaining[from];
-    kvTokens[to] = kvTokens[from];
-    preemptions[to] = preemptions[from];
-    admitSeq[to] = admitSeq[from];
-    sessionId[to] = sessionId[from];
-    kvBlocks[to] = kvBlocks[from];
-    kvSlot[to] = kvSlot[from];
-    prefixKey[to] = prefixKey[from];
-    prefixTokens[to] = prefixTokens[from];
-    prefixHit[to] = prefixHit[from];
-    insertKey[to] = insertKey[from];
-    insertTokens[to] = insertTokens[from];
-    arrivalSeconds[to] = arrivalSeconds[from];
-    admissionSeconds[to] = admissionSeconds[from];
-    firstTokenSeconds[to] = firstTokenSeconds[from];
-    stallSeconds[to] = stallSeconds[from];
-    firstTokenSeen[to] = firstTokenSeen[from];
-}
-
-void
-BatchState::truncate(std::size_t n)
-{
-    id.resize(n);
-    inputLen.resize(n);
-    outputLen.resize(n);
-    generated.resize(n);
-    prefillRemaining.resize(n);
-    kvTokens.resize(n);
-    preemptions.resize(n);
-    admitSeq.resize(n);
-    sessionId.resize(n);
-    kvBlocks.resize(n);
-    kvSlot.resize(n);
-    prefixKey.resize(n);
-    prefixTokens.resize(n);
-    prefixHit.resize(n);
-    insertKey.resize(n);
-    insertTokens.resize(n);
-    arrivalSeconds.resize(n);
-    admissionSeconds.resize(n);
-    firstTokenSeconds.resize(n);
-    stallSeconds.resize(n);
-    firstTokenSeen.resize(n);
+    const std::size_t n = size();
+    forEachColumn([&](auto &col) {
+        auto *d = col.data();
+        std::size_t w = indices.front();
+        for (std::size_t k = 0; k < indices.size(); ++k) {
+            // The survivors between this removal and the next one (or
+            // the end) shift left onto slot w; the ranges overlap only
+            // with the destination first, which std::copy allows.
+            const std::size_t from = indices[k] + 1;
+            const std::size_t to =
+                k + 1 < indices.size() ? indices[k + 1] : n;
+            std::copy(d + from, d + to, d + w);
+            w += to - from;
+        }
+        col.resize(w);
+    });
 }
 
 void
 BatchState::clear()
 {
-    truncate(0);
-}
-
-bool
-BatchState::anyPrefilling() const
-{
-    const std::size_t n = size();
-    const std::uint32_t *pre = prefillRemaining.data();
-    std::uint32_t any = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        any |= pre[i];
-    return any != 0;
-}
-
-void
-BatchState::refillCtx(std::vector<std::uint32_t> &ctx) const
-{
-    const std::size_t n = size();
-    ctx.resize(n);
-    const std::uint32_t *in = inputLen.data();
-    const std::uint32_t *gen = generated.data();
-    std::uint32_t *out = ctx.data();
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = in[i] + gen[i];
+    forEachColumn([](auto &col) { col.clear(); });
 }
 
 void

@@ -17,7 +17,7 @@
  * and retirement compacts in place without reordering survivors.
  *
  * The arrays are public on purpose: ServingSim's loops index them
- * directly. The mutating helpers (push / popBack / moveTo /
+ * directly. The mutating helpers (push / popBack / eraseSorted /
  * truncate) keep the columns aligned; everything else is plain
  * array arithmetic.
  */
@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -113,8 +114,8 @@ class BatchState
 
     /** Number of parallel columns above. The layout tripwire below
      *  fails compilation the moment a column is added or removed, so
-     *  push/snapshot/popBack/moveTo/truncate/clear (and this count)
-     *  can never silently fall out of sync with the data members. */
+     *  push/snapshot/forEachColumn (and this count) can never
+     *  silently fall out of sync with the data members. */
     static constexpr std::size_t kColumns = 21;
 
     /** Live request count (every column has this many elements). */
@@ -143,27 +144,52 @@ class BatchState
     /** Drop the last (youngest-admitted) element. */
     void popBack();
 
-    /** Copy element @p from into slot @p to (to <= from); the
-     *  retirement compaction step. No-op when equal. */
-    void moveTo(std::size_t to, std::size_t from);
-
-    /** Shrink to @p n elements (after compaction). */
-    void truncate(std::size_t n);
+    /**
+     * Remove the elements at @p indices (strictly ascending, each
+     * below size()), keeping the survivors in order: the retirement
+     * compaction. Each column moves each run of survivors between
+     * two removed indices with one copy.
+     */
+    void eraseSorted(std::span<const std::uint32_t> indices);
 
     /** Drop every element from every column. */
     void clear();
 
     // ---- hot array passes (branch-light, autovectorizable) ----
 
-    /** True if any request is still prefilling (chunked mode). */
-    bool anyPrefilling() const;
-
-    /** Refill @p ctx with per-request context lengths, in order. */
-    void refillCtx(std::vector<std::uint32_t> &ctx) const;
-
     /** stallSeconds[i] += s for every request (lump-sum swap stall
      *  attribution). */
     void addStallAll(double s);
+
+  private:
+    /** Call @p f on every column, in declaration order (the
+     *  column-aligned helpers that treat columns alike). */
+    template <typename F>
+    void
+    forEachColumn(F &&f)
+    {
+        f(id);
+        f(inputLen);
+        f(outputLen);
+        f(generated);
+        f(prefillRemaining);
+        f(kvTokens);
+        f(preemptions);
+        f(admitSeq);
+        f(sessionId);
+        f(kvBlocks);
+        f(kvSlot);
+        f(prefixKey);
+        f(prefixTokens);
+        f(prefixHit);
+        f(insertKey);
+        f(insertTokens);
+        f(arrivalSeconds);
+        f(admissionSeconds);
+        f(firstTokenSeconds);
+        f(stallSeconds);
+        f(firstTokenSeen);
+    }
 };
 
 // ---- compile-time contract ------------------------------------
@@ -171,8 +197,8 @@ class BatchState
 // Every column is a std::vector, and all vector specializations have
 // one size, so the class size counts the columns. Adding a member
 // without visiting every column-aligned helper (push / snapshot /
-// popBack / moveTo / truncate / clear / the hot passes) corrupts the
-// batch silently at runtime - this makes it a compile error instead.
+// forEachColumn) corrupts the batch silently at runtime - this makes
+// it a compile error instead.
 static_assert(sizeof(BatchState) ==
                   BatchState::kColumns *
                       sizeof(std::vector<std::uint64_t>),

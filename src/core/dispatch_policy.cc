@@ -223,15 +223,16 @@ PhaseDispatcher::select(const llm::ModelConfig &model,
 }
 
 DispatchDecision
-PhaseDispatcher::selectAttention(
-    const llm::ModelConfig &model,
-    const std::vector<std::uint32_t> &ctx_lens,
-    std::uint32_t tlp) const
+PhaseDispatcher::selectAttention(const llm::ModelConfig &model,
+                                 std::uint64_t ctx_sum,
+                                 std::uint32_t requests,
+                                 std::uint32_t tlp) const
 {
     if (_rule == DispatchRule::Static)
         return DispatchDecision{_ids.front(), 0.0};
     return fastest(_ids, [&](TargetId id) {
-        return _platform->attnExec(model, ctx_lens, tlp, id).seconds;
+        return _platform->attnExec(model, ctx_sum, requests, tlp, id)
+            .seconds;
     });
 }
 

@@ -153,13 +153,14 @@ class PhaseDispatcher
                             std::uint32_t tokens) const;
 
     /**
-     * Pick the attention-phase target over live contexts. Static or
-     * oracle only: Platform rejects threshold policies outside FC.
+     * Pick the attention-phase target for @p requests live requests
+     * whose contexts sum to @p ctx_sum tokens. Static or oracle
+     * only: Platform rejects threshold policies outside FC.
      */
-    DispatchDecision
-    selectAttention(const llm::ModelConfig &model,
-                    const std::vector<std::uint32_t> &ctx_lens,
-                    std::uint32_t tlp) const;
+    DispatchDecision selectAttention(const llm::ModelConfig &model,
+                                     std::uint64_t ctx_sum,
+                                     std::uint32_t requests,
+                                     std::uint32_t tlp) const;
 
     /**
      * Pick the prefill target over admitted prompt lengths. Static

@@ -70,10 +70,15 @@ struct KernelExec
 using FcCostFn = std::function<KernelExec(
     const llm::ModelConfig &model, std::uint32_t tokens)>;
 
-/** Attention-phase cost over live context lengths on a target. */
+/**
+ * Attention-phase cost on a target over a decode batch's aggregates:
+ * @p ctx_sum context tokens summed over @p requests live requests,
+ * each verifying @p tlp tokens. Attention reads the contexts only
+ * through their sum and count, so no per-request vector is needed.
+ */
 using AttnCostFn = std::function<KernelExec(
-    const llm::ModelConfig &model,
-    const std::vector<std::uint32_t> &ctx_lens, std::uint32_t tlp)>;
+    const llm::ModelConfig &model, std::uint64_t ctx_sum,
+    std::uint32_t requests, std::uint32_t tlp)>;
 
 /** Prefill cost over admitted prompt lengths on a target. */
 using PrefillCostFn = std::function<KernelExec(

@@ -1,5 +1,6 @@
 #include "core/metrics.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -188,6 +189,30 @@ percentileSorted(const std::vector<double> &sorted_values, double q)
     auto idx = static_cast<std::size_t>(
         q * static_cast<double>(sorted_values.size() - 1));
     return sorted_values[idx];
+}
+
+void
+selectPercentiles(std::vector<double> &values, std::span<const double> qs,
+                  std::span<double> out)
+{
+    if (values.empty()) {
+        std::fill(out.begin(), out.end(),
+                  std::numeric_limits<double>::quiet_NaN());
+        return;
+    }
+    // After nth_element places rank r, everything below it is no
+    // larger than anything from r on, so a lower rank's sorted value
+    // is the one it has within [0, r). Equal ranks reuse the pick.
+    const auto last = static_cast<double>(values.size() - 1);
+    auto end = values.end();
+    for (std::size_t k = qs.size(); k-- > 0;) {
+        const auto nth = values.begin() +
+                         static_cast<std::ptrdiff_t>(qs[k] * last);
+        if (nth != end)
+            std::nth_element(values.begin(), nth, end);
+        out[k] = *nth;
+        end = nth;
+    }
 }
 
 } // namespace papi::core

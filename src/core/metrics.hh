@@ -7,6 +7,7 @@
 #define PAPI_CORE_METRICS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,18 @@ double geomean(const std::vector<double> &values);
  */
 double percentileSorted(const std::vector<double> &sorted_values,
                         double q);
+
+/**
+ * The percentileSorted() picks of @p values at the ascending
+ * quantiles @p qs, written to @p out (same length), found by
+ * selection instead of a sort: nested std::nth_element calls,
+ * highest rank first, each one within the prefix below the rank the
+ * previous one placed. out[k] equals percentileSorted(sorted copy,
+ * qs[k]) bitwise; NaN for an empty sample. Reorders @p values.
+ */
+void selectPercentiles(std::vector<double> &values,
+                       std::span<const double> qs,
+                       std::span<double> out);
 
 /** Format seconds with an adaptive unit (s / ms / us). */
 std::string formatSeconds(double seconds);

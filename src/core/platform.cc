@@ -59,11 +59,16 @@ Platform::prefillCached(const llm::ModelConfig &model,
     key.model = modelIndex(model);
     key.shape = shape;
     key.target = id;
-    if (auto it = _prefillCache.find(key); it != _prefillCache.end())
+    if (auto it = _prefillCache.find(key); it != _prefillCache.end()) {
+        ++_memoWork.prefillHits;
         return it->second;
+    }
+    ++_memoWork.prefillMisses;
     KernelExec out = target.prefillCost(model, lens());
-    if (_prefillCache.size() >= prefillCacheMaxEntries)
+    if (_prefillCache.size() >= prefillCacheMaxEntries) {
         _prefillCache.clear();
+        ++_memoWork.prefillClears;
+    }
     _prefillCache.emplace(key, out);
     return out;
 }
@@ -134,9 +139,9 @@ Platform::buildRegistry()
         t.name = "attn-pim";
         t.kind = TargetKind::AttnPim;
         t.attnCost = [this](const llm::ModelConfig &m,
-                            const std::vector<std::uint32_t> &ctx,
-                            std::uint32_t tlp) {
-            return attnOnPim(m, ctx, tlp);
+                            std::uint64_t ctx_sum,
+                            std::uint32_t requests, std::uint32_t tlp) {
+            return attnOnPim(m, ctx_sum, requests, tlp);
         };
         _registry.add(std::move(t));
     }
@@ -377,6 +382,7 @@ Platform::fcFill(const llm::ModelConfig &model, std::size_t m,
     FcEntry &e = table[tokens];
     e.exec = target.fcCost(model, tokens);
     e.filled = true;
+    ++_memoWork.fcFills;
     return e.exec;
 }
 
@@ -401,11 +407,11 @@ Platform::attnCommSeconds(const llm::ModelConfig &model,
 }
 
 KernelExec
-Platform::attnExec(const llm::ModelConfig &model,
-                   const std::vector<std::uint32_t> &ctx_lens,
-                   std::uint32_t tlp, TargetId id) const
+Platform::attnExec(const llm::ModelConfig &model, std::uint64_t ctx_sum,
+                   std::uint32_t requests, std::uint32_t tlp,
+                   TargetId id) const
 {
-    if (ctx_lens.empty())
+    if (requests == 0)
         sim::fatal("Platform::attnExec: no live requests");
     const ExecTarget &target = _registry.at(id);
     if (!target.attnCost)
@@ -415,7 +421,30 @@ Platform::attnExec(const llm::ModelConfig &model,
     // iteration, so a (sum, count, TLP) key almost never repeats,
     // while the command-stream replay underneath is already memoized
     // by pim::GemvEngine on a bounded key.
-    return target.attnCost(model, ctx_lens, tlp);
+    return target.attnCost(model, ctx_sum, requests, tlp);
+}
+
+KernelExec
+Platform::attnExec(const llm::ModelConfig &model, std::uint64_t ctx_sum,
+                   std::uint32_t requests, std::uint32_t tlp) const
+{
+    if (requests == 0)
+        sim::fatal("Platform::attnExec: no live requests");
+    return attnExec(model, ctx_sum, requests, tlp,
+                    _attnDispatcher
+                        ->selectAttention(model, ctx_sum, requests, tlp)
+                        .target);
+}
+
+KernelExec
+Platform::attnExec(const llm::ModelConfig &model,
+                   const std::vector<std::uint32_t> &ctx_lens,
+                   std::uint32_t tlp, TargetId id) const
+{
+    return attnExec(model,
+                    std::accumulate(ctx_lens.begin(), ctx_lens.end(),
+                                    std::uint64_t{0}),
+                    static_cast<std::uint32_t>(ctx_lens.size()), tlp, id);
 }
 
 KernelExec
@@ -423,32 +452,25 @@ Platform::attnExec(const llm::ModelConfig &model,
                    const std::vector<std::uint32_t> &ctx_lens,
                    std::uint32_t tlp) const
 {
-    if (ctx_lens.empty())
-        sim::fatal("Platform::attnExec: no live requests");
-    return attnExec(
-        model, ctx_lens, tlp,
-        _attnDispatcher->selectAttention(model, ctx_lens, tlp).target);
+    return attnExec(model,
+                    std::accumulate(ctx_lens.begin(), ctx_lens.end(),
+                                    std::uint64_t{0}),
+                    static_cast<std::uint32_t>(ctx_lens.size()), tlp);
 }
 
 KernelExec
-Platform::attnOnPim(const llm::ModelConfig &model,
-                    const std::vector<std::uint32_t> &ctx_lens,
-                    std::uint32_t tlp) const
+Platform::attnOnPim(const llm::ModelConfig &model, std::uint64_t ctx_sum,
+                    std::uint32_t requests, std::uint32_t tlp) const
 {
-    std::uint64_t total_len = 0;
-    for (std::uint32_t len : ctx_lens)
-        total_len += len;
-
-    std::uint64_t kv_bytes = total_len * model.kvBytesPerToken();
-    std::uint64_t score_elems = total_len * tlp * model.numHeads *
+    std::uint64_t kv_bytes = ctx_sum * model.kvBytesPerToken();
+    std::uint64_t score_elems = ctx_sum * tlp * model.numHeads *
                                 model.numLayers;
 
     pim::PimKernelResult p = _attnDevice->attention(
         kv_bytes, model.numHeads, tlp, score_elems,
         _config.numAttnDevices);
 
-    std::uint32_t tokens =
-        static_cast<std::uint32_t>(ctx_lens.size()) * tlp;
+    std::uint32_t tokens = requests * tlp;
     double comm_seconds = attnCommSeconds(model, tokens);
     double comm_bytes = 2.0 * static_cast<double>(tokens) *
                         model.hiddenDim * model.bytesPerParam *
@@ -644,8 +666,9 @@ Platform::prefillOnPim(const llm::ModelConfig &model,
     // approximate with the mean prompt length as TLP.
     std::uint32_t mean_len = static_cast<std::uint32_t>(
         total_tokens / input_lens.size());
-    KernelExec at = attnExec(model, input_lens,
-                             std::max<std::uint32_t>(mean_len, 1));
+    KernelExec at = attnExec(
+        model, total_tokens, static_cast<std::uint32_t>(input_lens.size()),
+        std::max<std::uint32_t>(mean_len, 1));
     KernelExec out;
     out.seconds = fc.seconds + at.seconds;
     out.commSeconds = fc.commSeconds + at.commSeconds;

@@ -52,6 +52,19 @@
  */
 namespace papi::core {
 
+/** Work of a Platform's cost memos (counts, not simulated results). */
+struct PlatformMemoWork
+{
+    /** FC table entries computed (fcExec misses). */
+    std::uint64_t fcFills = 0;
+    /** Prefill memo lookups answered from the memo. */
+    std::uint64_t prefillHits = 0;
+    /** Prefill memo lookups that computed the cost. */
+    std::uint64_t prefillMisses = 0;
+    /** Wholesale clears of an oversized prefill memo. */
+    std::uint64_t prefillClears = 0;
+};
+
 /** Structural description of a platform. */
 struct PlatformConfig
 {
@@ -157,6 +170,9 @@ class Platform
         return w;
     }
 
+    /** Fills and lookups of the FC table and prefill memo so far. */
+    const PlatformMemoWork &memoWork() const { return _memoWork; }
+
     // ------------------------------------------ target registry
 
     /** The platform's execution targets, in registration order. */
@@ -192,15 +208,30 @@ class Platform
                       std::uint32_t tokens, TargetId id) const;
 
     /**
-     * One decode iteration's attention phase over live contexts
-     * @p ctx_lens with speculation length @p tlp, on registry
-     * target @p id.
+     * One decode iteration's attention phase over @p requests live
+     * requests whose contexts sum to @p ctx_sum tokens, with
+     * speculation length @p tlp, on registry target @p id. The cost
+     * depends on the contexts only through these two aggregates.
+     * Fatal when @p requests is 0.
      */
+    KernelExec attnExec(const llm::ModelConfig &model,
+                        std::uint64_t ctx_sum, std::uint32_t requests,
+                        std::uint32_t tlp, TargetId id) const;
+
+    /** Attention phase over (@p ctx_sum, @p requests, @p tlp) on the
+     *  platform's attention dispatch policy. */
+    KernelExec attnExec(const llm::ModelConfig &model,
+                        std::uint64_t ctx_sum, std::uint32_t requests,
+                        std::uint32_t tlp) const;
+
+    /** Attention phase over the live contexts @p ctx_lens on target
+     *  @p id: sums them and forwards to the aggregate form. */
     KernelExec attnExec(const llm::ModelConfig &model,
                         const std::vector<std::uint32_t> &ctx_lens,
                         std::uint32_t tlp, TargetId id) const;
 
-    /** Attention phase on the platform's attention dispatch policy. */
+    /** Attention phase over the live contexts @p ctx_lens on the
+     *  platform's attention dispatch policy (a summing adapter). */
     KernelExec attnExec(const llm::ModelConfig &model,
                         const std::vector<std::uint32_t> &ctx_lens,
                         std::uint32_t tlp) const;
@@ -252,7 +283,7 @@ class Platform
                            std::uint32_t tokens) const;
 
     KernelExec attnOnPim(const llm::ModelConfig &model,
-                         const std::vector<std::uint32_t> &ctx_lens,
+                         std::uint64_t ctx_sum, std::uint32_t requests,
                          std::uint32_t tlp) const;
 
     KernelExec prefillOnGpu(const llm::ModelConfig &model,
@@ -409,6 +440,8 @@ class Platform
     // table, so bucket order cannot reach results or stats.
     mutable std::unordered_map<PrefillKey, KernelExec, PrefillKeyHash>
         _prefillCache;
+    /** Memo work counters (see memoWork()). */
+    mutable PlatformMemoWork _memoWork;
 };
 
 /** Factory: the PAPI system (dynamic scheduling, hybrid PIM). */

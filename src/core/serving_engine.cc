@@ -58,6 +58,7 @@ ServingSim::ServingSim(const Platform &platform,
         sim::fatal("ServingSim: computeScale must be positive");
     _chunked = options.prefillChunkTokens > 0;
     _preempt = options.preemptOnKvPressure;
+    _shiftKv = _preempt && _chunked;
     _prefixOn = options.prefixCacheEnabled;
     _bounded = options.recordCapacity > 0;
     _role = options.role;
@@ -98,13 +99,17 @@ ServingSim::ServingSim(const Platform &platform,
     _prefillLens.reserve(options.maxRlp);
     _hitPrior.reserve(options.maxRlp);
     _hitNow.reserve(options.maxRlp);
-    _ctx.reserve(options.maxRlp);
     _chunkPlan.reserve(options.maxRlp);
     _chunkPrior.reserve(options.maxRlp);
     _chunkNow.reserve(options.maxRlp);
+    _retirees.reserve(options.maxRlp);
+    _crossers.reserve(options.maxRlp);
+    _prefilling.reserve(options.maxRlp);
+    _unseen.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
     _planMemo.resize(kPlanMemoSlots);
     _gemvAtStart = _platform.gemvWork();
+    _memoAtStart = _platform.memoWork();
 }
 
 std::size_t
@@ -324,19 +329,19 @@ ServingSim::handoffPrefilled(std::size_t i)
 void
 ServingSim::handoffCompletedPrefills()
 {
+    _retirees.clear();
+    for (std::size_t r = 0; r < _batch.size(); ++r) {
+        if (_batch.prefillRemaining[r] == 0)
+            _retirees.push_back(static_cast<std::uint32_t>(r));
+    }
+    if (_retirees.empty())
+        return;
     _planValid = false; // the live batch shrinks
     syncGen();
     _steadyValid = false;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < _batch.size(); ++r) {
-        if (_batch.prefillRemaining[r] == 0) {
-            handoffPrefilled(r);
-        } else {
-            _batch.moveTo(w, r);
-            ++w;
-        }
-    }
-    _batch.truncate(w);
+    for (const std::uint32_t r : _retirees)
+        handoffPrefilled(r);
+    _batch.eraseSorted(_retirees);
 }
 
 std::uint32_t
@@ -467,9 +472,7 @@ ServingSim::admit()
         }
         a.kvSlot = kv.slot;
         a.kvBlocks = kv.blocks;
-        _batch.push(a);
-        _allSeen = false;
-        _steadyValid = false;
+        pushActive(a);
         _preempted.erase(best);
         ++resumed;
     }
@@ -522,9 +525,7 @@ ServingSim::admit()
         a.kvBlocks = kv.blocks;
         a.kvSlot = kv.slot;
         a.sessionId = pp.request.sessionId;
-        _batch.push(a);
-        _allSeen = false;
-        _steadyValid = false;
+        pushActive(a);
         _pendingPrefilled.pop_front();
         ++admitted;
     }
@@ -609,9 +610,7 @@ ServingSim::admit()
                 _hitNow.push_back(req.inputLen - hit);
             } // Full-block full hit: no prefill charge at all.
         }
-        _batch.push(a);
-        _allSeen = false;
-        _steadyValid = false;
+        pushActive(a);
         _pending.pop_front();
         ++admitted;
     }
@@ -742,61 +741,39 @@ ServingSim::stepIdle()
     }
 }
 
-void
-ServingSim::planChunks(std::vector<std::uint32_t> &chunks) const
-{
-    const std::size_t n = _batch.size();
-    chunks.assign(n, 0);
-    std::uint32_t budget = _options.prefillChunkTokens;
-    const std::uint32_t *pre = _batch.prefillRemaining.data();
-    // The batch is kept in admission order, so the shared chunk
-    // budget drains oldest-admission-first.
-    for (std::size_t i = 0; i < n && budget > 0; ++i) {
-        if (pre[i] == 0)
-            continue;
-        const std::uint32_t c = std::min(pre[i], budget);
-        chunks[i] = c;
-        budget -= c;
-    }
-}
-
 ServingSim::IterationPlan
 ServingSim::planIteration() const
 {
     IterationPlan p;
     _chunkPrior.clear();
     _chunkNow.clear();
-    const std::size_t n = _batch.size();
+    if (!_steadyValid)
+        refreshSteady();
     const std::uint32_t tlp = _spec.length;
+    // The decoders are everyone but the prefilling requests, and
+    // their context sum is a steady aggregate, so only the prefilling
+    // list is walked: the shared chunk budget drains in batch
+    // (admission) order, and a chunk is costed over the whole context
+    // being (re)built - contextLen() is constant while a request
+    // prefills, and covers recompute resumes.
+    const std::size_t m = _prefilling.size();
+    p.decodeRlp = static_cast<std::uint32_t>(_batch.size() - m);
+    const std::uint64_t ctx_sum = _decodeCtxSum;
     std::uint32_t chunk_tokens = 0;
-    std::uint64_t ctx_sum = 0;
-    const bool all_decoding = !_batch.anyPrefilling();
-    if (all_decoding) {
-        // Steady-state fast path (and every monolithic-prefill
-        // iteration): everyone decodes, so the plan inputs reduce to
-        // one vectorized context sum (_ctx itself is only needed on
-        // a memo miss, the chunk plan not at all).
-        p.decodeRlp = static_cast<std::uint32_t>(n);
-        ctx_sum = steadyCtxSum();
-    } else {
-        planChunks(_chunkPlan);
-        syncGen();
-        _ctx.clear();
-        const std::uint32_t *pre = _batch.prefillRemaining.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t ctx = _batch.contextLen(i);
-            if (pre[i] == 0) {
-                _ctx.push_back(ctx);
-                ctx_sum += ctx;
-                ++p.decodeRlp;
-            } else if (_chunkPlan[i] > 0) {
-                // Prefill total for costing is the full context
-                // being (re)built - contextLen() is constant while
-                // a request prefills, and covers recompute resumes.
-                _chunkPrior.push_back(ctx - pre[i]);
-                _chunkNow.push_back(_chunkPlan[i]);
-                chunk_tokens += _chunkPlan[i];
-            }
+    _chunkPlan.resize(m);
+    std::uint32_t budget = _options.prefillChunkTokens;
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::uint32_t i = _prefilling[k];
+        const std::uint32_t pre = _batch.prefillRemaining[i];
+        const std::uint32_t c = std::min(pre, budget);
+        _chunkPlan[k] = c;
+        budget -= c;
+        if (c > 0) {
+            const std::uint32_t ctx =
+                _batch.inputLen[i] + _batch.generated[i] + _genShift;
+            _chunkPrior.push_back(ctx - pre);
+            _chunkNow.push_back(c);
+            chunk_tokens += c;
         }
     }
     p.tokens = fcTokens(p.decodeRlp, tlp);
@@ -817,14 +794,10 @@ ServingSim::planIteration() const
             ++_planMemoMisses;
             p.decision = _fcDispatch.select(_model, p.decodeRlp,
                                             tlp, p.tokens);
-            if (all_decoding) {
-                syncGen();
-                _batch.refillCtx(_ctx);
-            }
             IterationTiming &t = p.timing;
             t.fc = _platform.fcExec(_model, p.tokens,
                                     p.decision.target);
-            t.at = _platform.attnExec(_model, _ctx, tlp);
+            t.at = _platform.attnExec(_model, ctx_sum, p.decodeRlp, tlp);
             t.other = _platform.otherSeconds(_model);
             if (_static.enabled) {
                 // The draft model's serial proposal pass
@@ -974,17 +947,17 @@ ServingSim::syncGen() const
 {
     if (_genShift == 0)
         return;
-    const std::uint32_t s = _genShift;
-    std::uint32_t *gen = _batch.generated.data();
+    const std::uint32_t shift = _genShift;
     const std::size_t n = _batch.size();
+    std::uint32_t *gen = _batch.generated.data();
     for (std::size_t i = 0; i < n; ++i)
-        gen[i] += s;
+        gen[i] += shift;
+    if (_shiftKv) {
+        std::uint32_t *kvt = _batch.kvTokens.data();
+        for (std::size_t i = 0; i < n; ++i)
+            kvt[i] += shift;
+    }
     _genShift = 0;
-    // _ctxSumBase is defined over the stored values; folding moved
-    // every stored value up by s, so rebase it (_minRem tracks true
-    // remaining output and is unaffected).
-    if (_steadyValid)
-        _ctxSumBase += static_cast<std::uint64_t>(s) * n;
 }
 
 void
@@ -996,97 +969,179 @@ ServingSim::refreshSteady() const
     const std::uint32_t *in = _batch.inputLen.data();
     const std::uint32_t *gen = _batch.generated.data();
     const std::uint32_t *out = _batch.outputLen.data();
+    const std::uint32_t *pre = _batch.prefillRemaining.data();
+    const std::uint8_t *seen = _batch.firstTokenSeen.data();
+    _prefilling.clear();
+    _unseen.clear();
     std::uint64_t ctx = 0;
     std::uint32_t rem = ~0u;
     for (std::size_t i = 0; i < n; ++i) {
+        const auto idx = static_cast<std::uint32_t>(i);
+        if (pre[i] > 0) {
+            _prefilling.push_back(idx);
+            continue;
+        }
         ctx += in[i] + gen[i];
-        const std::uint32_t r = out[i] - gen[i];
-        rem = r < rem ? r : rem;
+        rem = std::min(rem, out[i] - gen[i]);
+        if (seen[i] == 0)
+            _unseen.push_back(idx);
     }
-    _ctxSumBase = ctx;
+    _decodeCtxSum = ctx;
     _minRem = rem;
     _steadyValid = true;
 }
 
-std::uint64_t
-ServingSim::steadyCtxSum() const
+void
+ServingSim::pushActive(const ActiveSnapshot &a)
 {
+    const auto i = static_cast<std::uint32_t>(_batch.size());
+    _batch.push(a);
     if (!_steadyValid)
-        refreshSteady();
-    return _ctxSumBase +
-           static_cast<std::uint64_t>(_genShift) * _batch.size();
+        return;
+    if (a.prefillRemaining > 0) {
+        _prefilling.push_back(i);
+        return;
+    }
+    _decodeCtxSum += a.request.contextLen();
+    _minRem = std::min(_minRem,
+                       a.request.outputLen - a.request.generated);
+    if (!a.firstTokenSeen)
+        _unseen.push_back(i);
+}
+
+void
+ServingSim::applyChunks()
+{
+    for (std::size_t k = 0; k < _prefilling.size(); ++k) {
+        const std::uint32_t c = _chunkPlan[k];
+        if (c == 0)
+            break; // the budget ran out; later entries got nothing
+        const std::uint32_t i = _prefilling[k];
+        _batch.prefillRemaining[i] -= c;
+        if (_preempt) {
+            _batch.kvTokens[i] += c;
+            growAtCrossing(i);
+        }
+    }
 }
 
 bool
-ServingSim::steadyAdvance(const IterationPlan &plan, std::uint32_t accepted)
+ServingSim::steadyStep(const IterationPlan &plan, std::uint32_t accepted)
 {
-    // With every first token seen, KV reserved up front (on-demand
-    // accounting reads per-request contexts after the advance) and
-    // accepted strictly below the smallest remaining output, every
-    // request advances by exactly `accepted` and nobody retires, so
-    // the per-request pass collapses to a scalar shift on the
-    // generated column and closed-form aggregate updates. The token
-    // total (n identical u32 increments summed in u64) and the
-    // deferred per-request values are exactly what the pass would
-    // produce.
-    const std::size_t n = _batch.size();
-    if (plan.decodeRlp != n || _preempt || !_allSeen)
+    // accepted < _minRem: every decoder advances by exactly
+    // `accepted` and nobody retires, so the per-request pass reduces
+    // to the prefilling list, the first-token list, the block
+    // crossers and closed-form updates. The token total (identical
+    // u32 increments summed in u64) and the deferred per-request
+    // values are exactly what the pass would produce. planIteration
+    // left the aggregates valid and _chunkPlan aligned with
+    // _prefilling.
+    if ((_preempt && !_chunked) || accepted >= _minRem)
         return false;
-    if (!_steadyValid)
-        refreshSteady();
-    if (accepted >= _minRem)
-        return false;
-    _genShift += accepted;
-    _minRem -= accepted;
-    _out.tokensGenerated += static_cast<std::uint64_t>(accepted) * n;
+    std::uint32_t *pre = _batch.prefillRemaining.data();
+    std::uint32_t *gen = _batch.generated.data();
+    std::uint32_t *kvt = _batch.kvTokens.data();
+    const std::size_t m = _prefilling.size();
+    applyChunks(); // before any decoder grows, as in the pass
+
+    if (accepted > 0) {
+        // The prefilling requests take no share of the shift.
+        for (std::size_t k = 0; k < m; ++k) {
+            const std::uint32_t i = _prefilling[k];
+            gen[i] -= accepted;
+            if (_shiftKv)
+                kvt[i] -= accepted;
+        }
+        _genShift += accepted;
+        _minRem -= accepted;
+        const std::uint64_t advanced =
+            static_cast<std::uint64_t>(accepted) * plan.decodeRlp;
+        _decodeCtxSum += advanced;
+        _out.tokensGenerated += advanced;
+        for (const std::uint32_t i : _unseen) {
+            _batch.firstTokenSeconds[i] = _now;
+            _batch.firstTokenSeen[i] = 1;
+        }
+        _unseen.clear();
+        if (_shiftKv) {
+            // One branch-light scan finds the decoders whose KV
+            // crossed into a new block (a prefilling request's KV
+            // already grew with its chunk); they grow in batch order.
+            const std::size_t n = _batch.size();
+            const std::uint64_t bt = _kvBlockTokens;
+            const std::uint32_t shift = _genShift;
+            const std::uint64_t *held = _batch.kvBlocks.data();
+            _crossers.resize(n);
+            std::uint32_t *out = _crossers.data();
+            std::size_t crossers = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                out[crossers] = static_cast<std::uint32_t>(i);
+                crossers += std::uint64_t{kvt[i] + shift} > held[i] * bt
+                                ? 1
+                                : 0;
+            }
+            for (std::size_t k = 0; k < crossers; ++k) {
+                const std::uint32_t i = out[k];
+                _batch.kvBlocks[i] = _kv.grow(kvHandle(i), kvTokensAt(i));
+            }
+        }
+    }
+
+    // A request whose prefill completed here decodes from the next
+    // iteration: it joins the decoders' aggregates, and the
+    // first-token list unless it already had its first token (a
+    // Recompute resume re-prefilling its context).
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::uint32_t i = _prefilling[k];
+        if (pre[i] > 0) {
+            _prefilling[kept++] = i;
+            continue;
+        }
+        const std::uint32_t g = gen[i] + _genShift;
+        _decodeCtxSum += _batch.inputLen[i] + g;
+        _minRem = std::min(_minRem, _batch.outputLen[i] - g);
+        if (_batch.firstTokenSeen[i] == 0)
+            _unseen.push_back(i);
+    }
+    _prefilling.resize(kept);
     return true;
 }
 
 std::uint32_t
-ServingSim::decodePass(const IterationPlan &plan, std::uint32_t accepted)
+ServingSim::decodePass(std::uint32_t accepted)
 {
-    syncGen(); // the pass reads and writes generated[]
+    syncGen(); // the pass reads and writes generated[] and kvTokens[]
     const std::size_t n = _batch.size();
+    const std::size_t m = _prefilling.size();
 
-    // Prompt-chunk progress in batch order, growing an on-demand
-    // request's KV where its chunk crosses into a new block. A request
-    // whose prefill completes here starts decoding at the NEXT
-    // iteration (its chunk was costed, its decode was not), so the
-    // decoders below are the requests that got no chunk and have no
-    // prefill left.
-    const std::uint32_t *chunk =
-        plan.chunkTokens > 0 ? _chunkPlan.data() : nullptr;
-    if (chunk != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (chunk[i] == 0)
-                continue;
-            _batch.prefillRemaining[i] -= chunk[i];
-            if (_preempt) {
-                _batch.kvTokens[i] += chunk[i];
-                growAtCrossing(i);
-            }
-        }
-    }
+    // A request whose prefill completes here starts decoding at the
+    // NEXT iteration (its chunk was costed, its decode was not), so
+    // the decoders below are the requests outside the prefilling list.
+    applyChunks();
 
     // Advance the decoders; requests still prefilling produce no
     // tokens this iteration (their TTFT reflects the chunk delay). A
     // chunked on-demand decoder crossing into a new block grows
     // before any later request retires: that order decides which
     // cached prefix blocks get evicted. Retirees record and release
-    // in batch order, survivors compact in place from the first
-    // retirement on, and their context sum, smallest remaining
-    // output and first-token state are the steady aggregates
-    // refreshSteady would rebuild (generated is synced, so _genShift
-    // is 0).
+    // in batch order; the survivors' steady aggregates and lists are
+    // summed at their post-erase indices (generated is synced, so
+    // _genShift is 0). The prefilling list is rewritten in place: its
+    // survivors are a subset of the entries already passed.
     const bool grow_inline = _preempt && _chunked;
     std::uint32_t eos = 0;
     std::uint64_t ctx_sum = 0;
     std::uint32_t min_rem = ~0u;
-    std::size_t unseen = 0;
-    std::size_t w = 0;
+    std::size_t next = 0; // cursor into the prefilling list
+    std::size_t kept = 0;
+    std::uint32_t w = 0;
+    _retirees.clear();
+    _unseen.clear();
     for (std::size_t r = 0; r < n; ++r) {
-        if (_batch.prefillRemaining[r] == 0 &&
-            (chunk == nullptr || chunk[r] == 0)) {
+        if (next < m && _prefilling[next] == r) {
+            ++next;
+        } else {
             const std::uint32_t rem =
                 _batch.outputLen[r] - _batch.generated[r];
             const std::uint32_t used = std::min(accepted, rem);
@@ -1107,23 +1162,26 @@ ServingSim::decodePass(const IterationPlan &plan, std::uint32_t accepted)
                     publishPrefix(r);
                 }
                 ++eos;
+                _retirees.push_back(static_cast<std::uint32_t>(r));
                 continue;
             }
         }
-        ctx_sum += _batch.inputLen[r] + _batch.generated[r];
-        min_rem = std::min(min_rem,
-                           _batch.outputLen[r] - _batch.generated[r]);
-        unseen += _batch.firstTokenSeen[r] == 0 ? 1 : 0;
-        if (w != r)
-            _batch.moveTo(w, r);
+        if (_batch.prefillRemaining[r] > 0) {
+            _prefilling[kept++] = w;
+        } else {
+            ctx_sum += _batch.inputLen[r] + _batch.generated[r];
+            min_rem = std::min(min_rem,
+                               _batch.outputLen[r] - _batch.generated[r]);
+            if (_batch.firstTokenSeen[r] == 0)
+                _unseen.push_back(w);
+        }
         ++w;
     }
-    if (w != n)
-        _batch.truncate(w);
-    _ctxSumBase = ctx_sum;
+    _prefilling.resize(kept);
+    _batch.eraseSorted(_retirees);
+    _decodeCtxSum = ctx_sum;
     _minRem = min_rem;
     _steadyValid = true;
-    _allSeen = unseen == 0;
 
     // Monolithic on-demand runs grow the survivors after every
     // retirement: materialize the tokens this iteration appended
@@ -1149,9 +1207,10 @@ ServingSim::stepDecode()
     // Per-iteration decisions are stateless threshold checks, so the
     // plan a driver peeked is the plan executed here; RLP transitions
     // in both directions are counted by noteDispatch. refreshPlan
-    // also refilled _chunkPlan when someone prefills, which
-    // decodePass consumes; any mutation since a peek would have
-    // invalidated the cache.
+    // also left the steady aggregates valid and _chunkPlan aligned
+    // with _prefilling, which the steady step or the decode pass
+    // consumes; any mutation since a peek would have invalidated the
+    // cache.
     refreshPlan();
     const IterationPlan plan = _plan;
     _planValid = false;
@@ -1236,11 +1295,11 @@ ServingSim::stepDecode()
     const std::uint32_t accepted =
         plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
     std::uint32_t eos = 0;
-    if (steadyAdvance(plan, accepted)) {
+    if (steadyStep(plan, accepted)) {
         ++_out.work.steadyAdvances;
     } else {
         ++_out.work.decodePasses;
-        eos = decodePass(plan, accepted);
+        eos = decodePass(accepted);
     }
 
     // Restore the next iteration's worst-case growth headroom
@@ -1277,10 +1336,9 @@ ServingSim::worstGrowthBlocks()
     // Pure array arithmetic against the kvBlocks mirror column - no
     // per-id hash lookups (kvBlocks[i] == _kv.requestBlocks(id[i])
     // by construction). A request still prefilling grows by its next
-    // chunk; a decoding one appends at most TLP tokens, clipped at
-    // its remaining output.
+    // chunk (the shared budget drains in batch order); a decoding one
+    // appends at most TLP tokens, clipped at its remaining output.
     syncGen();
-    planChunks(_chunkPlan);
     const std::size_t n = _batch.size();
     const std::uint64_t bt = _kvBlockTokens;
     const std::uint32_t tlp = _spec.length;
@@ -1289,14 +1347,16 @@ ServingSim::worstGrowthBlocks()
     const std::uint32_t *out = _batch.outputLen.data();
     const std::uint32_t *pre = _batch.prefillRemaining.data();
     const std::uint32_t *kvt = _batch.kvTokens.data();
-    const std::uint32_t *chunk = _chunkPlan.data();
     const std::uint64_t *held = _batch.kvBlocks.data();
+    std::uint32_t budget = _options.prefillChunkTokens;
     std::uint64_t need = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t rem = out[i] - gen[i];
+        const std::uint32_t chunk = std::min(pre[i], budget);
+        budget -= chunk;
         const std::uint64_t target =
             pre[i] > 0
-                ? std::max<std::uint64_t>(kvt[i] + chunk[i], 1)
+                ? std::max<std::uint64_t>(kvt[i] + chunk, 1)
                 : in[i] + gen[i] + (tlp < rem ? tlp : rem);
         const std::uint64_t blocks = (target + bt - 1) / bt;
         need += blocks > held[i] ? blocks - held[i] : 0;
@@ -1402,6 +1462,15 @@ ServingSim::finish()
     _out.work.gemvChannelCalls =
         gemv.channelCalls - _gemvAtStart.channelCalls;
     _out.work.gemvBurstRuns = gemv.burstRuns - _gemvAtStart.burstRuns;
+    _out.work.gemvMemoHits = gemv.memoHits - _gemvAtStart.memoHits;
+    const PlatformMemoWork &memo = _platform.memoWork();
+    _out.work.fcTableFills = memo.fcFills - _memoAtStart.fcFills;
+    _out.work.prefillMemoHits =
+        memo.prefillHits - _memoAtStart.prefillHits;
+    _out.work.prefillMemoMisses =
+        memo.prefillMisses - _memoAtStart.prefillMisses;
+    _out.work.prefillMemoClears =
+        memo.prefillClears - _memoAtStart.prefillClears;
 
     if (_bounded && _stream.overflowed) {
         // The record buffer capped out: the retained latencies are a
@@ -1418,11 +1487,12 @@ ServingSim::finish()
             sum += l;
         _out.meanLatencySeconds =
             sum / static_cast<double>(_latencies.size());
-        // Sort a copy: the mean above sums in retirement order, and
-        // a second finish() must sum the same order again.
-        std::vector<double> sorted = _latencies;
-        std::sort(sorted.begin(), sorted.end());
-        _out.p95LatencySeconds = percentileSorted(sorted, 0.95);
+        // Select on a copy: the mean above sums in retirement order,
+        // and a second finish() must sum the same order again.
+        std::vector<double> picked = _latencies;
+        static constexpr double kP95[] = {0.95};
+        selectPercentiles(picked, kP95,
+                          std::span(&_out.p95LatencySeconds, 1));
     }
     return _out;
 }

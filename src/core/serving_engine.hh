@@ -245,8 +245,9 @@ struct IterationTrace
  * out of every identity check (result comparisons, the FNV goldens,
  * the output digests).
  *
- * Two scopes: the replica counters (KV, decode, plan memo, GEMV) are
- * counted per ServingSim, so a cluster's are its replicas' sum. The
+ * Two scopes: the replica counters (KV, decode, plan memo, GEMV,
+ * the platform's FC table and prefill memo) are counted per
+ * ServingSim, so a cluster's are its replicas' sum. The
  * queue counters (events, bucket advances, windows) are counted per
  * ServingEventDriver, summed over its global and shard queues: they
  * are set in the result of ServingEngine::run and in
@@ -266,13 +267,15 @@ struct WorkCounters
     /** Exact worst-case KV growth sums over the batch (on-demand
      *  headroom checks the O(1) bound could not settle). */
     std::uint64_t kvExactHeadroomSums = 0;
-    /** Decode iterations taken by the O(1) steady advance. */
+    /** Decode iterations taken by the steady step (no decoder could
+     *  reach <eos>; see ServingSim::steadyStep). */
     std::uint64_t steadyAdvances = 0;
     /** Decode iterations taken by the per-request decode pass (with
      *  steadyAdvances, every iteration exactly once). */
     std::uint64_t decodePasses = 0;
-    /** Batch walks that rebuilt the steady aggregates (context sum,
-     *  smallest remaining output) after a batch change. */
+    /** Batch walks that rebuilt the steady aggregates (decoders'
+     *  context sum, smallest remaining output, the prefilling and
+     *  first-token lists) after a batch change. */
     std::uint64_t steadyRebuilds = 0;
     /** Decode-plan memo probes that hit (one probe per planned
      *  iteration with decoding requests). */
@@ -286,6 +289,18 @@ struct WorkCounters
     std::uint64_t gemvChannelCalls = 0;
     /** PIM_MAC burst runs those replays stepped. */
     std::uint64_t gemvBurstRuns = 0;
+    /** GEMV runs the replica's platform answered from its replay
+     *  memo during the run. */
+    std::uint64_t gemvMemoHits = 0;
+    /** FC cost-table entries the replica's platform computed during
+     *  the run (Platform::memoWork). */
+    std::uint64_t fcTableFills = 0;
+    /** Prefill memo lookups of the platform that hit. */
+    std::uint64_t prefillMemoHits = 0;
+    /** Prefill memo lookups of the platform that computed a cost. */
+    std::uint64_t prefillMemoMisses = 0;
+    /** Wholesale clears of the platform's prefill memo. */
+    std::uint64_t prefillMemoClears = 0;
 
     /** Queue counter: events scheduled. */
     std::uint64_t eventsScheduled = 0;
@@ -318,6 +333,11 @@ struct WorkCounters
         gemvReplays += o.gemvReplays;
         gemvChannelCalls += o.gemvChannelCalls;
         gemvBurstRuns += o.gemvBurstRuns;
+        gemvMemoHits += o.gemvMemoHits;
+        fcTableFills += o.fcTableFills;
+        prefillMemoHits += o.prefillMemoHits;
+        prefillMemoMisses += o.prefillMemoMisses;
+        prefillMemoClears += o.prefillMemoClears;
         eventsScheduled += o.eventsScheduled;
         eventsExecuted += o.eventsExecuted;
         eventsOverflowed += o.eventsOverflowed;
@@ -952,28 +972,36 @@ class ServingSim
     void publishPrefix(std::size_t i);
 
     /**
-     * The O(1) steady advance: when every request decodes, each has
-     * produced its first token, KV is reserved up front and nobody
-     * can reach <eos>, move the whole batch by @p accepted tokens
-     * through _genShift (see _allSeen). False, with nothing changed,
-     * when any of those does not hold.
+     * The steady step: an iteration in which no decoder can reach
+     * <eos> (@p accepted < _minRem), in every mode except monolithic
+     * on-demand KV (there a migrated-in request may hold more KV than
+     * its context, so its KV does not move with the shift). The
+     * decoders advance by @p accepted through _genShift, which in
+     * chunked on-demand runs also covers kvTokens. The step visits
+     * only the requests that change, in batch order: the prefilling
+     * requests (chunk progress and a grow at a block crossing; no
+     * share of the shift), the decoders without a first token, and in
+     * chunked on-demand runs the decoders whose KV crosses into a new
+     * block, found by one branch-light scan. Requests whose prefill
+     * completes join the decoders' aggregates for the next iteration.
+     * False, with nothing changed, when it does not apply.
      */
-    bool steadyAdvance(const IterationPlan &plan, std::uint32_t accepted);
+    bool steadyStep(const IterationPlan &plan, std::uint32_t accepted);
 
     /**
-     * Every iteration steadyAdvance does not take, in one pass shaped
-     * like the specification's decode step: the prompt chunks of
-     * @p plan in batch order, then one loop that advances the decoders
-     * by @p accepted tokens, stamps first tokens, grows a chunked
-     * on-demand decoder at a block crossing before later requests
-     * retire, retires finished requests (record; KV release and
-     * prefix publish unless static mode) and compacts the survivors
-     * while summing the steady aggregates, and then, in monolithic
-     * on-demand runs only, grows the survivors that crossed a block.
+     * Every iteration the steady step does not take, in one pass
+     * shaped like the specification's decode step: the planned
+     * prompt chunks (_chunkPlan) in batch order, then one loop that
+     * advances the decoders by @p accepted tokens, stamps first
+     * tokens, grows a chunked on-demand decoder at a block crossing
+     * before later requests retire, retires finished requests
+     * (record; KV release and prefix publish unless static mode) and
+     * sums the steady aggregates and lists over the survivors; then
+     * the retirees are erased by column, and, in monolithic on-demand
+     * runs only, the survivors that crossed a block grow.
      * @return Requests that finished (<eos> count).
      */
-    std::uint32_t decodePass(const IterationPlan &plan,
-                             std::uint32_t accepted);
+    std::uint32_t decodePass(std::uint32_t accepted);
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
@@ -1036,14 +1064,24 @@ class ServingSim
                _kv.availableBlocks() >= reserve + worstGrowthBlocks();
     }
 
+    /** The part of _genShift not yet folded into the kvTokens
+     *  column: all of it in chunked on-demand runs, else 0. */
+    std::uint32_t kvShift() const { return _shiftKv ? _genShift : 0; }
+
+    /** Batch element @p i's KV tokens, with the pending shift. */
+    std::uint32_t
+    kvTokensAt(std::size_t i) const
+    {
+        return _batch.kvTokens[i] + kvShift();
+    }
+
     /** True if batch element @p i's KV tokens outgrew the blocks it
      *  holds: only such a request's grow allocates, so the others
-     *  skip the call. A multiply, not a division: it runs for every
-     *  decoder every iteration. */
+     *  skip the call. A multiply, not a division. */
     bool
     crossesBlock(std::size_t i) const
     {
-        return _batch.kvTokens[i] > _batch.kvBlocks[i] * _kvBlockTokens;
+        return kvTokensAt(i) > _batch.kvBlocks[i] * _kvBlockTokens;
     }
 
     /** Evict the youngest-admitted active request. */
@@ -1062,12 +1100,19 @@ class ServingSim
     growAtCrossing(std::size_t i)
     {
         if (crossesBlock(i))
-            _batch.kvBlocks[i] = _kv.grow(kvHandle(i), _batch.kvTokens[i]);
+            _batch.kvBlocks[i] = _kv.grow(kvHandle(i), kvTokensAt(i));
     }
 
-    /** Per-request next-iteration chunk budget, admission order
-     *  (chunked mode; fills @p chunks aligned with _active). */
-    void planChunks(std::vector<std::uint32_t> &chunks) const;
+    /** Apply the planned prompt chunks (_chunkPlan) in batch order,
+     *  growing an on-demand request's KV where its chunk crosses into
+     *  a new block; the first step of both decode shapes. */
+    void applyChunks();
+
+    /** Append @p a to the batch (the generated column must be synced)
+     *  and, while the steady aggregates are valid, fold it into them:
+     *  the prefilling list, or the decoders' sums and the first-token
+     *  list. */
+    void pushActive(const ActiveSnapshot &a);
 
     /** A migrated-in request awaiting admission (Decode role). */
     struct PrefilledPending
@@ -1122,8 +1167,8 @@ class ServingSim
     ServingRole _role = ServingRole::Colocated;
     /** The live batch, structure-of-arrays, admission order.
      *  Mutable: const planning paths may fold the pending uniform
-     *  advance (_genShift) into the generated column - a pure
-     *  representation change (see syncGen). */
+     *  advance (_genShift) into its columns - a pure representation
+     *  change (see syncGen). */
     mutable BatchState _batch;
     /** Evicted requests awaiting re-admission (preemption mode),
      *  keyed by resume priority (see PreemptKey). */
@@ -1140,6 +1185,8 @@ class ServingSim
 
     bool _chunked = false;  ///< prefillChunkTokens > 0.
     bool _preempt = false;  ///< preemptOnKvPressure.
+    /** Chunked on-demand KV: _genShift also covers kvTokens. */
+    bool _shiftKv = false;
     bool _prefixOn = false; ///< prefixCacheEnabled.
     bool _bounded = false;  ///< recordCapacity > 0.
     /** Bounded-memory aggregates (updated iff _bounded). */
@@ -1171,10 +1218,14 @@ class ServingSim
      *  prefillChunkExec next to the zero-hit wave's prefillExec. */
     std::vector<std::uint32_t> _hitPrior;
     std::vector<std::uint32_t> _hitNow;
-    mutable std::vector<std::uint32_t> _ctx;
+    /** The plan's chunk per _prefilling entry (aligned with it). */
     mutable std::vector<std::uint32_t> _chunkPlan;
     mutable std::vector<std::uint32_t> _chunkPrior;
     mutable std::vector<std::uint32_t> _chunkNow;
+    /** decodePass / handoff scratch: batch indices to erase. */
+    std::vector<std::uint32_t> _retirees;
+    /** steadyStep scratch: batch indices whose KV crosses a block. */
+    std::vector<std::uint32_t> _crossers;
     /** _kv.blockTokens(), cached so the headroom gate's
      *  blocks-for-tokens arithmetic inlines into its array pass. */
     std::uint64_t _kvBlockTokens = 16;
@@ -1187,54 +1238,50 @@ class ServingSim
     mutable bool _planValid = false;
 
     /**
-     * True once every batched request has produced its first token:
-     * cleared on every admission, set again by the decode pass that
-     * sees no survivor without one. The O(1) steady advance stamps no
-     * first tokens, so it runs only while this holds.
-     */
-    bool _allSeen = true;
-
-    /**
-     * Steady-state decode advances every live request by the same
-     * accepted-token count, so the whole O(n) generation sweep
+     * The steady state. In a steady step every decoder advances by
+     * the same accepted-token count, so the O(n) generation sweep
      * reduces to algebra: _genShift is a uniform advance not yet
-     * folded into _batch.generated (true generated[i] = stored +
-     * _genShift), _ctxSumBase is the context-length sum over the
-     * stored values, and _minRem is the smallest true remaining
-     * output. While _allSeen holds and accepted < _minRem, one
-     * iteration is _genShift += accepted (nobody retires, the
-     * context sum moves by n * accepted) - O(1) instead of O(n).
-     * Any path that reads or mutates the generated column calls
-     * syncGen() first to fold the shift in. The decode pass leaves
-     * the aggregates valid (it sums them while it compacts); any
-     * other batch mutation clears _steadyValid so they are rebuilt
-     * when next needed (refreshSteady).
+     * folded into the batch columns (true generated[i] = stored +
+     * _genShift, and in chunked on-demand runs true kvTokens[i] too).
+     * A prefilling request takes no share of an advance: the step
+     * lowers its stored values by the shift it adds, in u32
+     * arithmetic, so stored + _genShift stays its true value. Any
+     * path that reads or mutates those columns calls syncGen() first.
+     * The aggregates below are valid iff _steadyValid. The decode
+     * pass leaves them valid (it sums them over the survivors),
+     * pushActive extends them, and any other batch mutation clears
+     * _steadyValid so the next plan rebuilds them (refreshSteady).
      */
     mutable std::uint32_t _genShift = 0;
-    /** Context-length sum over stored columns (valid iff
-     *  _steadyValid); true sum = _ctxSumBase + n * _genShift. */
-    mutable std::uint64_t _ctxSumBase = 0;
-    /** Smallest true outputLen - generated over the batch (valid
-     *  iff _steadyValid). */
+    /** True context-length sum over the decoders (requests with no
+     *  prefill left). */
+    mutable std::uint64_t _decodeCtxSum = 0;
+    /** Smallest true outputLen - generated over the decoders (~0u
+     *  when nobody decodes). */
     mutable std::uint32_t _minRem = 0;
+    /** Batch indices of the prefilling requests, ascending: a plan
+     *  and a steady step visit only these, not the decoders. */
+    mutable std::vector<std::uint32_t> _prefilling;
+    /** Batch indices of the decoders without a first token (a
+     *  Recompute resume that had one never joins). */
+    mutable std::vector<std::uint32_t> _unseen;
     mutable bool _steadyValid = false;
     /** refreshSteady walks (WorkCounters::steadyRebuilds). */
     mutable std::uint64_t _steadyRebuilds = 0;
     /** Plan memo probes (WorkCounters::planMemoHits/Misses). */
     mutable std::uint64_t _planMemoHits = 0;
     mutable std::uint64_t _planMemoMisses = 0;
-    /** The platform's GEMV work at construction; finish() reports
-     *  the difference (WorkCounters::gemvReplays ...). */
+    /** The platform's GEMV and memo work at construction; finish()
+     *  reports the differences (WorkCounters::gemvReplays ...). */
     pim::GemvWork _gemvAtStart;
+    PlatformMemoWork _memoAtStart;
 
-    /** Fold _genShift into _batch.generated (no observable-state
-     *  change: every true value is preserved). */
+    /** Fold _genShift into the generated column, and into kvTokens
+     *  in chunked on-demand runs (every true value is preserved). */
     void syncGen() const;
-    /** Rebuild _ctxSumBase/_minRem from the (synced) columns. */
+    /** Rebuild the steady aggregates and lists from the (synced)
+     *  columns. */
     void refreshSteady() const;
-    /** Batch context-length sum, O(1) in steady-state decode
-     *  (integer arithmetic, shift folded algebraically). */
-    std::uint64_t steadyCtxSum() const;
 
     /**
      * Direct-mapped memo of decode-phase plans, keyed by
@@ -1242,17 +1289,15 @@ class ServingSim
      * entry caches is a pure function of that key and of state
      * fixed at construction: the dispatch rules depend on RLP/TLP/
      * tokens only (Static pins, Threshold is arithmetic, Oracle
-     * races fcExec over tokens), the platform's attention cost
-     * reduces the context vector to integer aggregates (sum, count)
-     * before any floating-point work, and the TP cost transform is
-     * token-count arithmetic. The static-mode extras (the draft
-     * charge folded into `other`, the overlap-hidden seconds) are
-     * functions of the cached FC and attention costs and of
-     * construction-time configuration, so the entry caches them too.
-     * A hit therefore returns bitwise the values a recompute would -
-     * steady-state decode turns the whole plan pass into one
-     * vectorized context sum plus a table probe. Collisions simply
-     * overwrite (direct-mapped).
+     * races fcExec over tokens), the platform's attention cost is
+     * a function of the integer aggregates (context sum, request
+     * count, TLP), and the TP cost transform is token-count
+     * arithmetic. The static-mode extras (the draft charge folded
+     * into `other`, the overlap-hidden seconds) are functions of the
+     * cached FC and attention costs and of construction-time
+     * configuration, so the entry caches them too. A hit therefore
+     * returns bitwise the values a recompute would. Collisions
+     * simply overwrite (direct-mapped).
      */
     struct PlanMemoEntry
     {

@@ -264,16 +264,9 @@ MemController::doRefresh()
         }
     }
 
-    // All banks closed; make sure precharges have settled (tRP) by
-    // checking an ACT would be legal, then refresh.
-    Tick ready = now;
-    for (std::uint32_t g = 0; g < _spec.org.bankGroups; ++g) {
-        for (std::uint32_t i = 0; i < _spec.org.banksPerGroup; ++i) {
-            ready = std::max(
-                ready,
-                _channel.bank(g, i).earliestIssue(CommandType::Ref));
-        }
-    }
+    // All banks closed; wait until every bank can take REF (the
+    // precharges have settled, tRP), then refresh.
+    const Tick ready = _channel.refreshEarliest(now);
     if (ready > now) {
         scheduleService(ready);
         return;

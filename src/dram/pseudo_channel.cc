@@ -174,20 +174,29 @@ PseudoChannel::issueAtEarliest(const Command &cmd, Tick now,
 }
 
 Tick
+PseudoChannel::refreshEarliest(Tick now) const
+{
+    Tick ready = now;
+    for (const auto &b : _banks)
+        ready = std::max(ready, b.earliestIssue(CommandType::Ref));
+    return ready;
+}
+
+Tick
 PseudoChannel::refresh(Tick now)
 {
     for (const auto &b : _banks) {
         if (b.openRow().has_value())
             sim::panic("PseudoChannel::refresh: bank still open");
+        if (!b.canIssue(CommandType::Ref, 0, now))
+            sim::panic("PseudoChannel::refresh: illegal REF at tick ",
+                       now, " (earliest=",
+                       b.earliestIssue(CommandType::Ref), ")");
     }
     // Apply tRFC to every bank.
     Tick done = now + _spec.timing.tRFC;
-    for (std::uint32_t g = 0; g < _spec.org.bankGroups; ++g) {
-        for (std::uint32_t i = 0; i < _spec.org.banksPerGroup; ++i) {
-            if (bank(g, i).canIssue(CommandType::Ref, 0, now))
-                bank(g, i).issue(CommandType::Ref, 0, now);
-        }
-    }
+    for (auto &b : _banks)
+        b.issue(CommandType::Ref, 0, now);
     _refreshUntil = std::max(_refreshUntil, done);
     return done;
 }

@@ -102,8 +102,17 @@ class PseudoChannel
                               sim::Tick &issued_at);
 
     /**
+     * Earliest tick >= @p now at which every bank can take an
+     * all-bank refresh: the latest bank REF tick (row state aside;
+     * refresh needs every bank closed).
+     */
+    sim::Tick refreshEarliest(sim::Tick now) const;
+
+    /**
      * All-bank refresh: blocks the channel for tRFC. Only legal when
-     * every bank is closed. Returns the completion tick.
+     * every bank is closed and can take REF at @p now (see
+     * refreshEarliest); panics otherwise, like issue(), without
+     * changing any state. Returns the completion tick.
      */
     sim::Tick refresh(sim::Tick now);
 

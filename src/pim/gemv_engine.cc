@@ -247,6 +247,7 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
     const MemoKey key{total_columns, compute_per_col};
     if (_recorder == nullptr) {
         if (auto it = _cache.find(key); it != _cache.end()) {
+            ++_work.memoHits;
             GemvResult out = it->second;
             out.flops = static_cast<double>(out.streamedBytes) / 2.0 *
                         static_cast<double>(reuse) * 2.0;

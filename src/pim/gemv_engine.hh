@@ -123,6 +123,8 @@ struct GemvWork
      *  runs of timeMacBurst, column 0 of each burst counted as one
      *  (at most four per burst). */
     std::uint64_t burstRuns = 0;
+    /** Untraced runs answered from the replay memo (no replay). */
+    std::uint64_t memoHits = 0;
 
     /** Add @p o's counts (a device or platform sums its engines). */
     GemvWork &
@@ -131,6 +133,7 @@ struct GemvWork
         replays += o.replays;
         channelCalls += o.channelCalls;
         burstRuns += o.burstRuns;
+        memoHits += o.memoHits;
         return *this;
     }
 };

@@ -23,12 +23,16 @@ namespace papi::sim {
 class Config
 {
   public:
+    /** An empty store. */
     Config() = default;
 
     /** Set (or overwrite) a key. */
     void set(const std::string &key, const std::string &value);
+    /** Set (or overwrite) a key to a double, stored as its text. */
     void set(const std::string &key, double value);
+    /** Set (or overwrite) a key to an integer, stored as its text. */
     void set(const std::string &key, std::int64_t value);
+    /** Set (or overwrite) a key to "true" or "false". */
     void set(const std::string &key, bool value);
 
     /** True if @p key has been set. */
@@ -42,14 +46,18 @@ class Config
 
     /** Get a double; fatal if absent or unparseable. */
     double getDouble(const std::string &key) const;
+    /** Get a double or @p def if absent; fatal if unparseable. */
     double getDouble(const std::string &key, double def) const;
 
     /** Get a signed integer; fatal if absent or unparseable. */
     std::int64_t getInt(const std::string &key) const;
+    /** Get a signed integer or @p def if absent; fatal if
+     *  unparseable. */
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
 
     /** Get a bool ("true"/"false"/"1"/"0"); fatal if unparseable. */
     bool getBool(const std::string &key) const;
+    /** Get a bool or @p def if absent; fatal if unparseable. */
     bool getBool(const std::string &key, bool def) const;
 
     /**

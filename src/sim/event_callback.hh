@@ -37,13 +37,19 @@ class EventCallback
     /** Captures up to this many bytes live inline (no allocation). */
     static constexpr std::size_t inlineCapacity = 48;
 
+    /** A null callback (tests false; must not be invoked). */
     EventCallback() = default;
 
+    /** Move-only: a callable is owned by exactly one callback. */
     EventCallback(const EventCallback &) = delete;
+    /** Move-only (see the copy constructor). */
     EventCallback &operator=(const EventCallback &) = delete;
 
+    /** Take @p other's callable, leaving @p other null. */
     EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
 
+    /** Destroy this callable and take @p other's, leaving @p other
+     *  null. */
     EventCallback &
     operator=(EventCallback &&other) noexcept
     {
@@ -89,10 +95,13 @@ class EventCallback
         }
     }
 
+    /** Destroy the held callable, if any. */
     ~EventCallback() { reset(); }
 
+    /** True if a callable is held. */
     explicit operator bool() const { return _ops != nullptr; }
 
+    /** Invoke the held callable (must not be null). */
     void
     operator()()
     {

@@ -54,9 +54,12 @@ constexpr Priority statsPriority = 1000;
 class EventQueue
 {
   public:
+    /** An empty queue at tick 0. */
     EventQueue();
 
+    /** Non-copyable: pending callbacks are move-only. */
     EventQueue(const EventQueue &) = delete;
+    /** Non-copyable (see the copy constructor). */
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time in ticks. */
@@ -174,6 +177,7 @@ class EventQueue
 
     /** Calendar geometry (exposed for boundary-case tests). */
     static constexpr Tick bucketWidth() { return Tick(1) << kShift; }
+    /** Buckets in the calendar window. */
     static constexpr std::size_t numBuckets() { return kBuckets; }
 
   private:

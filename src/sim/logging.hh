@@ -28,6 +28,7 @@ namespace papi::sim {
 class PanicError : public std::logic_error
 {
   public:
+    /** An error carrying the panic message @p msg. */
     explicit PanicError(const std::string &msg) : std::logic_error(msg) {}
 };
 
@@ -35,6 +36,7 @@ class PanicError : public std::logic_error
 class FatalError : public std::runtime_error
 {
   public:
+    /** An error carrying the fatal message @p msg. */
     explicit FatalError(const std::string &msg) : std::runtime_error(msg) {}
 };
 
@@ -52,18 +54,18 @@ concat(Args &&...args)
 
 } // namespace detail
 
-/** Report an internal simulator bug. Never returns. */
-template <typename... Args>
-[[noreturn]] void
+/** Report an internal simulator bug: throws a PanicError whose
+ *  message concatenates @p args. Never returns. */
+template <typename... Args> [[noreturn]] void
 panic(Args &&...args)
 {
     throw PanicError(detail::concat("panic: ",
                                     std::forward<Args>(args)...));
 }
 
-/** Report an unrecoverable user/configuration error. Never returns. */
-template <typename... Args>
-[[noreturn]] void
+/** Report an unrecoverable user/configuration error: throws a
+ *  FatalError whose message concatenates @p args. Never returns. */
+template <typename... Args> [[noreturn]] void
 fatal(Args &&...args)
 {
     throw FatalError(detail::concat("fatal: ",

@@ -72,7 +72,9 @@ class WorkerPool
     explicit WorkerPool(unsigned workers);
     ~WorkerPool();
 
+    /** Non-copyable: the pool owns its threads. */
     WorkerPool(const WorkerPool &) = delete;
+    /** Non-copyable (see the copy constructor). */
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /** Concurrent executors (including the calling thread). */

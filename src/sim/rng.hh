@@ -19,6 +19,8 @@ namespace papi::sim {
 class Rng
 {
   public:
+    /** A source seeded with @p seed: equal seeds draw equal
+     *  sequences on every platform. */
     explicit Rng(std::uint64_t seed = 0x5eed5eedULL) : _engine(seed) {}
 
     /** Uniform integer in [lo, hi] inclusive. */

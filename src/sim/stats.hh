@@ -31,12 +31,15 @@ namespace papi::sim::stats {
 class StatBase
 {
   public:
+    /** A stat named @p name (unqualified) described by @p desc. */
     StatBase(std::string name, std::string desc)
         : _name(std::move(name)), _desc(std::move(desc))
     {}
     virtual ~StatBase() = default;
 
+    /** The unqualified stat name. */
     const std::string &name() const { return _name; }
+    /** The one-line description printed after the value. */
     const std::string &desc() const { return _desc; }
 
     /** Render this stat as one or more "name value # desc" lines. */
@@ -54,14 +57,21 @@ class StatBase
 class Scalar : public StatBase
 {
   public:
+    /** A scalar at 0 (StatBase's name and description). */
     using StatBase::StatBase;
 
+    /** Add @p v. */
     Scalar &operator+=(double v) { _value += v; return *this; }
+    /** Add 1. */
     Scalar &operator++() { _value += 1.0; return *this; }
+    /** Overwrite the value with @p v. */
     void set(double v) { _value = v; }
+    /** The current value. */
     double value() const { return _value; }
 
+    /** One "name value # desc" line. */
     void print(std::ostream &os) const override;
+    /** Back to 0. */
     void reset() override { _value = 0.0; }
 
   private:
@@ -72,6 +82,7 @@ class Scalar : public StatBase
 class Vector : public StatBase
 {
   public:
+    /** A vector of one zeroed bin per name in @p bin_names. */
     Vector(std::string name, std::string desc,
            std::vector<std::string> bin_names)
         : StatBase(std::move(name), std::move(desc)),
@@ -87,6 +98,7 @@ class Vector : public StatBase
         _values[i] += v;
     }
 
+    /** The value of bin @p i (panics when out of range). */
     double
     value(std::size_t i) const
     {
@@ -95,10 +107,14 @@ class Vector : public StatBase
         return _values[i];
     }
 
+    /** Number of bins. */
     std::size_t size() const { return _values.size(); }
+    /** Sum over every bin. */
     double total() const;
 
+    /** One "name::bin value # desc" line per bin, then the total. */
     void print(std::ostream &os) const override;
+    /** Every bin back to 0. */
     void reset() override { _values.assign(_values.size(), 0.0); }
 
   private:
@@ -122,16 +138,28 @@ class Histogram : public StatBase
     /** Record one sample. */
     void sample(double v);
 
+    /** Samples recorded, in range or not. */
     std::uint64_t samples() const { return _count; }
+    /** Mean of every sample (0 before the first). */
     double mean() const { return _count ? _sum / _count : 0.0; }
+    /** Sample standard deviation (n - 1) of every sample; 0 below
+     *  two samples. */
     double stddev() const;
+    /** Smallest sample recorded. */
     double minSample() const { return _min; }
+    /** Largest sample recorded. */
     double maxSample() const { return _max; }
+    /** Samples in bucket @p i (throws when out of range). */
     std::uint64_t bucketCount(std::size_t i) const { return _buckets.at(i); }
+    /** Samples below the first bucket. */
     std::uint64_t underflows() const { return _under; }
+    /** Samples at or above the last bucket's upper edge. */
     std::uint64_t overflows() const { return _over; }
 
+    /** Sample count, mean and stddev lines, then one line per
+     *  bucket. */
     void print(std::ostream &os) const override;
+    /** Drop every sample. */
     void reset() override;
 
   private:
@@ -152,14 +180,18 @@ class Histogram : public StatBase
 class Formula : public StatBase
 {
   public:
+    /** A stat whose value is @p fn evaluated when read. */
     Formula(std::string name, std::string desc,
             std::function<double()> fn)
         : StatBase(std::move(name), std::move(desc)), _fn(std::move(fn))
     {}
 
+    /** @p fn's current value (0 for a null function). */
     double value() const { return _fn ? _fn() : 0.0; }
 
+    /** One "name value # desc" line. */
     void print(std::ostream &os) const override;
+    /** Nothing to reset: the value is computed. */
     void reset() override {}
 
   private:
@@ -175,16 +207,26 @@ class Formula : public StatBase
 class StatGroup
 {
   public:
+    /** An empty group named @p name (dump() prints it as the
+     *  section header). */
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
+    /** The group name. */
     const std::string &name() const { return _name; }
 
+    /** Register a Scalar; fatal if @p name is taken. The reference
+     *  stays valid for the group's lifetime. */
     Scalar &addScalar(const std::string &name, const std::string &desc);
+    /** Register a Vector with bins @p bin_names; fatal if @p name is
+     *  taken. */
     Vector &addVector(const std::string &name, const std::string &desc,
                       std::vector<std::string> bin_names);
+    /** Register a Histogram (see its constructor); fatal if @p name
+     *  is taken. */
     Histogram &addHistogram(const std::string &name,
                             const std::string &desc, double lo, double hi,
                             std::size_t buckets);
+    /** Register a Formula over @p fn; fatal if @p name is taken. */
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
 

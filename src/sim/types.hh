@@ -53,9 +53,11 @@ secondsToTicks(double s)
     return static_cast<Tick>(s * static_cast<double>(oneSec) + 0.5);
 }
 
-/** Bytes in a kibibyte / mebibyte / gibibyte. */
+/** Bytes in a kibibyte. */
 constexpr std::uint64_t KiB = 1024;
+/** Bytes in a mebibyte. */
 constexpr std::uint64_t MiB = 1024 * KiB;
+/** Bytes in a gibibyte. */
 constexpr std::uint64_t GiB = 1024 * MiB;
 
 } // namespace papi::sim

@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "core/batch_state.hh"
 #include "core/config_loader.hh"
 #include "core/serving_engine.hh"
 #include "core/threshold_calibrator.hh"
 #include "llm/moe.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -226,6 +231,118 @@ TEST_F(ServingTest, FinishTwiceReturnsTheSameBits)
             EXPECT_EQ(a.iterations, b.iterations);
         }
     }
+}
+
+/** A snapshot whose every field is distinct from every other
+ *  snapshot's @p k, so a misaligned column shows. */
+ActiveSnapshot
+distinctSnapshot(std::uint32_t k)
+{
+    ActiveSnapshot s;
+    s.request.id = 1000 + k;
+    s.request.inputLen = 2000 + k;
+    s.request.outputLen = 3000 + k;
+    s.request.generated = 4000 + k;
+    s.request.prefixKey = 5000 + k;
+    s.request.prefixTokens = 6000 + k;
+    s.request.insertKey = 7000 + k;
+    s.request.insertTokens = 8000 + k;
+    s.arrivalSeconds = 0.5 + k;
+    s.admissionSeconds = 1.5 + k;
+    s.firstTokenSeconds = 2.5 + k;
+    s.firstTokenSeen = k % 2 == 1;
+    s.prefillRemaining = 9000 + k;
+    s.kvTokens = 10000 + k;
+    s.admitSeq = k;
+    s.preemptions = 11000 + k;
+    s.stallSeconds = 3.5 + k;
+    s.sessionId = 12000 + k;
+    s.kvBlocks = 13000 + k;
+    s.kvSlot = 14000 + k;
+    s.prefixHitTokens = 15000 + k;
+    return s;
+}
+
+/** Every column of @p b at @p i equals snapshot @p s. */
+void
+expectElement(const BatchState &b, std::size_t i, const ActiveSnapshot &s)
+{
+    const ActiveSnapshot g = b.snapshot(i);
+    EXPECT_EQ(g.request.id, s.request.id);
+    EXPECT_EQ(g.request.inputLen, s.request.inputLen);
+    EXPECT_EQ(g.request.outputLen, s.request.outputLen);
+    EXPECT_EQ(g.request.generated, s.request.generated);
+    EXPECT_EQ(g.request.prefixKey, s.request.prefixKey);
+    EXPECT_EQ(g.request.prefixTokens, s.request.prefixTokens);
+    EXPECT_EQ(g.request.insertKey, s.request.insertKey);
+    EXPECT_EQ(g.request.insertTokens, s.request.insertTokens);
+    EXPECT_EQ(g.arrivalSeconds, s.arrivalSeconds);
+    EXPECT_EQ(g.admissionSeconds, s.admissionSeconds);
+    EXPECT_EQ(g.firstTokenSeconds, s.firstTokenSeconds);
+    EXPECT_EQ(g.firstTokenSeen, s.firstTokenSeen);
+    EXPECT_EQ(g.prefillRemaining, s.prefillRemaining);
+    EXPECT_EQ(g.kvTokens, s.kvTokens);
+    EXPECT_EQ(g.admitSeq, s.admitSeq);
+    EXPECT_EQ(g.preemptions, s.preemptions);
+    EXPECT_EQ(g.stallSeconds, s.stallSeconds);
+    EXPECT_EQ(g.sessionId, s.sessionId);
+    EXPECT_EQ(g.kvBlocks, s.kvBlocks);
+    EXPECT_EQ(g.kvSlot, s.kvSlot);
+    EXPECT_EQ(g.prefixHitTokens, s.prefixHitTokens);
+}
+
+/**
+ * BatchState::eraseSorted against a per-element model (a vector of
+ * snapshots filtered in order): seeded random retiree sets over batch
+ * sizes 1 to 40, plus the edge sets - the first index, the last
+ * index, adjacent runs, every index and none. Every column of every
+ * survivor must land in order, and every column must shrink.
+ */
+TEST(BatchState, EraseSortedMatchesPerElementModel)
+{
+    papi::sim::Rng rng(29);
+    std::uint64_t cases = 0;
+    for (std::uint32_t n = 1; n <= 40; ++n) {
+        std::vector<std::vector<std::uint32_t>> sets = {
+            {0}, {n - 1}, {}, {}};
+        for (std::uint32_t i = 0; i < n; ++i)
+            sets[2].push_back(i); // every index
+        if (n >= 4)
+            sets.push_back({0, 1, n - 2, n - 1}); // adjacent at both ends
+        for (const double p : {0.1, 0.5, 0.9}) {
+            for (int rep = 0; rep < 4; ++rep) {
+                std::vector<std::uint32_t> set;
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    if (rng.bernoulli(p))
+                        set.push_back(i);
+                }
+                sets.push_back(set);
+            }
+        }
+        for (const std::vector<std::uint32_t> &set : sets) {
+            SCOPED_TRACE("n " + std::to_string(n) + " erasing " +
+                         std::to_string(set.size()));
+            BatchState b;
+            std::vector<ActiveSnapshot> model;
+            for (std::uint32_t k = 0; k < n; ++k) {
+                b.push(distinctSnapshot(k));
+                model.push_back(distinctSnapshot(k));
+            }
+            b.eraseSorted(set);
+            std::vector<ActiveSnapshot> kept;
+            for (std::uint32_t k = 0; k < n; ++k) {
+                if (!std::binary_search(set.begin(), set.end(), k))
+                    kept.push_back(model[k]);
+            }
+            ASSERT_EQ(b.size(), kept.size());
+            EXPECT_EQ(b.stallSeconds.size(), kept.size());
+            EXPECT_EQ(b.firstTokenSeen.size(), kept.size());
+            for (std::size_t i = 0; i < kept.size(); ++i)
+                expectElement(b, i, kept[i]);
+            ++cases;
+        }
+    }
+    EXPECT_GT(cases, 600u);
 }
 
 TEST(Arrival, PoissonStreamIsSortedAndDeterministic)

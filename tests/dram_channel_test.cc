@@ -187,6 +187,38 @@ TEST_F(ChannelTest, RefreshWithOpenBankPanics)
     EXPECT_THROW(ch.refresh(spec.timing.tRAS), PanicError);
 }
 
+/**
+ * An all-bank refresh is legal only once every bank can take REF:
+ * after ACT at 0 and PRE at tRAS (28,000 ticks on HBM3), bank 0.0
+ * takes REF only at tRC = tRAS + tRP (42,000). A refresh one tick
+ * after the PRE used to skip bank 0.0 silently; it panics like
+ * issue() and changes nothing, and refreshEarliest() names the legal
+ * tick, at which every bank refreshes.
+ */
+TEST_F(ChannelTest, RefreshBeforeEveryBankCanTakeRefPanics)
+{
+    const Tick pre_at = spec.timing.tRAS;
+    ch.issue(act(0, 0, 1), 0);
+    ch.issue(Command{CommandType::Pre, Coord{0, 0, 1, 0}}, pre_at);
+    const Tick legal = ch.refreshEarliest(pre_at + 1);
+    EXPECT_EQ(legal, pre_at + spec.timing.tRP);
+    EXPECT_EQ(legal, ch.bank(0, 0).earliestIssue(CommandType::Ref));
+    EXPECT_THROW(ch.refresh(pre_at + 1), PanicError);
+    EXPECT_THROW(ch.refresh(legal - 1), PanicError);
+    // The rejected refreshes left every bank untouched.
+    EXPECT_EQ(ch.bank(0, 1).earliestIssue(CommandType::Act), 0u);
+    EXPECT_EQ(ch.refreshEarliest(0), legal);
+
+    const Tick done = ch.refresh(legal);
+    EXPECT_EQ(done, legal + spec.timing.tRFC);
+    for (std::uint32_t g = 0; g < spec.org.bankGroups; ++g) {
+        for (std::uint32_t b = 0; b < spec.org.banksPerGroup; ++b) {
+            EXPECT_GE(ch.bank(g, b).earliestIssue(CommandType::Act), done)
+                << "bank " << g << "." << b << " was not refreshed";
+        }
+    }
+}
+
 TEST_F(ChannelTest, AggregateCounters)
 {
     ch.issue(act(0, 0, 1), 0);
@@ -227,8 +259,9 @@ TEST_F(ChannelTest, EarliestIssueIsBankTickAndChannelBound)
                 std::all_of(open_row.begin(), open_row.end(),
                             [](int r) { return r < 0; });
             if (all_closed && rng.bernoulli(0.2)) {
-                now = std::max(now, channel.channelEarliest(
-                                        CommandType::Pre, 0));
+                // The tick dram::Controller refreshes at: the latest
+                // bank REF tick.
+                now = channel.refreshEarliest(now);
                 channel.refresh(now);
                 ++refreshes;
             } else {

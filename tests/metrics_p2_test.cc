@@ -3,13 +3,17 @@
  * Tests for the P-square streaming quantile estimator behind
  * bounded-memory serving metrics: exactness below six observations
  * (under the repo-wide percentileSorted convention), bounded error
- * on large samples, and bitwise determinism.
+ * on large samples, and bitwise determinism; and for the exact
+ * percentiles by selection (selectPercentiles) against the sorted
+ * pick.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -19,6 +23,7 @@ namespace {
 
 using papi::core::P2Quantile;
 using papi::core::percentileSorted;
+using papi::core::selectPercentiles;
 
 /** Deterministic uniform doubles in [0, 1) (splitmix64 stream). */
 class DetUniform
@@ -127,6 +132,55 @@ TEST(P2Quantile, DeterministicAcrossInstances)
     }
     EXPECT_EQ(a.value(), b.value());
     EXPECT_EQ(a.count(), b.count());
+}
+
+/**
+ * selectPercentiles picks what percentileSorted picks from a sorted
+ * copy, bit for bit: random samples of every size from 1 to 257, with
+ * ties (values drawn from a few levels) and without, at the ranks the
+ * cluster reports (p50, p95, p99), at repeated ranks, and at the ends
+ * (q = 0 and 1). An empty sample gives NaN.
+ */
+TEST(Percentiles, SelectionMatchesSortedPick)
+{
+    DetUniform rng(2718);
+    const std::vector<std::vector<double>> rank_sets = {
+        {0.50, 0.95, 0.99}, {0.95}, {0.0, 0.5, 0.5, 1.0}, {0.99, 0.99}};
+    std::uint64_t checked = 0;
+    for (std::size_t n = 1; n <= 257; ++n) {
+        for (const bool ties : {false, true}) {
+            std::vector<double> values(n);
+            for (double &v : values) {
+                v = ties ? std::floor(rng.next() * 5.0) * 0.25
+                         : rng.next();
+            }
+            std::vector<double> sorted = values;
+            std::sort(sorted.begin(), sorted.end());
+            for (const std::vector<double> &qs : rank_sets) {
+                std::vector<double> work = values;
+                std::vector<double> picks(qs.size());
+                selectPercentiles(work, qs, picks);
+                for (std::size_t k = 0; k < qs.size(); ++k) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(picks[k]),
+                              std::bit_cast<std::uint64_t>(
+                                  percentileSorted(sorted, qs[k])))
+                        << "n " << n << " ties " << ties << " q "
+                        << qs[k];
+                    ++checked;
+                }
+                // Selection only reorders the sample.
+                std::sort(work.begin(), work.end());
+                EXPECT_EQ(work, sorted) << "n " << n;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 257u * 2 * 10);
+    std::vector<double> empty;
+    const double qs[] = {0.5, 0.99};
+    double picks[2] = {0.0, 0.0};
+    selectPercentiles(empty, qs, picks);
+    EXPECT_TRUE(std::isnan(picks[0]));
+    EXPECT_TRUE(std::isnan(picks[1]));
 }
 
 } // namespace

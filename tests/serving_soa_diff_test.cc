@@ -489,11 +489,13 @@ TEST(SoaDiff, PrefixWorkCounters)
 /**
  * The decode work counters on a general-qa stream with monolithic
  * prefill and reserved KV (30 req/s, 512 requests, seed 5, maxRlp
- * 16). Every iteration is either the O(1) steady advance or the
- * per-request decode pass, and the decode pass leaves the steady
- * aggregates valid, so they are rebuilt only after a batch change:
- * at most once per admission here (no preemption, no handoff);
- * dropping them after each decode pass rebuilds them 893 times.
+ * 16). Every iteration is either the steady step or the
+ * per-request decode pass. The decode pass leaves the steady
+ * aggregates valid and admissions extend them, so they are rebuilt
+ * only after another batch change (a preemption, handoff or crash):
+ * here, with none of those, only once, for the first plan. Dropping
+ * them after each decode pass rebuilds them 893 times, and after
+ * each admission 472 times.
  */
 TEST(SoaDiff, DecodeWorkCounters)
 {
@@ -511,7 +513,7 @@ TEST(SoaDiff, DecodeWorkCounters)
     EXPECT_EQ(r.work.steadyAdvances + r.work.decodePasses, r.iterations);
     EXPECT_GT(r.work.steadyAdvances, 0u);
     EXPECT_GT(r.work.decodePasses, 0u);
-    EXPECT_LE(r.work.steadyRebuilds, r.admissions);
+    EXPECT_EQ(r.work.steadyRebuilds, 1u);
 }
 
 /** @p w with its queue counters (WorkCounters' event, bucket and
@@ -542,13 +544,14 @@ expectMemoAndDrain(const ServingResult &r, const WorkCounters &queues)
 }
 
 /**
- * The plan memo, GEMV and queue counters on fault-free configs: a
- * single platform (ServingEngine::run) and clusters shaped like the
- * benchmark's qa-stream (4 round-robin replicas), spec-decode (2
- * replicas, speculation, chunked prefill, on-demand KV) and
- * agentic-prefix (prefix cache, cache-hit-aware routing). Memo
- * probes equal the dispatched iterations; the queues drain; the
- * GEMV counters are the platform's replays during the run; a
+ * The plan memo, GEMV, platform memo and queue counters on
+ * fault-free configs: a single platform (ServingEngine::run) and
+ * clusters shaped like the benchmark's qa-stream (4 round-robin
+ * replicas), spec-decode (2 replicas, speculation, chunked prefill,
+ * on-demand KV) and agentic-prefix (prefix cache, cache-hit-aware
+ * routing). Memo probes equal the dispatched iterations; the queues
+ * drain; the GEMV, FC table and prefill memo counters are the
+ * platform's work during the run; a
  * cluster's replica counters are its replicas' sum while their
  * queue counters stay 0; and worker threads move no counter.
  */
@@ -560,6 +563,7 @@ TEST(SoaDiff, MemoGemvAndQueueWorkCounters)
         SCOPED_TRACE("single platform, general-qa");
         Platform papi(cfg);
         const papi::pim::GemvWork before = papi.gemvWork();
+        const PlatformMemoWork memo_before = papi.memoWork();
         ServingOptions opt;
         opt.maxRlp = 16;
         const ServingResult r = ServingEngine(papi).run(
@@ -574,7 +578,20 @@ TEST(SoaDiff, MemoGemvAndQueueWorkCounters)
                   after.channelCalls - before.channelCalls);
         EXPECT_EQ(r.work.gemvBurstRuns,
                   after.burstRuns - before.burstRuns);
+        EXPECT_EQ(r.work.gemvMemoHits, after.memoHits - before.memoHits);
         EXPECT_GT(r.work.gemvReplays, 0u);
+        EXPECT_GT(r.work.gemvMemoHits, 0u);
+        // The platform's FC table and prefill memo during the run.
+        const PlatformMemoWork memo = papi.memoWork();
+        EXPECT_EQ(r.work.fcTableFills, memo.fcFills - memo_before.fcFills);
+        EXPECT_EQ(r.work.prefillMemoHits,
+                  memo.prefillHits - memo_before.prefillHits);
+        EXPECT_EQ(r.work.prefillMemoMisses,
+                  memo.prefillMisses - memo_before.prefillMisses);
+        EXPECT_EQ(r.work.prefillMemoClears, 0u);
+        EXPECT_GT(r.work.fcTableFills, 0u);
+        EXPECT_GT(r.work.prefillMemoHits, 0u);
+        EXPECT_GT(r.work.prefillMemoMisses, 0u);
     }
 
     struct ClusterCase
@@ -680,6 +697,23 @@ TEST(SoaDiff, DecodeRole)
         EXPECT_GT(r.result.tokensGenerated, 0u);
         EXPECT_EQ(r.breakdown.prefillSeconds, 0.0);
     }
+    // Migrated KV may exceed the context (deliverPrefilled allows
+    // it). With monolithic prefill, on-demand KV grows only once the
+    // context passes what a request holds, so such a request's KV
+    // does not move with the decoders and the steady step must not
+    // shift it.
+    DiffCase c;
+    c.name = "decode pool, on-demand KV, migrated KV above context";
+    c.opt.maxRlp = 16;
+    c.opt.role = ServingRole::Decode;
+    c.opt.preemptOnKvPressure = true;
+    c.poolTokens = 8192;
+    c.prefilled = prefill.handoffs;
+    for (HandoffRecord &h : c.prefilled)
+        h.kvTokens += 40;
+    const DiffOutput r = runLockstep(c);
+    EXPECT_EQ(r.result.admissions, prefill.handoffs.size());
+    EXPECT_GT(r.result.tokensGenerated, 0u);
 }
 
 TEST(SoaDiff, DeadlineShedding)
